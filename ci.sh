@@ -125,7 +125,7 @@ READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 READDUO_BITSLICE=1 \
     ./target/release/fault_mc >/dev/null
 echo "    fault_mc assertions passed"
 
-# Endurance gate, three directions. (1) A seeded accelerated-wear sweep
+# Endurance gate, two directions. (1) A seeded accelerated-wear sweep
 # with the spare pool squeezed to 2 lines must deterministically run it
 # dry: at least one row has to report writes that wanted a spare and
 # found none (graceful degradation on erasure hints alone), with zero
@@ -133,16 +133,13 @@ echo "    fault_mc assertions passed"
 # the accel=1 rows carry no wear at all. (2) The same run replayed from
 # the same seed must produce a byte-identical CSV: the whole ladder —
 # lognormal deaths, verify retries, remap order, exhaustion — replays.
-# (3) With the wear knobs exported but READDUO_WEAR left disabled, a
-# fig9 smoke must be byte-identical to the plain run: wear is strictly
-# opt-in and must never leak into the default tree.
 echo "==> wear gate (2-spare lifetime sweep, twice + byte-diff, budget 180 s)"
 wcsv="target/experiments/lifetime.csv"
 start=$(date +%s)
-READDUO_WEAR=1 READDUO_SPARE_LINES=2 READDUO_FAULT_SEED=16384023 \
+READDUO_SPARE_LINES=2 READDUO_FAULT_SEED=16384023 \
     ./target/release/lifetime >/dev/null
 cp "$wcsv" target/experiments/lifetime-wear-a.csv
-READDUO_WEAR=1 READDUO_SPARE_LINES=2 READDUO_FAULT_SEED=16384023 \
+READDUO_SPARE_LINES=2 READDUO_FAULT_SEED=16384023 \
     ./target/release/lifetime >/dev/null
 elapsed=$(( $(date +%s) - start ))
 echo "    wear sweeps took ${elapsed}s"
@@ -160,15 +157,6 @@ if ! awk -F, 'NR > 1 && $10 != 0 { bad = 1 } END { exit bad }' "$wcsv"; then
 fi
 if [ "$elapsed" -gt 180 ]; then
     echo "    FAIL: wear sweeps exceeded the 180 s budget" >&2
-    exit 1
-fi
-echo "==> wear-disabled identity (fig9 smoke, wear knobs set but READDUO_WEAR off)"
-READDUO_INSTR=50000 ./target/release/fig9 >/dev/null
-cp target/experiments/fig9.csv target/experiments/fig9-wear-off.csv
-READDUO_WEAR=0 READDUO_ENDURANCE_MEAN=1000 READDUO_VERIFY_RETRIES=1 \
-    READDUO_SPARE_LINES=1 READDUO_INSTR=50000 ./target/release/fig9 >/dev/null
-if ! cmp -s target/experiments/fig9-wear-off.csv target/experiments/fig9.csv; then
-    echo "    FAIL: disabled wear perturbed the fig9 CSV" >&2
     exit 1
 fi
 
@@ -216,6 +204,12 @@ READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=50000 \
     ./target/release/fig9 --dram-lines 4096 >/dev/null
 ./target/release/trace_check "$dtrace" \
     --require dram.hit --require dram.miss --require dram.promote
+
+# The benchmark package (benchmark/, its own workspace) calls the
+# harness and the device constructors directly; its unit tests pin its
+# reports to the harness's, so they also keep it compiling.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
 
 # Clippy ships with rustup toolchains but may be absent in minimal
 # containers; the gate is advisory there rather than a hard failure.

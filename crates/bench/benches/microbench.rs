@@ -97,11 +97,11 @@ fn bench_sweep(m: &mut Micro) {
     });
     let seq = Pool::new(1);
     m.bench("sweep/matrix_1w3s_seq", || {
-        h.run_matrix_on(&seq, &schemes, std::slice::from_ref(&w))
+        h.run_matrix_on(&seq, &schemes, std::slice::from_ref(&w)).unwrap()
     });
     let pool = Pool::from_env();
     m.bench("sweep/matrix_1w3s_pool", || {
-        h.run_matrix_on(&pool, &schemes, std::slice::from_ref(&w))
+        h.run_matrix_on(&pool, &schemes, std::slice::from_ref(&w)).unwrap()
     });
 }
 

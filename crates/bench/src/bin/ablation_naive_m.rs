@@ -59,10 +59,7 @@ fn main() {
             let w = Workload::by_name(name).expect("known workload");
             let trace =
                 TraceGenerator::new(harness.seed).generate(&w, harness.instructions_per_core, 4);
-            let warm =
-                (w.footprint_lines as f64 * w.locality.written_fraction) as u64;
-            let mut ideal =
-                readduo_core::SchemeKind::Ideal.build_for(harness.seed, warm, w.footprint_lines);
+            let mut ideal = readduo_core::SchemeKind::Ideal.build(harness.seed);
             let base = sim.run(&trace, ideal.as_mut());
             let mut dev = SlowM {
                 inner: MMetricScheme::paper(harness.seed),

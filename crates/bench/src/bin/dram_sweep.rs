@@ -3,7 +3,8 @@
 //!
 //! Each workload runs the LWT-4 scheme bare (the base row every ratio is
 //! against) and then tiered at every (capacity, threshold) grid point,
-//! all against the same trace. Three effects are reported per point:
+//! all in one matrix against the same trace. Three effects are reported
+//! per point:
 //!
 //! * **hit rate** — DRAM-serviced fraction of demand accesses,
 //! * **PCM write-traffic reduction** — total cells programmed vs the
@@ -20,7 +21,7 @@
 //! `READDUO_DRAM_LINES` / `READDUO_DRAM_THRESHOLD` are ignored here.
 
 use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
-use readduo_core::SchemeKind;
+use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_dram::DramConfig;
 use readduo_trace::Workload;
 
@@ -68,27 +69,30 @@ fn main() {
     .to_vec();
     let mut rows: Vec<Vec<String>> = Vec::new();
     // Per-grid-point aggregates over the workload matrix.
-    let npoints = CAPACITIES.len() * THRESHOLDS.len();
-    let mut agg_hit = vec![0.0f64; npoints];
-    let mut agg_cells_ratio = vec![0.0f64; npoints];
-    let mut agg_rm_shift = vec![0.0f64; npoints];
+    let points: Vec<(u64, u32)> = CAPACITIES
+        .iter()
+        .flat_map(|&c| THRESHOLDS.iter().map(move |&t| (c, t)))
+        .collect();
+    let mut agg_hit = vec![0.0f64; points.len()];
+    let mut agg_cells_ratio = vec![0.0f64; points.len()];
+    let mut agg_rm_shift = vec![0.0f64; points.len()];
 
-    for w in &workloads {
-        let trace = harness.trace_for(w);
-        let base = harness.run_tiered_on_trace(w, &trace, scheme, {
-            // A zero-capacity config runs the bare scheme device — the
-            // plain run every tiered row normalises against.
-            DramConfig { lines: 0, ..DramConfig::new(harness.seed, 1) }
-        });
-        let base_cells = base.report.cells_written_total().max(1);
-        let base_rm = base.report.rm_read_rate();
-        for (pi, (&cap, &thr)) in CAPACITIES
-            .iter()
-            .flat_map(|c| THRESHOLDS.iter().map(move |t| (c, t)))
-            .enumerate()
-        {
+    // Per workload: the bare run every tiered row normalises against,
+    // then one tiered run per grid point, all against the same trace.
+    let specs: Vec<DeviceSpec> = std::iter::once(scheme.into())
+        .chain(points.iter().map(|&(cap, thr)| {
             let dram = DramConfig::new(harness.seed, cap).tuned_from_env().with_threshold(thr);
-            let r = harness.run_tiered_on_trace(w, &trace, scheme, dram);
+            DeviceSpec::from(scheme).with_dram(dram)
+        }))
+        .collect();
+    let results = harness
+        .run_matrix(&specs, &workloads)
+        .expect("a tiered bare scheme always builds");
+    for (w, runs) in workloads.iter().zip(results.chunks(specs.len())) {
+        let base = &runs[0].report;
+        let base_cells = base.cells_written_total().max(1);
+        let base_rm = base.rm_read_rate();
+        for (pi, (&(cap, thr), r)) in points.iter().zip(&runs[1..]).enumerate() {
             let rep = &r.report;
             let ratio = rep.cells_written_total() as f64 / base_cells as f64;
             agg_hit[pi] += rep.dram_hit_rate();
@@ -120,11 +124,7 @@ fn main() {
 
     println!("\nPer grid point, averaged over {} workloads:", workloads.len());
     let n = workloads.len() as f64;
-    for (pi, (&cap, &thr)) in CAPACITIES
-        .iter()
-        .flat_map(|c| THRESHOLDS.iter().map(move |t| (c, t)))
-        .enumerate()
-    {
+    for (pi, &(cap, thr)) in points.iter().enumerate() {
         println!(
             "  {cap:>6} lines, threshold {thr}: hit rate {:.3}, cells vs base {:.3}, \
              escalation-rate shift {:+.5}",

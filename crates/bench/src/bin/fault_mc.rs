@@ -19,14 +19,14 @@
 //! `READDUO_FAULT_SEED` seeds the fault streams; `READDUO_FAULT_MC_LINES`
 //! sets the Monte-Carlo sample size (default 20 000 lines per point).
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
-use readduo_core::{FaultInjector, HybridScheme, SchemeKind};
+use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness, Source};
+use readduo_core::{DeviceSpec, FaultInjector, HybridScheme, SchemeKind};
 use readduo_memsim::{MemoryConfig, Simulator};
 use readduo_pcm::{FaultModel, MetricConfig};
 use readduo_reliability::{CellErrorModel, LerAnalysis};
 use readduo_rng::rngs::StdRng;
 use readduo_rng::SeedableRng;
-use readduo_trace::{TraceGenerator, Workload};
+use readduo_trace::Workload;
 
 /// MLC cells per 512-bit line (the analytic model's basis).
 const DATA_CELLS: u32 = 256;
@@ -161,10 +161,11 @@ fn main() {
         memory: MemoryConfig::small_test(),
     };
     let toy = Workload::toy();
+    let trace = h.trace_for(&toy);
     println!("\nend-to-end faulty runs (toy workload, {} instr/core):", h.instructions_per_core);
     for scheme in [SchemeKind::Scrubbing, SchemeKind::Hybrid, SchemeKind::Lwt { k: 4 }] {
         let r = h
-            .run_one_faulty(&toy, scheme, seed ^ 2)
+            .run(&toy, DeviceSpec::from(scheme).with_fault(seed ^ 2), Source::Trace(&trace))
             .expect("scheme supports fault injection");
         println!(
             "  {:<12} reads {:>7}  errored {:>5}  ecc bits {:>5}  rm {:>4}  corrective {:>3}  \
@@ -190,12 +191,11 @@ fn main() {
 
     // Stress leg: a cold Hybrid population exercises the full
     // R-fail → M-retry → ECC-correct → corrective-rewrite chain.
-    let trace = TraceGenerator::new(seed).generate(&toy, h.instructions_per_core, h.cores);
     let sim = Simulator::new(h.memory);
     let mut cold = HybridScheme::paper(seed)
         .with_cold_age(band_age)
         .with_fault_injection(seed ^ 3)
-        .with_dense_region(toy.footprint_lines);
+        .with_reserve(toy.footprint_lines);
     let rep = sim.run(&trace, &mut cold);
     println!(
         "\ncold Hybrid @ {band_age:.0} s: {} reads, {} escalated (retry mean {:.0} ns, \

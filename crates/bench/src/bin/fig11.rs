@@ -21,7 +21,9 @@ fn main() {
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.run_matrix(&schemes, &workloads);
+    let results = harness
+        .run_matrix(&schemes, &workloads)
+        .expect("bare schemes always build");
 
     // Per-scheme geomean EDAP across workloads, normalised to TLC.
     let header: Vec<String> = vec![

@@ -17,12 +17,9 @@ fn main() {
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.sweep(
-        SchemeKind::Ideal,
-        &k_points,
-        |&k| SchemeKind::Lwt { k },
-        &workloads,
-    );
+    let results = harness
+        .run_matrix(&schemes, &workloads)
+        .expect("bare schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
     let mut header: Vec<String> = vec!["workload".into()];

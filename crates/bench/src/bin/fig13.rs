@@ -18,12 +18,9 @@ fn main() {
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.sweep(
-        SchemeKind::Ideal,
-        &s_points,
-        |&s| SchemeKind::Select { k: 4, s },
-        &workloads,
-    );
+    let results = harness
+        .run_matrix(&schemes, &workloads)
+        .expect("bare schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.energy_total_pj());
 
     let mut header: Vec<String> = vec!["workload".into()];

@@ -19,7 +19,9 @@ fn main() {
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.run_matrix(&schemes, &workloads);
+    let results = harness
+        .run_matrix(&schemes, &workloads)
+        .expect("bare schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
     let mut header: Vec<String> = vec!["workload".into()];

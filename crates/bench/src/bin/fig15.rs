@@ -15,7 +15,9 @@ fn main() {
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.run_matrix(&schemes, &workloads);
+    let results = harness
+        .run_matrix(&schemes, &workloads)
+        .expect("bare schemes always build");
     // Lifetime ∝ 1 / cell-write volume.
     let rows = normalized(&results, SchemeKind::Ideal, |r| {
         r.cells_written_total().max(1) as f64

@@ -15,7 +15,7 @@
 use readduo_bench::{
     finish_telemetry, handle_help, normalized, render_table, result_for, write_csv, Harness,
 };
-use readduo_core::SchemeKind;
+use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_trace::Workload;
 
 fn main() {
@@ -72,25 +72,22 @@ fn main() {
     let tier = dram_lines
         .map(|lines| readduo_dram::DramConfig::new(harness.seed, lines).tuned_from_env())
         .or_else(|| readduo_dram::DramConfig::from_env(harness.seed));
-    let results = match tier {
-        Some(dram) => {
-            // Tiered matrix: each workload's trace is generated once and
-            // replayed through every scheme with the DRAM tier in front.
-            eprintln!(
-                "  DRAM tier: {} lines, {}-way, threshold {}, {:?}",
-                dram.lines, dram.ways, dram.threshold, dram.policy
-            );
-            let mut v = Vec::with_capacity(schemes.len() * workloads.len());
-            for w in &workloads {
-                let trace = harness.trace_for(w);
-                for &s in &schemes {
-                    v.push(harness.run_tiered_on_trace(w, &trace, s, dram));
-                }
-            }
-            v
-        }
-        None => harness.run_matrix(&schemes, &workloads),
-    };
+    if let Some(dram) = tier {
+        eprintln!(
+            "  DRAM tier: {} lines, {}-way, threshold {}, {:?}",
+            dram.lines, dram.ways, dram.threshold, dram.policy
+        );
+    }
+    let specs: Vec<DeviceSpec> = schemes
+        .iter()
+        .map(|&s| DeviceSpec {
+            dram: tier,
+            ..s.into()
+        })
+        .collect();
+    let results = harness
+        .run_matrix(&specs, &workloads)
+        .expect("bare and tiered schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
     let mut header: Vec<String> = vec!["workload".into()];

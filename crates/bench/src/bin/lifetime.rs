@@ -16,14 +16,12 @@
 //! pool) spare exhaustion and graceful degradation through erasure-hinted
 //! decoding alone.
 //!
-//! `READDUO_WEAR` is *not* required — this bin is the wear experiment —
-//! but `READDUO_ENDURANCE_MEAN`, `READDUO_VERIFY_RETRIES` and
-//! `READDUO_SPARE_LINES` are honoured when `READDUO_WEAR=1` is set (the
-//! same precedence every other binary uses). `READDUO_FAULT_SEED` seeds
-//! the fault and endurance streams.
+//! `READDUO_ENDURANCE_MEAN`, `READDUO_VERIFY_RETRIES` and
+//! `READDUO_SPARE_LINES` tune the endurance model; `READDUO_FAULT_SEED`
+//! seeds the fault and endurance streams.
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
-use readduo_core::{SchemeKind, WearConfig};
+use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness, Source};
+use readduo_core::{DeviceSpec, SchemeKind, WearConfig};
 use readduo_trace::Workload;
 
 /// Accelerated-aging factors swept: real time, onset of verify retries,
@@ -37,7 +35,7 @@ fn main() {
     );
     let harness = Harness::from_env();
     let fault_seed = readduo_env::seed_u64("READDUO_FAULT_SEED").unwrap_or(0x00FA_0017);
-    let base = WearConfig::from_env(fault_seed).unwrap_or_else(|| WearConfig::new(fault_seed));
+    let base = WearConfig::new(fault_seed).tuned_from_env();
     let schemes = [
         SchemeKind::Scrubbing,
         SchemeKind::Hybrid,
@@ -74,11 +72,15 @@ fn main() {
     .to_vec();
     let mut rows: Vec<Vec<String>> = Vec::new();
 
+    let trace = harness.trace_for(&workload);
     for scheme in schemes {
         let mut baseline_cells = 0u64;
         for accel in ACCELS {
+            let spec = DeviceSpec::from(scheme)
+                .with_fault(fault_seed)
+                .with_wear(base.with_accel(accel));
             let r = harness
-                .run_one_worn(&workload, scheme, fault_seed, base.with_accel(accel))
+                .run(&workload, spec, Source::Trace(&trace))
                 .expect("injectable scheme");
             let rep = &r.report;
             let cells = rep.cells_written_total().max(1);

@@ -4,7 +4,7 @@
 //! `ideal|scrubbing|mmetric|hybrid|lwt|select` (default `lwt`) and
 //! workload a SPEC2006 name (default: all).
 
-use readduo_bench::Harness;
+use readduo_bench::{Harness, Source};
 use readduo_core::SchemeKind;
 use readduo_trace::Workload;
 
@@ -29,7 +29,10 @@ fn main() {
         "workload", "reads", "R%", "M%", "RM%", "untrk%", "conv", "scrubs", "scrubRW", "cancels"
     );
     for w in &workloads {
-        let r = harness.run_one(w, scheme).report;
+        let r = harness
+            .run(w, scheme, Source::Stream)
+            .expect("a bare scheme always builds")
+            .report;
         let reads = r.reads.max(1) as f64;
         println!(
             "{:<12} {:>9} {:>6.1}% {:>6.1}% {:>6.1}% {:>7.1}% {:>8} {:>9} {:>9} {:>9}",

@@ -4,16 +4,16 @@
 //! streaming replay path, checked rather than assumed.
 //!
 //! With `--matrix` it instead streams the **full** Figure-9 headline
-//! matrix (every scheme × every SPEC2006 workload) — the exact
-//! configuration `bench_sweep` times as `fig9@10M` — so ci.sh can put a
+//! matrix (every scheme × every SPEC2006 workload) — the configuration
+//! the repository benchmark times as `fig9_10m` — so ci.sh can put a
 //! wall-clock budget on the acceptance leg without running the whole
-//! benchmark suite.
+//! benchmark.
 //!
 //! `READDUO_INSTR` sets the volume (ci.sh runs this at 10M instructions
 //! per core); `READDUO_RSS_CEILING_MB` overrides the ceiling (default
 //! 512 MB).
 
-use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness};
+use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, Source};
 use readduo_core::SchemeKind;
 use readduo_pool::Pool;
 use readduo_trace::Workload;
@@ -38,7 +38,9 @@ fn main() {
             ceiling_mb
         );
         let t = Instant::now();
-        let results = h.run_matrix_streamed_on(&Pool::new(1), &schemes, &workloads);
+        let results = h
+            .run_matrix_streamed_on(&Pool::new(1), &schemes, &workloads)
+            .expect("bare schemes always build");
         assert_eq!(results.len(), schemes.len() * workloads.len());
         assert!(
             results.iter().all(|r| r.report.reads + r.report.writes > 0),
@@ -59,7 +61,9 @@ fn main() {
         let t = Instant::now();
         for &scheme in &schemes {
             let t1 = Instant::now();
-            let r = h.run_streamed(&mcf, scheme);
+            let r = h
+                .run(&mcf, scheme, Source::Stream)
+                .expect("a bare scheme always builds");
             eprintln!(
                 "  {:<12} {:>7.0} ms  exec {:>12} ns  {} reads / {} writes",
                 scheme.label(),

@@ -27,10 +27,11 @@
 
 pub mod micro;
 
-use readduo_core::{EdapInputs, SchemeKind};
+use readduo_core::{DeviceSpec, EdapInputs, SchemeKind, SpecError};
+use readduo_dram::DramConfig;
 use readduo_memsim::{MemoryConfig, SimReport, Simulator};
 use readduo_pool::Pool;
-use readduo_trace::{Trace, TraceGenerator, TraceStream, Workload};
+use readduo_trace::{Trace, TraceCursor, TraceGenerator, TraceStream, Workload};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -44,6 +45,17 @@ pub struct RunResult {
     pub scheme: SchemeKind,
     /// Full simulator report.
     pub report: SimReport,
+}
+
+/// Where a run's operations come from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// An already-generated trace (matrix callers share one across specs).
+    Trace(&'a Trace),
+    /// A bounded-memory stream, generated chunk by chunk while the engine
+    /// consumes it: peak memory stays bounded by `cores × READDUO_CHUNK`
+    /// records regardless of instruction count.
+    Stream,
 }
 
 /// Harness configuration.
@@ -97,376 +109,137 @@ impl Harness {
         TraceGenerator::new(self.seed).stream(workload, self.instructions_per_core, self.cores)
     }
 
-    /// Runs one scheme against an already-generated trace.
+    /// Runs one device over one workload — the single run path every
+    /// figure, test and matrix goes through.
     ///
+    /// The spec is checked before any trace is generated. The device is
+    /// seeded from the harness seed and the workload, with the workload's
+    /// warm region and footprint, identically for either [`Source`].
     /// Single-channel topologies take the plain engine; multi-channel
     /// topologies shard across channels on the ambient pool
-    /// ([`Pool::from_env`]) — one [`TraceCursor`](readduo_trace::TraceCursor)
-    /// replay and one per-channel-seeded device per channel. Reports are
-    /// bit-for-bit independent of the thread count either way.
-    pub fn run_on_trace(
+    /// ([`Pool::from_env`]), one per-channel device each. Reports are
+    /// bit-for-bit independent of the source and the thread count
+    /// (pinned by `tests/stream_equivalence.rs` and
+    /// `tests/shard_equivalence.rs`).
+    pub fn run(
         &self,
         workload: &Workload,
-        trace: &Trace,
-        scheme: SchemeKind,
-    ) -> RunResult {
-        let _phase = readduo_telemetry::trace::phase(format!("sim/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme}", workload.name));
-        let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(trace),
-                |ch| self.device_for_channel(workload, scheme, ch),
-            )
-        } else {
-            let mut device = self.device_for(workload, scheme);
-            sim.run(trace, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        result
-    }
-
-    /// Runs one scheme in streaming mode: the trace is generated chunk by
-    /// chunk while the engine consumes it, so peak memory stays bounded by
-    /// `cores × READDUO_CHUNK` records regardless of instruction count.
-    /// Bit-for-bit identical to [`run_on_trace`] over [`trace_for`]'s
-    /// output (pinned by `tests/stream_equivalence.rs`).
-    ///
-    /// [`run_on_trace`]: Harness::run_on_trace
-    /// [`trace_for`]: Harness::trace_for
-    pub fn run_streamed(&self, workload: &Workload, scheme: SchemeKind) -> RunResult {
-        self.run_streamed_on(&Pool::from_env(), workload, scheme)
-    }
-
-    /// [`run_streamed`] with an explicit pool for the per-channel fan-out.
-    /// Single-channel topologies ignore the pool (there is nothing to fan
-    /// out); multi-channel reports are bit-for-bit identical across pool
-    /// widths, so the pool only chooses the wall clock.
-    ///
-    /// [`run_streamed`]: Harness::run_streamed
-    pub fn run_streamed_on(
-        &self,
-        pool: &Pool,
-        workload: &Workload,
-        scheme: SchemeKind,
-    ) -> RunResult {
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-stream/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme}", workload.name));
-        let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            // Each channel re-generates the stream chunk by chunk and
-            // filters it to the lines it owns: peak memory stays bounded
-            // and channel routing is stream-order-invariant by
-            // construction (the stream replays identically per channel).
-            sim.run_sharded(
-                pool,
-                |_ch| self.stream_for(workload),
-                |ch| self.device_for_channel(workload, scheme, ch),
-            )
-        } else {
-            let mut device = self.device_for(workload, scheme);
-            let mut stream = self.stream_for(workload);
-            sim.run_source(&mut stream, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        result
-    }
-
-    /// Builds a workload's device for `scheme`, seeded identically on the
-    /// materialised and streaming paths.
-    fn device_for(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-    ) -> Box<dyn readduo_memsim::DeviceModel> {
-        self.device_for_channel(workload, scheme, 0)
-    }
-
-    /// Builds one channel's device for `scheme`: the workload seed
-    /// decorrelated per channel. Channel 0 is exactly [`device_for`]'s
-    /// device, which keeps single-channel runs pinned to the pre-topology
-    /// reports.
-    ///
-    /// [`device_for`]: Harness::device_for
-    fn device_for_channel(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        channel: usize,
-    ) -> Box<dyn readduo_memsim::DeviceModel> {
+        spec: impl Into<DeviceSpec>,
+        source: Source<'_>,
+    ) -> Result<RunResult, SpecError> {
+        let spec = spec.into();
+        spec.validate()?;
+        let label = format!("{}/{spec}", workload.name);
+        let _phase = readduo_telemetry::trace::phase(format!("sim/{label}"));
+        readduo_telemetry::trace::set_run_label(&label);
         // Lines below the warm boundary are in write steady state; the
         // schemes treat them as recently written (pre-window).
         let warm_boundary = (workload.footprint_lines.max(16) as f64
             * workload.locality.written_fraction) as u64;
-        scheme.build_for_channel(
-            self.seed ^ workload.name.len() as u64,
-            channel,
-            warm_boundary,
-            workload.footprint_lines,
-        )
-    }
-
-    /// Runs one (workload, scheme) pair.
-    ///
-    /// Thin wrapper over [`trace_for`] + [`run_on_trace`]; the trace is
-    /// built once, not once per scheme as the pre-pool harness did.
-    ///
-    /// [`trace_for`]: Harness::trace_for
-    /// [`run_on_trace`]: Harness::run_on_trace
-    pub fn run_one(&self, workload: &Workload, scheme: SchemeKind) -> RunResult {
-        let trace = self.trace_for(workload);
-        self.run_on_trace(workload, &trace, scheme)
-    }
-
-    /// Runs one (workload, scheme) pair with Monte-Carlo fault injection
-    /// attached: demand reads sample real error patterns, decode them with
-    /// BCH-8, and (for the ReadDuo schemes) escalate failed R-decodes to
-    /// M-reads with corrective rewrites. `fault_seed` drives the fault
-    /// stream independently of the harness seed. Returns `None` for
-    /// schemes without an injected read path (Ideal, M-metric, TLC).
-    pub fn run_one_faulty(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        fault_seed: u64,
-    ) -> Option<RunResult> {
-        // Same warm-boundary computation as `device_for`, so faulty runs
-        // are directly comparable with their fault-free counterparts.
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
         let seed = self.seed ^ workload.name.len() as u64;
-        let mut device =
-            scheme.build_faulty(seed, fault_seed, warm_boundary, workload.footprint_lines)?;
-        let trace = self.trace_for(workload);
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-faulty/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme} (faulty)", workload.name));
+        let channels = self.memory.topology.channels;
+        let device = |ch: usize| {
+            spec.build(seed, ch, channels, warm_boundary, workload.footprint_lines)
+                .expect("spec validated above")
+        };
         let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            // Both the analytic and the fault RNG streams decorrelate per
-            // channel; channel 0 uses the run seeds unchanged.
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(&trace),
-                |ch| {
-                    scheme
-                        .build_faulty(
-                            readduo_core::channel_seed(seed, ch),
-                            readduo_core::channel_seed(fault_seed, ch),
-                            warm_boundary,
-                            workload.footprint_lines,
-                        )
-                        .expect("scheme probed fault-capable above")
-                },
-            )
-        } else {
-            sim.run(&trace, device.as_mut())
+        // A sharded stream re-generates chunk by chunk per channel and
+        // filters it to the lines that channel owns: peak memory stays
+        // bounded and routing is stream-order-invariant by construction.
+        let report = match source {
+            Source::Trace(trace) if channels > 1 => {
+                sim.run_sharded(&Pool::from_env(), |_| TraceCursor::new(trace), device)
+            }
+            Source::Stream if channels > 1 => {
+                sim.run_sharded(&Pool::from_env(), |_| self.stream_for(workload), device)
+            }
+            Source::Trace(trace) => sim.run(trace, device(0).as_mut()),
+            Source::Stream => sim.run_source(&mut self.stream_for(workload), device(0).as_mut()),
         };
         let result = RunResult {
             workload: workload.name,
-            scheme,
+            scheme: spec.scheme,
             report,
         };
         publish_run_metrics(&result);
-        Some(result)
+        Ok(result)
     }
 
-    /// Runs one (workload, scheme) pair with fault injection *and* the
-    /// endurance model attached: programs age cells against `wear`'s
-    /// lognormal endurance draws, dead cells read back stuck-at through
-    /// the erasure-aware decode, and over-margin lines remap onto spares.
-    /// Returns `None` for the schemes [`run_one_faulty`] cannot inject.
-    ///
-    /// [`run_one_faulty`]: Harness::run_one_faulty
-    pub fn run_one_worn(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        fault_seed: u64,
-        wear: readduo_core::WearConfig,
-    ) -> Option<RunResult> {
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
-        let seed = self.seed ^ workload.name.len() as u64;
-        let mut device =
-            scheme.build_worn(seed, fault_seed, wear, warm_boundary, workload.footprint_lines)?;
-        let trace = self.trace_for(workload);
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-worn/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme} (worn)", workload.name));
-        let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            // Analytic, fault and endurance streams all decorrelate per
-            // channel; channel 0 uses the run seeds unchanged. Each
-            // channel owns a full spare pool (sparing is per-channel
-            // hardware, not a global resource).
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(&trace),
-                |ch| {
-                    let ch_wear = readduo_core::WearConfig {
-                        seed: readduo_core::channel_seed(wear.seed, ch),
-                        ..wear
-                    };
-                    scheme
-                        .build_worn(
-                            readduo_core::channel_seed(seed, ch),
-                            readduo_core::channel_seed(fault_seed, ch),
-                            ch_wear,
-                            warm_boundary,
-                            workload.footprint_lines,
-                        )
-                        .expect("scheme probed wear-capable above")
-                },
-            )
-        } else {
-            sim.run(&trace, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        Some(result)
+    /// [`run`](Harness::run) of a bare scheme over an already-generated
+    /// trace.
+    pub fn run_on_trace(&self, workload: &Workload, trace: &Trace, scheme: SchemeKind) -> RunResult {
+        self.run(workload, scheme, Source::Trace(trace))
+            .expect("a bare scheme always builds")
     }
 
-    /// Runs one (workload, scheme) pair with the hybrid DRAM–PCM tier in
-    /// front of the scheme device: the hot working set migrates into DRAM
-    /// after `dram.threshold` misses, write hits are absorbed at DRAM
-    /// latency with zero PCM cells programmed, and dirty demotions
-    /// re-program the PCM line through the scheme's normal write path
-    /// (resetting its drift age and charging wear). A zero-capacity
-    /// `dram.lines` runs bit-for-bit the plain [`run_one`] path.
-    ///
-    /// [`run_one`]: Harness::run_one
-    pub fn run_one_tiered(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        dram: readduo_dram::DramConfig,
-    ) -> RunResult {
-        let trace = self.trace_for(workload);
-        self.run_tiered_on_trace(workload, &trace, scheme, dram)
-    }
-
-    /// [`run_one_tiered`] against an already-generated trace (matrix and
-    /// sweep callers build each workload's trace once and reuse it across
-    /// schemes and DRAM configurations).
-    ///
-    /// Sharded topologies give each channel its own DRAM slice
-    /// (`dram.lines / channels`) with the set-index hash seed
-    /// decorrelated via `channel_seed` — channel 0 of a single-channel
-    /// topology is bit-for-bit the unsharded tier.
-    ///
-    /// [`run_one_tiered`]: Harness::run_one_tiered
+    /// [`run`](Harness::run) of a scheme behind the DRAM tier `dram` over
+    /// an already-generated trace.
     pub fn run_tiered_on_trace(
         &self,
         workload: &Workload,
         trace: &Trace,
         scheme: SchemeKind,
-        dram: readduo_dram::DramConfig,
+        dram: DramConfig,
     ) -> RunResult {
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
-        let seed = self.seed ^ workload.name.len() as u64;
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-tiered/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme} (tiered)", workload.name));
-        let sim = Simulator::new(self.memory);
-        let channels = self.memory.topology.channels;
-        let report = if channels > 1 {
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(trace),
-                |ch| {
-                    scheme.build_tiered_for_channel(
-                        seed,
-                        ch,
-                        channels,
-                        dram,
-                        warm_boundary,
-                        workload.footprint_lines,
-                    )
-                },
-            )
-        } else {
-            let mut device =
-                scheme.build_tiered(seed, dram, warm_boundary, workload.footprint_lines);
-            sim.run(trace, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        result
+        self.run(workload, DeviceSpec::from(scheme).with_dram(dram), Source::Trace(trace))
+            .expect("a tiered bare scheme always builds")
     }
 
-    /// Runs the full `schemes × workloads` matrix on the ambient pool
+    /// Runs the full `specs × workloads` matrix on the ambient pool
     /// ([`Pool::from_env`]; `READDUO_THREADS=1` forces sequential).
-    pub fn run_matrix(&self, schemes: &[SchemeKind], workloads: &[Workload]) -> Vec<RunResult> {
-        self.run_matrix_on(&Pool::from_env(), schemes, workloads)
+    pub fn run_matrix<S: Copy + Into<DeviceSpec>>(
+        &self,
+        specs: &[S],
+        workloads: &[Workload],
+    ) -> Result<Vec<RunResult>, SpecError> {
+        self.run_matrix_on(&Pool::from_env(), specs, workloads)
     }
 
     /// Runs the matrix on an explicit pool.
     ///
-    /// Trace generation is itself fanned out (one task per workload); each
-    /// trace is then shared across schemes via `Arc`, and the (workload,
-    /// scheme) pairs go to the pool in workload-major order. Because
-    /// [`Pool::map`] positions results by input index, the returned vector
-    /// is in exactly the order the old sequential nested loop produced —
-    /// regardless of which worker finished first — and, since every task
-    /// seeds its own RNG streams from `(seed, workload)`, bit-for-bit
-    /// identical to a sequential run.
-    pub fn run_matrix_on(
+    /// Every spec is checked before any trace is generated. Trace
+    /// generation is itself fanned out (one task per workload); each trace
+    /// is then shared across specs via `Arc`, and the (workload, spec)
+    /// pairs go to the pool in workload-major order. Because [`Pool::map`]
+    /// positions results by input index, the returned vector is in
+    /// exactly the order a sequential nested loop produces — regardless of
+    /// which worker finished first — and, since every task seeds its own
+    /// RNG streams from `(seed, workload)`, bit-for-bit identical to a
+    /// sequential run.
+    pub fn run_matrix_on<S: Copy + Into<DeviceSpec>>(
         &self,
         pool: &Pool,
-        schemes: &[SchemeKind],
+        specs: &[S],
         workloads: &[Workload],
-    ) -> Vec<RunResult> {
+    ) -> Result<Vec<RunResult>, SpecError> {
+        let specs = validated(specs)?;
         let seq = Pool::new(1);
-        let pool = if matrix_uses_pool(pool, schemes.len() * workloads.len()) {
+        let pool = if matrix_uses_pool(pool, specs.len() * workloads.len()) {
             pool
         } else {
             &seq
         };
         let traces: Vec<Arc<Trace>> =
             pool.map(workloads.to_vec(), |_, w| self.trace_for(&w));
-        let tasks: Vec<(Workload, Arc<Trace>, SchemeKind)> = workloads
+        let tasks: Vec<(Workload, Arc<Trace>, DeviceSpec)> = workloads
             .iter()
             .zip(&traces)
-            .flat_map(|(w, trace)| {
-                schemes
-                    .iter()
-                    .map(move |&s| (w.clone(), Arc::clone(trace), s))
-            })
+            .flat_map(|(w, trace)| specs.iter().map(move |&s| (w.clone(), Arc::clone(trace), s)))
             .collect();
-        pool.map(tasks, |_, (w, trace, s)| self.run_on_trace(&w, &trace, s))
+        pool.map(tasks, |_, (w, trace, s)| self.run(&w, s, Source::Trace(&trace)))
+            .into_iter()
+            .collect()
     }
 
     /// Runs the full matrix in streaming mode on the ambient pool.
     ///
     /// See [`run_matrix_streamed_on`](Harness::run_matrix_streamed_on).
-    pub fn run_matrix_streamed(
+    pub fn run_matrix_streamed<S: Copy + Into<DeviceSpec>>(
         &self,
-        schemes: &[SchemeKind],
+        specs: &[S],
         workloads: &[Workload],
-    ) -> Vec<RunResult> {
-        self.run_matrix_streamed_on(&Pool::from_env(), schemes, workloads)
+    ) -> Result<Vec<RunResult>, SpecError> {
+        self.run_matrix_streamed_on(&Pool::from_env(), specs, workloads)
     }
 
     /// Runs the matrix in streaming mode on an explicit pool.
@@ -474,42 +247,36 @@ impl Harness {
     /// Peak memory stays bounded regardless of `instructions_per_core`:
     /// workloads are processed one at a time, and a workload whose
     /// materialised trace fits under the [`matrix_trace_budget_bytes`]
-    /// budget is generated **once** and shared across all schemes (the
+    /// budget is generated **once** and shared across all specs (the
     /// per-op hot path's single biggest redundancy was re-generating the
     /// same stream once per scheme). Above the budget the workload falls
-    /// back to true chunk-by-chunk streaming per scheme, which is what
+    /// back to true chunk-by-chunk streaming per spec, which is what
     /// makes paper-scale volumes (100M–1B instructions/core) runnable at
     /// all. Either way at most one workload's trace is live at a time, and
     /// results are returned in workload-major order, bit-for-bit identical
     /// to the materialised matrix (pinned by `tests/stream_equivalence.rs`
     /// and `tests/parallel_determinism.rs`).
-    ///
-    /// [`run_matrix_on`]: Harness::run_matrix_on
-    pub fn run_matrix_streamed_on(
+    pub fn run_matrix_streamed_on<S: Copy + Into<DeviceSpec>>(
         &self,
         pool: &Pool,
-        schemes: &[SchemeKind],
+        specs: &[S],
         workloads: &[Workload],
-    ) -> Vec<RunResult> {
+    ) -> Result<Vec<RunResult>, SpecError> {
+        let specs = validated(specs)?;
         let seq = Pool::new(1);
-        let pool = if matrix_uses_pool(pool, schemes.len() * workloads.len()) {
+        let pool = if matrix_uses_pool(pool, specs.len() * workloads.len()) {
             pool
         } else {
             &seq
         };
         let budget = matrix_trace_budget_bytes();
-        let mut out = Vec::with_capacity(schemes.len() * workloads.len());
+        let mut out = Vec::with_capacity(specs.len() * workloads.len());
         for w in workloads {
-            if self.trace_estimate_bytes(w) <= budget {
-                let trace = self.trace_for(w);
-                out.extend(
-                    pool.map(schemes.to_vec(), |_, s| self.run_on_trace(w, &trace, s)),
-                );
-            } else {
-                out.extend(pool.map(schemes.to_vec(), |_, s| self.run_streamed(w, s)));
-            }
+            let trace = (self.trace_estimate_bytes(w) <= budget).then(|| self.trace_for(w));
+            let source = trace.as_deref().map_or(Source::Stream, Source::Trace);
+            out.extend(pool.map(specs.clone(), |_, s| self.run(w, s, source)));
         }
-        out
+        out.into_iter().collect()
     }
 
     /// Estimated bytes a workload's materialised trace occupies: expected
@@ -522,27 +289,17 @@ impl Harness {
             / 1000.0) as u64;
         ops.saturating_mul(std::mem::size_of::<readduo_trace::MemOp>() as u64)
     }
+}
 
-    /// Parallel sensitivity sweep à la Figs. 12–13: one baseline scheme
-    /// plus one scheme per sweep point (k values, Select windows, …).
-    ///
-    /// Equivalent to `run_matrix(&[baseline, scheme_of(&p0), …], workloads)`
-    /// — every workload trace is generated once and shared across the
-    /// baseline and all points, and the whole `(1 + points) × workloads`
-    /// product is fanned out to the pool at once rather than point by
-    /// point.
-    pub fn sweep<P>(
-        &self,
-        baseline: SchemeKind,
-        points: &[P],
-        scheme_of: impl Fn(&P) -> SchemeKind,
-        workloads: &[Workload],
-    ) -> Vec<RunResult> {
-        let mut schemes = Vec::with_capacity(points.len() + 1);
-        schemes.push(baseline);
-        schemes.extend(points.iter().map(scheme_of));
-        self.run_matrix(&schemes, workloads)
-    }
+/// The specs of a matrix, each checked before any work starts.
+fn validated<S: Copy + Into<DeviceSpec>>(specs: &[S]) -> Result<Vec<DeviceSpec>, SpecError> {
+    specs
+        .iter()
+        .map(|&s| {
+            let spec: DeviceSpec = s.into();
+            spec.validate().map(|()| spec)
+        })
+        .collect()
 }
 
 impl Default for Harness {
@@ -616,13 +373,13 @@ pub fn matrix_trace_budget_bytes() -> u64 {
         .saturating_mul(1 << 20)
 }
 
-/// Whether a matrix of `tasks` (workload, scheme) pairs should fan out to
+/// Whether a matrix of `tasks` (workload, spec) pairs should fan out to
 /// `pool` at all.
 ///
 /// Spinning up workers, cloning task inputs and funnelling results through
 /// a channel costs more than it saves when there are fewer tasks than
-/// workers (BENCH_sweep.json's `sweep/matrix_1w3s_pool` micro measured the
-/// pooled 1×3 matrix *slower* than sequential), so small matrices take the
+/// workers (the `sweep/matrix_1w3s_pool` microbench measured the pooled
+/// 1×3 matrix *slower* than sequential), so small matrices take the
 /// in-place sequential path.
 pub fn matrix_uses_pool(pool: &Pool, tasks: usize) -> bool {
     !pool.is_sequential() && tasks >= pool.workers()
@@ -790,7 +547,7 @@ mod tests {
         let h = tiny_harness();
         let schemes = [SchemeKind::Ideal, SchemeKind::MMetric];
         let workloads = [Workload::toy()];
-        let results = h.run_matrix(&schemes, &workloads);
+        let results = h.run_matrix(&schemes, &workloads).unwrap();
         assert_eq!(results.len(), 2);
         let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
         assert_eq!(rows.len(), 2, "one workload + geomean");
@@ -856,8 +613,8 @@ mod tests {
         let h = tiny_harness();
         let schemes = [SchemeKind::Ideal, SchemeKind::Scrubbing, SchemeKind::MMetric];
         let workloads = [Workload::toy()];
-        let on_trace = h.run_matrix(&schemes, &workloads);
-        let streamed = h.run_matrix_streamed(&schemes, &workloads);
+        let on_trace = h.run_matrix(&schemes, &workloads).unwrap();
+        let streamed = h.run_matrix_streamed(&schemes, &workloads).unwrap();
         assert_eq!(on_trace.len(), streamed.len());
         for (a, b) in on_trace.iter().zip(&streamed) {
             assert_eq!(a.workload, b.workload);
@@ -876,16 +633,14 @@ mod tests {
     }
 
     #[test]
-    fn run_one_matches_matrix_entry() {
-        // The thin wrapper and the pooled matrix path must agree exactly.
+    fn single_run_matches_matrix_entry() {
+        // The single-run path and the pooled matrix path must agree exactly.
         let h = tiny_harness();
         let w = Workload::toy();
-        let lone = h.run_one(&w, SchemeKind::Ideal);
-        let matrix = h.run_matrix_on(
-            &readduo_pool::Pool::new(2),
-            &[SchemeKind::Ideal],
-            std::slice::from_ref(&w),
-        );
+        let lone = h.run(&w, SchemeKind::Ideal, Source::Stream).unwrap();
+        let matrix = h
+            .run_matrix_on(&Pool::new(2), &[SchemeKind::Ideal], std::slice::from_ref(&w))
+            .unwrap();
         assert_eq!(lone.report, matrix[0].report);
     }
 
@@ -893,37 +648,16 @@ mod tests {
     fn faulty_runs_are_deterministic_and_gated() {
         let h = tiny_harness();
         let w = Workload::toy();
-        assert!(h.run_one_faulty(&w, SchemeKind::Ideal, 1).is_none());
-        assert!(h.run_one_faulty(&w, SchemeKind::MMetric, 1).is_none());
-        let a = h.run_one_faulty(&w, SchemeKind::Hybrid, 3).unwrap();
-        let b = h.run_one_faulty(&w, SchemeKind::Hybrid, 3).unwrap();
+        for scheme in [SchemeKind::Ideal, SchemeKind::MMetric] {
+            let spec = DeviceSpec::from(scheme).with_fault(1);
+            let err = h.run(&w, spec, Source::Stream).unwrap_err();
+            assert_eq!(err, SpecError::NotInjectable(scheme));
+        }
+        let spec = DeviceSpec::from(SchemeKind::Hybrid).with_fault(3);
+        let a = h.run(&w, spec, Source::Stream).unwrap();
+        let b = h.run(&w, spec, Source::Trace(&h.trace_for(&w))).unwrap();
         assert_eq!(a.report, b.report);
         assert!(a.report.reads > 0);
-    }
-
-    #[test]
-    fn sweep_matches_run_matrix() {
-        let h = tiny_harness();
-        let workloads = [Workload::toy()];
-        let by_sweep = h.sweep(
-            SchemeKind::Ideal,
-            &[2u8, 4],
-            |&k| SchemeKind::Lwt { k },
-            &workloads,
-        );
-        let by_matrix = h.run_matrix(
-            &[
-                SchemeKind::Ideal,
-                SchemeKind::Lwt { k: 2 },
-                SchemeKind::Lwt { k: 4 },
-            ],
-            &workloads,
-        );
-        assert_eq!(by_sweep.len(), by_matrix.len());
-        for (a, b) in by_sweep.iter().zip(&by_matrix) {
-            assert_eq!(a.scheme, b.scheme);
-            assert_eq!(a.report, b.report);
-        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use edap::EdapInputs;
 pub use fault::{FaultInjector, InjectedRead};
 pub use flags::LwtFlags;
 pub use linestate::{LineState, LineTable};
-pub use scheme::{channel_seed, SchemeKind};
+pub use scheme::{channel_seed, DeviceSpec, SchemeKind, SpecError};
 pub use schemes::{
     HybridScheme, LwtScheme, MMetricScheme, SchemeCounters, ScrubbingScheme, TlcScheme,
 };

@@ -28,7 +28,7 @@
 
 use crate::flags::LwtFlags;
 
-/// Cap on the capacity pre-reserved by [`LineTable::set_dense_region`]:
+/// Cap on the capacity pre-reserved by [`LineTable::reserve`]:
 /// enough for the largest touched set a paper-scale run produces without
 /// letting a huge declared footprint balloon the empty table.
 const RESERVE_CAP: u64 = 1 << 16;
@@ -148,7 +148,7 @@ impl LineTable {
     /// lines. Pre-sizes the slot array (capped at [`RESERVE_CAP`] entries)
     /// so steady-state insertion never rehashes mid-run. Storage is
     /// touched-proportional either way; the hint only smooths growth.
-    pub fn set_dense_region(&mut self, lines: u64) {
+    pub fn reserve(&mut self, lines: u64) {
         let entries = lines.min(RESERVE_CAP) as usize;
         // Smallest power-of-two slot count whose 3/4 growth threshold
         // covers the hinted entry count.
@@ -159,6 +159,20 @@ impl LineTable {
         if want > self.slots.len() {
             self.resize(want);
         }
+    }
+
+    /// Overrides the cold-line age: cold lines default to a last full
+    /// write `age_s·(1 + jitter)` before time 0, which also clears
+    /// [`with_cold_writes_at_scrub`](Self::with_cold_writes_at_scrub).
+    /// The warm region and the capacity reserve are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `age_s` is negative.
+    pub fn set_cold_age(&mut self, age_s: f64) {
+        assert!(age_s >= 0.0, "cold age must be non-negative");
+        self.cold_age_s = age_s;
+        self.cold_at_scrub = false;
     }
 
     /// Makes cold lines default to "fully written at their last scrub" —
@@ -409,7 +423,7 @@ mod tests {
         plain.set_warm_region(50);
         let mut hinted = LineTable::new(4, 640.0, 1e6);
         hinted.set_warm_region(50);
-        hinted.set_dense_region(100);
+        hinted.reserve(100);
         for line in [0u64, 7, 49, 50, 99, 100, 5000, u64::MAX - 3, u64::MAX] {
             assert_eq!(
                 *plain.get_mut(line, 123.0),
@@ -429,7 +443,7 @@ mod tests {
         // storage: capacity stays bounded by the reserve cap, and entries
         // appear only as lines are touched.
         let mut t = LineTable::new(4, 640.0, 1e6);
-        t.set_dense_region(100_000_000);
+        t.reserve(100_000_000);
         assert_eq!(t.touched(), 0);
         assert!(
             t.grow_at <= 2 * RESERVE_CAP as usize,

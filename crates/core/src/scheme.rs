@@ -1,10 +1,14 @@
 //! Scheme factory: one enum naming every configuration the evaluation
-//! runs, with constructors and per-scheme storage costs.
+//! runs, per-scheme storage costs, and [`DeviceSpec`] — the one way a
+//! device is built, with fault injection, wear and the DRAM tier composed
+//! on top of the scheme.
 
 use crate::area::LineStorage;
-use crate::schemes::{HybridScheme, LwtScheme, MMetricScheme, ScrubbingScheme, TlcScheme};
+use crate::schemes::{HybridScheme, LwtScheme, MMetricScheme, Scheme, ScrubbingScheme, TlcScheme};
 use crate::wear::WearConfig;
+use readduo_dram::{DramConfig, TieredDevice};
 use readduo_memsim::{DeviceModel, FixedLatencyDevice};
+use std::fmt;
 
 /// Derives one channel's device seed from the run seed: channel 0 keeps
 /// the seed unchanged (so a single-channel topology reproduces the
@@ -76,71 +80,24 @@ impl SchemeKind {
         }
     }
 
-    /// Builds the device model, seeding its RNG streams. Equivalent to
-    /// [`build_for`] with an empty warm region and no dense footprint.
-    ///
-    /// [`build_for`]: SchemeKind::build_for
+    /// Whether the scheme has an injected read path: Ideal and TLC are
+    /// drift-free by construction, and M-metric's direct M-reads never
+    /// exercise the escalation chain the injector models.
+    fn injectable(&self) -> bool {
+        !matches!(
+            self,
+            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Tlc
+        )
+    }
+
+    /// Builds the bare device model with no warm region, seeding its RNG
+    /// streams from `seed`.
     pub fn build(&self, seed: u64) -> Box<dyn DeviceModel> {
-        self.build_for(seed, 0, 0)
+        self.build_for_channel(seed, 0, 0, 0)
     }
 
-    /// Builds the device model for a workload whose warm (actively
-    /// written) region spans lines `[0, warm_boundary)` — those lines
-    /// default to steady-state recent writes instead of ancient ones —
-    /// and whose footprint spans lines `[0, footprint_lines)`, stored
-    /// densely (direct-indexed) instead of hashed. Both regions only
-    /// affect performance/defaults, never which lines are representable:
-    /// `footprint_lines = 0` keeps everything in the hash tier.
-    pub fn build_for(
-        &self,
-        seed: u64,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Box<dyn DeviceModel> {
-        match *self {
-            SchemeKind::Ideal => Box::new(FixedLatencyDevice::ideal()),
-            SchemeKind::Scrubbing => Box::new(
-                ScrubbingScheme::paper(seed)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::ScrubbingW0 => {
-                Box::new(ScrubbingScheme::paper_w0(seed).with_dense_region(footprint_lines))
-            }
-            SchemeKind::MMetric => Box::new(
-                MMetricScheme::paper(seed)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::Hybrid => {
-                Box::new(HybridScheme::paper(seed).with_dense_region(footprint_lines))
-            }
-            SchemeKind::Lwt { k } => Box::new(
-                LwtScheme::paper(seed, k)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::LwtNoConversion { k } => Box::new(
-                LwtScheme::without_conversion(seed, k)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::Select { k, s } => Box::new(
-                LwtScheme::select(seed, k, s)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::Tlc => Box::new(TlcScheme::paper()),
-        }
-    }
-
-    /// Builds the device model for one channel of a sharded topology: the
-    /// same scheme construction with the run seed decorrelated per channel
-    /// via [`channel_seed`], so channels draw independent drift/noise
-    /// streams. Channel 0 uses the run seed unchanged — a single-channel
-    /// topology builds bit-for-bit the device [`build_for`] builds.
-    ///
-    /// [`build_for`]: SchemeKind::build_for
+    /// The bare device of one channel: [`DeviceSpec::build`] of this
+    /// scheme alone.
     pub fn build_for_channel(
         &self,
         seed: u64,
@@ -148,80 +105,14 @@ impl SchemeKind {
         warm_boundary: u64,
         footprint_lines: u64,
     ) -> Box<dyn DeviceModel> {
-        self.build_for(channel_seed(seed, channel), warm_boundary, footprint_lines)
+        DeviceSpec::from(*self)
+            .build(seed, channel, 1, warm_boundary, footprint_lines)
+            .expect("a bare scheme always builds")
     }
 
-    /// Builds the device model with a hybrid DRAM–PCM migration tier in
-    /// front of it ([`readduo_dram::TieredDevice`]): the scheme device is
-    /// exactly what [`build_for`] builds, and a zero-capacity
-    /// `dram.lines` returns it bare — that is the "disabled tier == plain
-    /// run" bit-for-bit guarantee, in the same spirit as the fault and
-    /// wear subsystems. Every scheme is tierable: the tier is a decorator
-    /// over the device-model trait, not a per-scheme feature.
-    ///
-    /// [`build_for`]: SchemeKind::build_for
-    pub fn build_tiered(
-        &self,
-        seed: u64,
-        dram: readduo_dram::DramConfig,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Box<dyn DeviceModel> {
-        self.build_tiered_for_channel(seed, 0, 1, dram, warm_boundary, footprint_lines)
-    }
-
-    /// [`build_tiered`] for one channel of a sharded topology: the scheme
-    /// seed decorrelates via [`channel_seed`] (like [`build_for_channel`])
-    /// and so does the tier's set-index hash seed; the DRAM capacity is
-    /// the per-channel slice of `dram.lines` over `channels`. Channel 0
-    /// of a single-channel topology builds bit-for-bit the device
-    /// [`build_tiered`] builds.
-    ///
-    /// [`build_tiered`]: SchemeKind::build_tiered
-    /// [`build_for_channel`]: SchemeKind::build_for_channel
-    pub fn build_tiered_for_channel(
-        &self,
-        seed: u64,
-        channel: usize,
-        channels: usize,
-        dram: readduo_dram::DramConfig,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Box<dyn DeviceModel> {
-        let inner = self.build_for_channel(seed, channel, warm_boundary, footprint_lines);
-        let cfg = readduo_dram::DramConfig {
-            seed: channel_seed(dram.seed, channel),
-            ..dram.sliced(channels)
-        };
-        if cfg.lines == 0 {
-            inner
-        } else {
-            Box::new(readduo_dram::TieredDevice::new(inner, cfg).with_channel(channel))
-        }
-    }
-
-    /// Builds the device model with Monte-Carlo fault injection attached
-    /// (`fault_seed` drives the fault stream independently of the analytic
-    /// sampler's `seed`). Returns `None` for schemes without an injected
-    /// read path: Ideal and TLC are drift-free by construction, and
-    /// M-metric's direct M-reads never exercise the escalation chain the
-    /// injector models.
-    pub fn build_faulty(
-        &self,
-        seed: u64,
-        fault_seed: u64,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Option<Box<dyn DeviceModel>> {
-        self.build_faulty_inner(seed, fault_seed, None, warm_boundary, footprint_lines)
-    }
-
-    /// [`build_faulty`] plus the endurance model: cells age per program,
-    /// dead cells read back stuck-at (decoded with erasure hints), and
-    /// over-margin lines remap onto spares. Covers exactly the injectable
-    /// schemes — stuck bits only matter through the injected decode path.
-    ///
-    /// [`build_faulty`]: SchemeKind::build_faulty
+    /// The single-channel device with fault injection and wear:
+    /// [`DeviceSpec::build`], or `None` for a scheme without an injected
+    /// read path.
     pub fn build_worn(
         &self,
         seed: u64,
@@ -230,83 +121,17 @@ impl SchemeKind {
         warm_boundary: u64,
         footprint_lines: u64,
     ) -> Option<Box<dyn DeviceModel>> {
-        self.build_faulty_inner(seed, fault_seed, Some(wear), warm_boundary, footprint_lines)
-    }
-
-    fn build_faulty_inner(
-        &self,
-        seed: u64,
-        fault_seed: u64,
-        wear: Option<WearConfig>,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Option<Box<dyn DeviceModel>> {
-        match *self {
-            SchemeKind::Scrubbing => {
-                let mut s = ScrubbingScheme::paper(seed).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::ScrubbingW0 => {
-                let mut s = ScrubbingScheme::paper_w0(seed).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(s.with_dense_region(footprint_lines)))
-            }
-            SchemeKind::Hybrid => {
-                let mut s = HybridScheme::paper(seed).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(s.with_dense_region(footprint_lines)))
-            }
-            SchemeKind::Lwt { k } => {
-                let mut s = LwtScheme::paper(seed, k).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::LwtNoConversion { k } => {
-                let mut s =
-                    LwtScheme::without_conversion(seed, k).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::Select { k, s: sw } => {
-                let mut s = LwtScheme::select(seed, k, sw).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Tlc => None,
-        }
+        DeviceSpec::from(*self)
+            .with_fault(fault_seed)
+            .with_wear(wear)
+            .build(seed, 0, 1, warm_boundary, footprint_lines)
+            .ok()
     }
 
     /// Per-line storage cost for the area factor of EDAP.
     pub fn storage(&self) -> LineStorage {
         match *self {
-            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Hybrid => {
-                LineStorage::mlc_bch8()
-            }
+            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Hybrid => LineStorage::mlc_bch8(),
             SchemeKind::Scrubbing | SchemeKind::ScrubbingW0 => LineStorage::scrubbing(),
             SchemeKind::Lwt { k }
             | SchemeKind::LwtNoConversion { k }
@@ -316,15 +141,225 @@ impl SchemeKind {
     }
 }
 
-impl std::fmt::Display for SchemeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for SchemeKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.label())
+    }
+}
+
+/// A device configuration: one scheme plus the opt-in subsystems stacked
+/// on it. Each layer is absent unless set, and an absent layer leaves the
+/// device bit-for-bit what it would be without it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceSpec {
+    /// The readout scheme and its scrub policy.
+    pub scheme: SchemeKind,
+    /// Monte-Carlo fault injection on demand reads, seeding the fault
+    /// stream independently of the scheme's analytic sampler.
+    pub fault: Option<u64>,
+    /// The endurance model (requires `fault`: stuck bits only matter
+    /// through the injected decode path).
+    pub wear: Option<WearConfig>,
+    /// A hybrid DRAM–PCM migration tier in front of the device; zero
+    /// lines means no tier.
+    pub dram: Option<DramConfig>,
+}
+
+/// Why a [`DeviceSpec`] cannot be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecError {
+    /// Fault injection on a scheme without an injected read path
+    /// (Ideal, M-metric, TLC).
+    NotInjectable(SchemeKind),
+    /// Wear without fault injection.
+    WearWithoutFault(SchemeKind),
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::NotInjectable(s) => write!(f, "{s} has no fault-injected read path"),
+            SpecError::WearWithoutFault(s) => {
+                write!(f, "{s}: the wear model needs fault injection")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+impl From<SchemeKind> for DeviceSpec {
+    fn from(scheme: SchemeKind) -> Self {
+        Self {
+            scheme,
+            fault: None,
+            wear: None,
+            dram: None,
+        }
+    }
+}
+
+impl DeviceSpec {
+    /// The same spec with fault injection seeded by `seed`.
+    pub fn with_fault(self, seed: u64) -> Self {
+        Self {
+            fault: Some(seed),
+            ..self
+        }
+    }
+
+    /// The same spec with the endurance model `wear`.
+    pub fn with_wear(self, wear: WearConfig) -> Self {
+        Self {
+            wear: Some(wear),
+            ..self
+        }
+    }
+
+    /// The same spec behind the DRAM tier `dram`.
+    pub fn with_dram(self, dram: DramConfig) -> Self {
+        Self {
+            dram: Some(dram),
+            ..self
+        }
+    }
+
+    /// Checks that the layers compose, without building anything.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.fault.is_some() && !self.scheme.injectable() {
+            return Err(SpecError::NotInjectable(self.scheme));
+        }
+        if self.wear.is_some() && self.fault.is_none() {
+            return Err(SpecError::WearWithoutFault(self.scheme));
+        }
+        Ok(())
+    }
+
+    /// Builds the device of channel `channel` of a `channels`-way
+    /// topology: the tier over wear over fault injection over the scheme.
+    ///
+    /// Every per-channel seed derives here, through [`channel_seed`]: the
+    /// scheme's, the fault stream's, the wear table's and the tier's
+    /// set-index hash. The tier's capacity is the channel's
+    /// [`DramConfig::sliced`] share. Channel 0 keeps every seed, so a
+    /// single-channel topology is the unsharded device bit-for-bit.
+    ///
+    /// Lines `[0, warm_boundary)` are the workload's actively written
+    /// region (they default to steady-state recent writes instead of
+    /// ancient ones) and `footprint_lines` pre-sizes the line table; both
+    /// only shape first-touch defaults and capacity, never which lines are
+    /// representable.
+    pub fn build(
+        &self,
+        seed: u64,
+        channel: usize,
+        channels: usize,
+        warm_boundary: u64,
+        footprint_lines: u64,
+    ) -> Result<Box<dyn DeviceModel>, SpecError> {
+        self.validate()?;
+        let seed = channel_seed(seed, channel);
+        let layers = Layers {
+            fault: self.fault.map(|s| channel_seed(s, channel)),
+            wear: self.wear.map(|w| WearConfig {
+                seed: channel_seed(w.seed, channel),
+                ..w
+            }),
+            warm_boundary,
+            footprint_lines,
+        };
+        // The `W = 0` schemes rewrite every line at every scrub, so their
+        // cold default (written at the last scrub) already is the steady
+        // state: they take no warm region.
+        let w0 = Layers {
+            warm_boundary: 0,
+            ..layers
+        };
+        let device: Box<dyn DeviceModel> = match self.scheme {
+            SchemeKind::Ideal => Box::new(FixedLatencyDevice::ideal()),
+            SchemeKind::Tlc => Box::new(TlcScheme::paper()),
+            SchemeKind::Scrubbing => layers.on(ScrubbingScheme::paper(seed)),
+            SchemeKind::ScrubbingW0 => w0.on(ScrubbingScheme::paper_w0(seed)),
+            SchemeKind::MMetric => layers.on(MMetricScheme::paper(seed)),
+            SchemeKind::Hybrid => w0.on(HybridScheme::paper(seed)),
+            SchemeKind::Lwt { k } => layers.on(LwtScheme::paper(seed, k)),
+            SchemeKind::LwtNoConversion { k } => layers.on(LwtScheme::without_conversion(seed, k)),
+            SchemeKind::Select { k, s } => layers.on(LwtScheme::select(seed, k, s)),
+        };
+        Ok(match self.dram {
+            Some(dram) if dram.lines > 0 => {
+                let cfg = DramConfig {
+                    seed: channel_seed(dram.seed, channel),
+                    ..dram.sliced(channels)
+                };
+                Box::new(TieredDevice::new(device, cfg).with_channel(channel))
+            }
+            _ => device,
+        })
+    }
+}
+
+/// One channel's fault and wear layers and line-table hints, as
+/// [`DeviceSpec::build`] applies them to a scheme.
+#[derive(Clone, Copy)]
+struct Layers {
+    fault: Option<u64>,
+    wear: Option<WearConfig>,
+    warm_boundary: u64,
+    footprint_lines: u64,
+}
+
+impl Layers {
+    fn on<P>(self, mut scheme: Scheme<P>) -> Box<dyn DeviceModel>
+    where
+        Scheme<P>: DeviceModel + 'static,
+    {
+        if let Some(seed) = self.fault {
+            scheme = scheme.with_fault_injection(seed);
+        }
+        if let Some(cfg) = self.wear {
+            scheme = scheme.with_wear(cfg);
+        }
+        Box::new(
+            scheme
+                .with_warm_region(self.warm_boundary)
+                .with_reserve(self.footprint_lines),
+        )
+    }
+}
+
+impl fmt::Display for DeviceSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.scheme)?;
+        let layers = [
+            (self.fault.is_some(), "fault"),
+            (self.wear.is_some(), "wear"),
+            (self.dram.is_some_and(|d| d.lines > 0), "dram"),
+        ];
+        for (on, layer) in layers {
+            if on {
+                write!(f, "+{layer}")?;
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ALL: [SchemeKind; 9] = [
+        SchemeKind::Ideal,
+        SchemeKind::Scrubbing,
+        SchemeKind::ScrubbingW0,
+        SchemeKind::MMetric,
+        SchemeKind::Hybrid,
+        SchemeKind::Lwt { k: 4 },
+        SchemeKind::LwtNoConversion { k: 2 },
+        SchemeKind::Select { k: 4, s: 1 },
+        SchemeKind::Tlc,
+    ];
 
     #[test]
     fn headline_set_matches_figures() {
@@ -336,18 +371,7 @@ mod tests {
 
     #[test]
     fn all_kinds_build() {
-        let kinds = [
-            SchemeKind::Ideal,
-            SchemeKind::Scrubbing,
-            SchemeKind::ScrubbingW0,
-            SchemeKind::MMetric,
-            SchemeKind::Hybrid,
-            SchemeKind::Lwt { k: 4 },
-            SchemeKind::LwtNoConversion { k: 2 },
-            SchemeKind::Select { k: 4, s: 1 },
-            SchemeKind::Tlc,
-        ];
-        for k in kinds {
+        for k in ALL {
             let mut dev = k.build(1);
             // Every device must answer a read without panicking.
             let r = dev.on_read(0, 10.0);
@@ -358,23 +382,34 @@ mod tests {
     }
 
     #[test]
-    fn faulty_builds_cover_the_injectable_schemes() {
-        let injectable = [
-            SchemeKind::Scrubbing,
-            SchemeKind::ScrubbingW0,
-            SchemeKind::Hybrid,
-            SchemeKind::Lwt { k: 4 },
-            SchemeKind::LwtNoConversion { k: 2 },
-            SchemeKind::Select { k: 4, s: 1 },
-        ];
-        for k in injectable {
-            let mut dev = k.build_faulty(1, 2, 0, 0).expect("injectable scheme");
-            let r = dev.on_read(0, 10.0);
-            assert!(r.latency_ns >= 150, "{k}");
+    fn faulty_specs_cover_exactly_the_injectable_schemes() {
+        for k in ALL {
+            let spec = DeviceSpec::from(k).with_fault(2);
+            match spec.build(1, 0, 1, 0, 0) {
+                Ok(mut dev) => {
+                    assert!(k.injectable(), "{k}");
+                    assert!(dev.on_read(0, 10.0).latency_ns >= 150, "{k}");
+                }
+                Err(e) => {
+                    assert!(!k.injectable(), "{k}");
+                    assert_eq!(e, SpecError::NotInjectable(k));
+                }
+            }
+            let worn = DeviceSpec::from(k).with_wear(WearConfig::new(3));
+            assert_eq!(worn.validate(), Err(SpecError::WearWithoutFault(k)));
         }
-        for k in [SchemeKind::Ideal, SchemeKind::MMetric, SchemeKind::Tlc] {
-            assert!(k.build_faulty(1, 2, 0, 0).is_none(), "{k}");
-        }
+    }
+
+    #[test]
+    fn spec_labels_name_their_layers() {
+        let lwt = DeviceSpec::from(SchemeKind::Lwt { k: 4 });
+        assert_eq!(lwt.to_string(), "LWT-4");
+        let full = lwt
+            .with_fault(1)
+            .with_wear(WearConfig::new(1))
+            .with_dram(DramConfig::new(1, 64));
+        assert_eq!(full.to_string(), "LWT-4+fault+wear+dram");
+        assert_eq!(lwt.with_dram(DramConfig::new(1, 0)).to_string(), "LWT-4");
     }
 
     #[test]

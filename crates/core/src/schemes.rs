@@ -5,21 +5,24 @@
 //! * [`HybridScheme`] — ReadDuo-Hybrid: R-read with BCH-decoupled fallback
 //!   to M-read, `(BCH=8, S=640 s, W=0)`,
 //! * [`LwtScheme`] — ReadDuo-LWT-k: Hybrid plus last-write tracking and
-//!   R-M-read conversion, `(BCH=8, S=640 s, W=1)`,
-//! * [`SelectScheme`] — ReadDuo-Select-(k:s): LWT plus selective
-//!   differential writes,
+//!   R-M-read conversion, `(BCH=8, S=640 s, W=1)`; [`LwtScheme::select`]
+//!   adds ReadDuo-Select-(k:s)'s selective differential writes,
 //! * [`TlcScheme`] — the Tri-Level-Cell baseline [26] (no drift errors, no
 //!   scrubbing, lower density),
 //! * Ideal is [`readduo_memsim::FixedLatencyDevice::ideal`].
 //!
-//! All schemes implement [`DeviceModel`]; the simulator calls them per
-//! read/write/scrub with the simulated time in seconds.
+//! The four drifting-MLC schemes are one [`Scheme`] each: the state they
+//! share (drift sampler, line table, energy and device models, optional
+//! fault injector and wear table, side counters) plus a policy type that
+//! holds what differs. All schemes implement [`DeviceModel`]; the
+//! simulator calls them per read/write/scrub with the simulated time in
+//! seconds.
 
 use crate::common::{
     differential_write, full_line_write, DriftSampler, CORRECT_MAX, DETECT_MAX,
 };
 use crate::conversion::ConversionController;
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, InjectedRead};
 use crate::flags::LwtFlags;
 use crate::linestate::LineTable;
 use crate::wear::{WearConfig, WearTable};
@@ -56,22 +59,237 @@ pub struct SchemeCounters {
     pub full_writes: u64,
 }
 
-// ---------------------------------------------------------------------
-// Scrubbing baseline (R-sensing).
-// ---------------------------------------------------------------------
-
-/// Efficient scrubbing [2] with R-metric sensing.
+/// A drifting-MLC readout scheme: the state every such scheme shares,
+/// around the policy `P` that decides how it reads, writes and scrubs.
 #[derive(Debug, Clone)]
-pub struct ScrubbingScheme {
+pub struct Scheme<P> {
     sampler: DriftSampler,
     table: LineTable,
     energy: EnergyModel,
     params: DeviceParams,
-    interval_s: f64,
-    w: u32,
+    /// Whether an injected R-decode failure escalates to an M-read (every
+    /// policy but the R-only Scrubbing baseline).
+    escalate: bool,
     injector: Option<FaultInjector>,
     wear: Option<WearTable>,
     counters: SchemeCounters,
+    policy: P,
+}
+
+/// Efficient scrubbing [2] with R-metric sensing.
+pub type ScrubbingScheme = Scheme<ScrubbingPolicy>;
+/// M-metric-only sensing with `(BCH=8, S=640, W=1)`.
+pub type MMetricScheme = Scheme<MMetricPolicy>;
+/// ReadDuo-Hybrid: fast R-read, decoupled BCH detection, M-read fallback;
+/// `(BCH=8, S=640, W=0)` scrubbing keeps every line young enough for
+/// R-sensing.
+pub type HybridScheme = Scheme<HybridPolicy>;
+/// ReadDuo-LWT-k: last-write tracking over `k` sub-intervals, `W = 1`
+/// M-scrubbing, and dynamic R-M-read conversion (plus Select-(k:s)'s
+/// differential writes when built with [`LwtScheme::select`]).
+pub type LwtScheme = Scheme<LwtPolicy>;
+
+impl<P> Scheme<P> {
+    fn assemble(seed: u64, table: LineTable, escalate: bool, policy: P) -> Self {
+        Self {
+            sampler: DriftSampler::new(seed),
+            table,
+            energy: EnergyModel::paper(),
+            params: DeviceParams::paper(),
+            escalate,
+            injector: None,
+            wear: None,
+            counters: SchemeCounters::default(),
+            policy,
+        }
+    }
+
+    /// Side counters.
+    pub fn counters(&self) -> SchemeCounters {
+        self.counters
+    }
+
+    /// Declares `[0, boundary)` the workload's warm region (see
+    /// [`LineTable::set_warm_region`]).
+    pub fn with_warm_region(mut self, boundary: u64) -> Self {
+        self.table.set_warm_region(boundary);
+        self
+    }
+
+    /// Hints that the workload touches on the order of `lines` distinct
+    /// lines — normally its footprint (see [`LineTable::reserve`]).
+    pub fn with_reserve(mut self, lines: u64) -> Self {
+        self.table.reserve(lines);
+        self
+    }
+
+    /// Attaches Monte-Carlo fault injection to demand reads: they sample
+    /// real error patterns and decode them with BCH-8. The ReadDuo
+    /// schemes escalate failed R-decodes to M-reads (an escalated read
+    /// that survived through ECC schedules a corrective rewrite); the
+    /// R-only Scrubbing baseline surfaces them as detected-uncorrectable.
+    /// M-metric's direct M-reads never take the injected path.
+    pub fn with_fault_injection(mut self, seed: u64) -> Self {
+        self.injector = Some(FaultInjector::new(seed, self.escalate));
+        self
+    }
+
+    /// Attaches the endurance model: every program ages the line's cells,
+    /// dead cells read back stuck-at, and lines whose dead-cell count
+    /// exceeds the margin remap onto spares (see [`WearTable`]).
+    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
+        self.wear = Some(WearTable::new(cfg));
+        self
+    }
+
+    /// The endurance state, when wear modelling is enabled.
+    pub fn wear(&self) -> Option<&WearTable> {
+        self.wear.as_ref()
+    }
+
+    /// Overrides the cold-line age assumption — a validation/stress knob
+    /// (e.g. to exercise Hybrid's escalation band, which `W = 0`
+    /// scrubbing makes astronomically rare at natural ages). See
+    /// [`LineTable::set_cold_age`]; the call order against the other
+    /// builders does not matter.
+    pub fn with_cold_age(mut self, age_s: f64) -> Self {
+        self.table.set_cold_age(age_s);
+        self
+    }
+
+    /// Age of `line`'s last full write at `now_s`.
+    fn age(&mut self, line: u64, now_s: f64) -> f64 {
+        let st = *self.table.get_mut(line, now_s);
+        self.table.full_write_age(&st, now_s)
+    }
+
+    /// Dead cells stuck on `line` (0 without the wear model).
+    fn stuck_cells(&self, line: u64) -> u32 {
+        self.wear.as_ref().map_or(0, |w| w.stuck_cells(line))
+    }
+
+    /// One injected read of `line` aged `age` — R-first, or M-only when
+    /// `m_only` — or `None` without an injector. Wear-free lines take the
+    /// plain path bit-for-bit; lines with dead cells overlay their stuck
+    /// bits and decode with erasure hints.
+    fn inject(&mut self, line: u64, age: f64, m_only: bool) -> Option<InjectedRead> {
+        let inj = self.injector.as_mut()?;
+        let (stuck_wrong, erased) = match self.wear.as_mut() {
+            Some(w) => w.stuck_read(line),
+            None => (&[][..], &[][..]),
+        };
+        Some(match (m_only, erased.is_empty()) {
+            (false, true) => inj.read_at(age),
+            (false, false) => inj.read_at_stuck(age, stuck_wrong, erased),
+            (true, true) => inj.read_m_at(age),
+            (true, false) => inj.read_m_at_stuck(age, stuck_wrong, erased),
+        })
+    }
+
+    /// Charges one program of `line` against the wear table, if any.
+    fn charge_wear(&mut self, line: u64, out: &mut WriteOutcome) {
+        if let Some(w) = self.wear.as_mut() {
+            w.apply_program(line, &self.params, &self.energy, out);
+        }
+    }
+
+    /// A full-line program of `line` with `slc` flag bits alongside.
+    fn full_write(&mut self, line: u64, slc: u32) -> WriteOutcome {
+        let mut out = full_line_write(&self.energy, &self.params.timing, slc);
+        self.charge_wear(line, &mut out);
+        out
+    }
+
+    /// A scrub visit's outcome: lines with dead cells pay an escalated
+    /// scan instead of the `scan_ns` sensing pass.
+    fn scrub_outcome(
+        &self,
+        stuck: u32,
+        scan_ns: u64,
+        rewrite: Option<WriteOutcome>,
+    ) -> ScrubOutcome {
+        ScrubOutcome {
+            read_latency_ns: if stuck > 0 {
+                self.params.escalation_read_ns
+            } else {
+                scan_ns
+            },
+            read_energy_pj: self.energy.scrub_scan_pj,
+            rewrite,
+        }
+    }
+
+    /// The analytic three-band read path shared by Hybrid and LWT.
+    fn banded_read(&mut self, age: f64) -> ReadOutcome {
+        let (energy, params) = (&self.energy, &self.params);
+        let errors = self.sampler.bit_errors_r(age);
+        if errors <= CORRECT_MAX {
+            ReadOutcome {
+                drift_errors: errors,
+                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
+            }
+        } else if errors <= DETECT_MAX {
+            // Detected but uncorrectable under R: retry with M-sensing.
+            self.counters.rm_reads += 1;
+            let m_errors = self.sampler.bit_errors_m(age);
+            ReadOutcome {
+                drift_errors: m_errors,
+                ..ReadOutcome::basic(
+                    params.escalation_read_ns,
+                    ReadMode::RmRead,
+                    energy.r_read_pj + energy.m_read_pj,
+                )
+            }
+        } else {
+            // Beyond detection: the data goes back uncorrected.
+            self.counters.uncorrectable_reads += 1;
+            ReadOutcome {
+                drift_errors: errors,
+                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
+            }
+        }
+    }
+
+    /// The injected counterpart of [`Self::banded_read`]: the outcome of
+    /// an injected read `r` (without corrective traffic — the caller
+    /// schedules that when `r.needs_rewrite`).
+    fn injected_banded_read(&mut self, r: InjectedRead) -> ReadOutcome {
+        let (energy, params) = (&self.energy, &self.params);
+        if r.detected_uncorrectable {
+            self.counters.uncorrectable_reads += 1;
+        }
+        let mut out = if r.escalated {
+            self.counters.rm_reads += 1;
+            ReadOutcome {
+                drift_errors: r.m_errors,
+                ..ReadOutcome::basic(
+                    params.escalation_read_ns,
+                    ReadMode::RmRead,
+                    energy.r_read_pj + energy.m_read_pj,
+                )
+            }
+        } else {
+            ReadOutcome {
+                drift_errors: r.r_errors,
+                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
+            }
+        };
+        out.ecc_corrected_bits = r.corrected_bits;
+        out.detected_uncorrectable = r.detected_uncorrectable;
+        out.silent_corruption = r.silent_corruption;
+        out.stuck_bits = r.stuck_bits;
+        out
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scrubbing baseline (R-sensing).
+// ---------------------------------------------------------------------
+
+/// The Scrubbing baseline's policy: R-sensing, rewrite on `w` errors.
+#[derive(Debug, Clone, Copy)]
+pub struct ScrubbingPolicy {
+    w: u32,
 }
 
 impl ScrubbingScheme {
@@ -93,81 +311,15 @@ impl ScrubbingScheme {
         } else {
             LineTable::new(2, interval_s, COLD_AGE_SCRUBBED_S)
         };
-        Self {
-            sampler: DriftSampler::new(seed),
-            table,
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s,
-            w,
-            injector: None,
-            wear: None,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
-
-    /// Declares `[0, boundary)` the workload's warm region (see
-    /// [`LineTable::set_warm_region`]).
-    pub fn with_warm_region(mut self, boundary: u64) -> Self {
-        self.table.set_warm_region(boundary);
-        self
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
-    }
-
-    /// Attaches Monte-Carlo fault injection to demand reads. The baseline
-    /// has only R-sensing, so failed decodes surface as
-    /// detected-uncorrectable instead of escalating.
-    pub fn with_fault_injection(mut self, seed: u64) -> Self {
-        self.injector = Some(FaultInjector::new(seed, false));
-        self
-    }
-
-    /// Attaches the endurance model: every program ages the line's cells,
-    /// dead cells read back stuck-at, and lines whose dead-cell count
-    /// exceeds the margin remap onto spares (see [`WearTable`]).
-    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
-        self.wear = Some(WearTable::new(cfg));
-        self
-    }
-
-    /// The endurance state, when wear modelling is enabled.
-    pub fn wear(&self) -> Option<&WearTable> {
-        self.wear.as_ref()
-    }
-
-    /// Overrides the cold-line age assumption — a validation/stress knob
-    /// that rebuilds the line table, so call it before the region setters.
-    pub fn with_cold_age(mut self, age_s: f64) -> Self {
-        self.table = LineTable::new(2, self.interval_s, age_s);
-        self
+        Self::assemble(seed, table, false, ScrubbingPolicy { w })
     }
 }
 
 impl DeviceModel for ScrubbingScheme {
     fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
-        if let Some(inj) = self.injector.as_mut() {
-            let (stuck_wrong, erased) = match self.wear.as_mut() {
-                Some(w) => w.stuck_read(line),
-                None => (&[][..], &[][..]),
-            };
-            let r = if erased.is_empty() {
-                inj.read_at(age)
-            } else {
-                inj.read_at_stuck(age, stuck_wrong, erased)
-            };
+        let age = self.age(line, now_s);
+        let (r_read_ns, r_read_pj) = (self.params.timing.r_read_ns, self.energy.r_read_pj);
+        if let Some(r) = self.inject(line, age, false) {
             if r.detected_uncorrectable {
                 self.counters.uncorrectable_reads += 1;
             }
@@ -177,7 +329,7 @@ impl DeviceModel for ScrubbingScheme {
                 detected_uncorrectable: r.detected_uncorrectable,
                 silent_corruption: r.silent_corruption,
                 stuck_bits: r.stuck_bits,
-                ..ReadOutcome::basic(self.params.timing.r_read_ns, ReadMode::RRead, self.energy.r_read_pj)
+                ..ReadOutcome::basic(r_read_ns, ReadMode::RRead, r_read_pj)
             };
         }
         let errors = self.sampler.bit_errors_r(age);
@@ -186,52 +338,36 @@ impl DeviceModel for ScrubbingScheme {
         }
         ReadOutcome {
             drift_errors: errors,
-            ..ReadOutcome::basic(self.params.timing.r_read_ns, ReadMode::RRead, self.energy.r_read_pj)
+            ..ReadOutcome::basic(r_read_ns, ReadMode::RRead, r_read_pj)
         }
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
+        self.table.get_mut(line, now_s).last_full_write_s = now_s;
         self.counters.full_writes += 1;
-        let mut out = full_line_write(&self.energy, &self.params.timing, 0);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut out);
-        }
-        out
+        self.full_write(line, 0)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
+        let age = self.age(line, now_s);
         let errors = self.sampler.bit_errors_r(age);
         // Dead cells shrink the correctable margin: a line with stuck bits
         // escalates its scan and is rewritten unconditionally so the spare
         // machinery gets a chance to remap it.
-        let stuck = self.wear.as_ref().map_or(0, |w| w.stuck_cells(line));
-        let rewrite = self.w == 0 || errors >= self.w || stuck > 0;
+        let stuck = self.stuck_cells(line);
+        let w = self.policy.w;
+        let rewrite = w == 0 || errors >= w || stuck > 0;
         let st = self.table.get_mut(line, now_s);
         st.last_scrub_s = now_s;
         if rewrite {
             st.last_full_write_s = now_s;
         }
-        let mut rw = rewrite.then(|| full_line_write(&self.energy, &self.params.timing, 0));
-        if let (Some(w), Some(out)) = (self.wear.as_mut(), rw.as_mut()) {
-            w.apply_program(line, &self.params, &self.energy, out);
-        }
-        ScrubOutcome {
-            read_latency_ns: if stuck > 0 {
-                self.params.escalation_read_ns
-            } else {
-                self.params.timing.r_read_ns
-            },
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: rw,
-        }
+        let rw = rewrite.then(|| self.full_write(line, 0));
+        self.scrub_outcome(stuck, self.params.timing.r_read_ns, rw)
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -243,54 +379,21 @@ impl DeviceModel for ScrubbingScheme {
 // M-metric baseline.
 // ---------------------------------------------------------------------
 
-/// M-metric-only sensing with `(BCH=8, S=640, W=1)`.
-#[derive(Debug, Clone)]
-pub struct MMetricScheme {
-    sampler: DriftSampler,
-    table: LineTable,
-    energy: EnergyModel,
-    params: DeviceParams,
-    interval_s: f64,
-    counters: SchemeCounters,
-}
+/// The M-metric baseline's policy: every read and scrub M-senses.
+#[derive(Debug, Clone, Copy)]
+pub struct MMetricPolicy;
 
 impl MMetricScheme {
     /// The paper's configuration.
     pub fn paper(seed: u64) -> Self {
-        Self {
-            sampler: DriftSampler::new(seed),
-            table: LineTable::new(2, 640.0, COLD_AGE_LONG_S),
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s: 640.0,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
-
-    /// Declares `[0, boundary)` the workload's warm region (see
-    /// [`LineTable::set_warm_region`]).
-    pub fn with_warm_region(mut self, boundary: u64) -> Self {
-        self.table.set_warm_region(boundary);
-        self
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
+        let table = LineTable::new(2, 640.0, COLD_AGE_LONG_S);
+        Self::assemble(seed, table, true, MMetricPolicy)
     }
 }
 
 impl DeviceModel for MMetricScheme {
     fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
+        let age = self.age(line, now_s);
         let errors = self.sampler.bit_errors_m(age);
         ReadOutcome {
             drift_errors: errors,
@@ -299,31 +402,25 @@ impl DeviceModel for MMetricScheme {
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
+        self.table.get_mut(line, now_s).last_full_write_s = now_s;
         self.counters.full_writes += 1;
-        full_line_write(&self.energy, &self.params.timing, 0)
+        self.full_write(line, 0)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
-        let errors = self.sampler.bit_errors_m(age);
-        let rewrite = errors >= 1;
+        let age = self.age(line, now_s);
+        let rewrite = self.sampler.bit_errors_m(age) >= 1;
         let st = self.table.get_mut(line, now_s);
         st.last_scrub_s = now_s;
         if rewrite {
             st.last_full_write_s = now_s;
         }
-        ScrubOutcome {
-            read_latency_ns: self.params.timing.m_read_ns,
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: rewrite.then(|| full_line_write(&self.energy, &self.params.timing, 0)),
-        }
+        let rw = rewrite.then(|| self.full_write(line, 0));
+        self.scrub_outcome(0, self.params.timing.m_read_ns, rw)
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -335,211 +432,40 @@ impl DeviceModel for MMetricScheme {
 // ReadDuo-Hybrid.
 // ---------------------------------------------------------------------
 
-/// ReadDuo-Hybrid: fast R-read, decoupled BCH detection, M-read fallback;
-/// `(BCH=8, S=640, W=0)` scrubbing keeps every line young enough for
-/// R-sensing.
-#[derive(Debug, Clone)]
-pub struct HybridScheme {
-    sampler: DriftSampler,
-    table: LineTable,
-    energy: EnergyModel,
-    params: DeviceParams,
-    interval_s: f64,
-    injector: Option<FaultInjector>,
-    wear: Option<WearTable>,
-    counters: SchemeCounters,
-}
+/// ReadDuo-Hybrid's policy: banded R-read with M fallback, `W = 0`
+/// M-scrubbing.
+#[derive(Debug, Clone, Copy)]
+pub struct HybridPolicy;
 
 impl HybridScheme {
     /// The paper's configuration.
     pub fn paper(seed: u64) -> Self {
-        Self {
-            sampler: DriftSampler::new(seed),
-            table: LineTable::new(2, 640.0, 0.0).with_cold_writes_at_scrub(),
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s: 640.0,
-            injector: None,
-            wear: None,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
-    }
-
-    /// Attaches Monte-Carlo fault injection: demand reads sample real
-    /// error patterns, decode them with BCH-8, and escalate failed
-    /// R-decodes to M-reads; an escalated read that survived through ECC
-    /// schedules a corrective rewrite.
-    pub fn with_fault_injection(mut self, seed: u64) -> Self {
-        self.injector = Some(FaultInjector::new(seed, true));
-        self
-    }
-
-    /// Attaches the endurance model (see [`WearTable`]).
-    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
-        self.wear = Some(WearTable::new(cfg));
-        self
-    }
-
-    /// The endurance state, when wear modelling is enabled.
-    pub fn wear(&self) -> Option<&WearTable> {
-        self.wear.as_ref()
-    }
-
-    /// Overrides the cold-line age assumption — a validation/stress knob
-    /// (e.g. to exercise the escalation band, which `W = 0` scrubbing
-    /// makes astronomically rare at natural ages). Rebuilds the line
-    /// table, so call it before the region setters.
-    pub fn with_cold_age(mut self, age_s: f64) -> Self {
-        self.table = LineTable::new(2, self.interval_s, age_s);
-        self
-    }
-
-    /// The three-band read path shared with the LWT schemes.
-    fn banded_read(
-        sampler: &mut DriftSampler,
-        energy: &EnergyModel,
-        params: &DeviceParams,
-        counters: &mut SchemeCounters,
-        age: f64,
-    ) -> ReadOutcome {
-        let timing = &params.timing;
-        let errors = sampler.bit_errors_r(age);
-        if errors <= CORRECT_MAX {
-            ReadOutcome {
-                drift_errors: errors,
-                ..ReadOutcome::basic(timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
-        } else if errors <= DETECT_MAX {
-            // Detected but uncorrectable under R: retry with M-sensing.
-            counters.rm_reads += 1;
-            let m_errors = sampler.bit_errors_m(age);
-            ReadOutcome {
-                drift_errors: m_errors,
-                ..ReadOutcome::basic(
-                    params.escalation_read_ns,
-                    ReadMode::RmRead,
-                    energy.r_read_pj + energy.m_read_pj,
-                )
-            }
-        } else {
-            // Beyond detection: the data goes back uncorrected.
-            counters.uncorrectable_reads += 1;
-            ReadOutcome {
-                drift_errors: errors,
-                ..ReadOutcome::basic(timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
-        }
-    }
-
-    /// The injected counterpart of [`Self::banded_read`]: error patterns
-    /// come from the fault model and band membership from actual BCH
-    /// decoding. Returns the outcome (without corrective traffic) and
-    /// whether the caller must schedule a corrective rewrite.
-    fn injected_banded_read(
-        injector: &mut FaultInjector,
-        energy: &EnergyModel,
-        params: &DeviceParams,
-        counters: &mut SchemeCounters,
-        age: f64,
-        stuck_wrong: &[u16],
-        erased: &[u16],
-    ) -> (ReadOutcome, bool) {
-        // Wear-free lines take the plain path bit-for-bit; lines with dead
-        // cells overlay their stuck bits and decode with erasure hints.
-        let r = if erased.is_empty() {
-            injector.read_at(age)
-        } else {
-            injector.read_at_stuck(age, stuck_wrong, erased)
-        };
-        if r.detected_uncorrectable {
-            counters.uncorrectable_reads += 1;
-        }
-        let mut out = if r.escalated {
-            counters.rm_reads += 1;
-            ReadOutcome {
-                drift_errors: r.m_errors,
-                ..ReadOutcome::basic(
-                    params.escalation_read_ns,
-                    ReadMode::RmRead,
-                    energy.r_read_pj + energy.m_read_pj,
-                )
-            }
-        } else {
-            ReadOutcome {
-                drift_errors: r.r_errors,
-                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
-        };
-        out.ecc_corrected_bits = r.corrected_bits;
-        out.detected_uncorrectable = r.detected_uncorrectable;
-        out.silent_corruption = r.silent_corruption;
-        out.stuck_bits = r.stuck_bits;
-        (out, r.needs_rewrite)
+        let table = LineTable::new(2, 640.0, 0.0).with_cold_writes_at_scrub();
+        Self::assemble(seed, table, true, HybridPolicy)
     }
 }
 
 impl DeviceModel for HybridScheme {
     fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
-        if let Some(inj) = self.injector.as_mut() {
-            let (stuck_wrong, erased) = match self.wear.as_mut() {
-                Some(w) => w.stuck_read(line),
-                None => (&[][..], &[][..]),
-            };
-            let (mut out, needs_rewrite) = Self::injected_banded_read(
-                inj,
-                &self.energy,
-                &self.params,
-                &mut self.counters,
-                age,
-                stuck_wrong,
-                erased,
-            );
-            if needs_rewrite {
-                // The line is only readable through escalation: rewrite it
-                // so it re-enters the fast R-readable population.
-                let st = self.table.get_mut(line, now_s);
-                st.last_full_write_s = now_s;
-                self.counters.full_writes += 1;
-                let mut rw = full_line_write(&self.energy, &self.params.timing, 0);
-                if let Some(w) = self.wear.as_mut() {
-                    w.apply_program(line, &self.params, &self.energy, &mut rw);
-                }
-                out.corrective = Some(rw);
-            }
-            return out;
+        let age = self.age(line, now_s);
+        let Some(r) = self.inject(line, age, false) else {
+            return self.banded_read(age);
+        };
+        let mut out = self.injected_banded_read(r);
+        if r.needs_rewrite {
+            // The line is only readable through escalation: rewrite it so
+            // it re-enters the fast R-readable population.
+            self.table.get_mut(line, now_s).last_full_write_s = now_s;
+            self.counters.full_writes += 1;
+            out.corrective = Some(self.full_write(line, 0));
         }
-        Self::banded_read(
-            &mut self.sampler,
-            &self.energy,
-            &self.params,
-            &mut self.counters,
-            age,
-        )
+        out
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
+        self.table.get_mut(line, now_s).last_full_write_s = now_s;
         self.counters.full_writes += 1;
-        let mut out = full_line_write(&self.energy, &self.params.timing, 0);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut out);
-        }
-        out
+        self.full_write(line, 0)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
@@ -547,24 +473,13 @@ impl DeviceModel for HybridScheme {
         let st = self.table.get_mut(line, now_s);
         st.last_scrub_s = now_s;
         st.last_full_write_s = now_s;
-        let stuck = self.wear.as_ref().map_or(0, |w| w.stuck_cells(line));
-        let mut rw = full_line_write(&self.energy, &self.params.timing, 0);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut rw);
-        }
-        ScrubOutcome {
-            read_latency_ns: if stuck > 0 {
-                self.params.escalation_read_ns
-            } else {
-                self.params.timing.m_read_ns
-            },
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: Some(rw),
-        }
+        let stuck = self.stuck_cells(line);
+        let rw = self.full_write(line, 0);
+        self.scrub_outcome(stuck, self.params.timing.m_read_ns, Some(rw))
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -576,34 +491,26 @@ impl DeviceModel for HybridScheme {
 // ReadDuo-LWT-k (and Select-(k:s) on top).
 // ---------------------------------------------------------------------
 
-/// ReadDuo-LWT-k: last-write tracking over `k` sub-intervals, `W = 1`
-/// M-scrubbing, and dynamic R-M-read conversion.
+/// ReadDuo-LWT-k's policy: tracking granularity, the conversion
+/// controller, and Select's differential-write window.
 #[derive(Debug, Clone)]
-pub struct LwtScheme {
-    sampler: DriftSampler,
-    table: LineTable,
-    energy: EnergyModel,
-    params: DeviceParams,
-    interval_s: f64,
+pub struct LwtPolicy {
     k: u8,
     controller: ConversionController,
     conversion_enabled: bool,
     /// Select-(k:s) window in sub-intervals; 0 disables SDW (plain LWT).
     sdw_window: u8,
-    injector: Option<FaultInjector>,
-    wear: Option<WearTable>,
-    counters: SchemeCounters,
 }
 
 impl LwtScheme {
     /// ReadDuo-LWT-k as evaluated (`k = 4` in the headline results).
     pub fn paper(seed: u64, k: u8) -> Self {
-        Self::build(seed, k, 0, true)
+        Self::lwt(seed, k, 0, true)
     }
 
     /// LWT-k with R-M-read conversion disabled (Figure 14's ablation).
     pub fn without_conversion(seed: u64, k: u8) -> Self {
-        Self::build(seed, k, 0, false)
+        Self::lwt(seed, k, 0, false)
     }
 
     /// ReadDuo-Select-(k:s): LWT-k plus selective differential writes with
@@ -617,72 +524,39 @@ impl LwtScheme {
             sdw_window >= 1 && sdw_window <= k,
             "Select window must be in 1..=k, got {sdw_window}"
         );
-        Self::build(seed, k, sdw_window, true)
+        Self::lwt(seed, k, sdw_window, true)
     }
 
-    fn build(seed: u64, k: u8, sdw_window: u8, conversion: bool) -> Self {
-        Self {
-            sampler: DriftSampler::new(seed),
-            table: LineTable::new(k, 640.0, COLD_AGE_LONG_S),
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s: 640.0,
+    fn lwt(seed: u64, k: u8, sdw_window: u8, conversion_enabled: bool) -> Self {
+        let policy = LwtPolicy {
             k,
             controller: ConversionController::paper(),
-            conversion_enabled: conversion,
+            conversion_enabled,
             sdw_window,
-            injector: None,
-            wear: None,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Attaches Monte-Carlo fault injection: tracked reads run the
-    /// injected R→M escalation chain; untracked reads sample the direct
-    /// M-read pattern (conversion decisions are untouched).
-    pub fn with_fault_injection(mut self, seed: u64) -> Self {
-        self.injector = Some(FaultInjector::new(seed, true));
-        self
-    }
-
-    /// Attaches the endurance model (see [`WearTable`]).
-    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
-        self.wear = Some(WearTable::new(cfg));
-        self
-    }
-
-    /// The endurance state, when wear modelling is enabled.
-    pub fn wear(&self) -> Option<&WearTable> {
-        self.wear.as_ref()
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
+        };
+        let table = LineTable::new(k, 640.0, COLD_AGE_LONG_S);
+        Self::assemble(seed, table, true, policy)
     }
 
     /// Number of sub-intervals `k`.
     pub fn k(&self) -> u8 {
-        self.k
+        self.policy.k
     }
 
     /// Current dynamic conversion percentage `T`.
     pub fn t_percent(&self) -> u32 {
-        self.controller.t_percent()
+        self.policy.controller.t_percent()
     }
 
-    /// Declares `[0, boundary)` the workload's warm region (see
-    /// [`LineTable::set_warm_region`]).
-    pub fn with_warm_region(mut self, boundary: u64) -> Self {
-        self.table.set_warm_region(boundary);
-        self
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
+    /// A full-line write that re-tracks `line` in sub-interval `sub`.
+    fn tracked_write(&mut self, line: u64, now_s: f64, sub: Option<u8>) -> WriteOutcome {
+        let st = self.table.get_mut(line, now_s);
+        st.last_full_write_s = now_s;
+        if let Some(s) = sub {
+            st.flags.on_write(s);
+        }
+        self.counters.full_writes += 1;
+        self.full_write(line, LwtFlags::storage_bits(self.policy.k))
     }
 }
 
@@ -691,88 +565,33 @@ impl DeviceModel for LwtScheme {
         let st = *self.table.get_mut(line, now_s);
         let sub = self.table.sub_interval(&st, now_s);
         let allows_r = sub.is_some_and(|s| st.flags.read_allows_r(s));
-        self.controller.observe_read(!allows_r);
+        self.policy.controller.observe_read(!allows_r);
+        let age = self.table.full_write_age(&st, now_s);
         if allows_r {
-            let age = self.table.full_write_age(&st, now_s);
-            if let Some(inj) = self.injector.as_mut() {
-                let (stuck_wrong, erased) = match self.wear.as_mut() {
-                    Some(w) => w.stuck_read(line),
-                    None => (&[][..], &[][..]),
-                };
-                let (mut out, needs_rewrite) = HybridScheme::injected_banded_read(
-                    inj,
-                    &self.energy,
-                    &self.params,
-                    &mut self.counters,
-                    age,
-                    stuck_wrong,
-                    erased,
-                );
-                if needs_rewrite {
-                    let slc = LwtFlags::storage_bits(self.k);
-                    let st = self.table.get_mut(line, now_s);
-                    st.last_full_write_s = now_s;
-                    if let Some(s) = sub {
-                        st.flags.on_write(s);
-                    }
-                    self.counters.full_writes += 1;
-                    let mut rw = full_line_write(&self.energy, &self.params.timing, slc);
-                    if let Some(w) = self.wear.as_mut() {
-                        w.apply_program(line, &self.params, &self.energy, &mut rw);
-                    }
-                    out.corrective = Some(rw);
-                }
-                return out;
+            let Some(r) = self.inject(line, age, false) else {
+                return self.banded_read(age);
+            };
+            let mut out = self.injected_banded_read(r);
+            if r.needs_rewrite {
+                out.corrective = Some(self.tracked_write(line, now_s, sub));
             }
-            return HybridScheme::banded_read(
-                &mut self.sampler,
-                &self.energy,
-                &self.params,
-                &mut self.counters,
-                age,
-            );
+            return out;
         }
         // Un-tracked: R-sensing aborted after the flag check, M-sensing
         // reissued — an R-M-read.
         self.counters.rm_reads += 1;
-        let age = self.table.full_write_age(&st, now_s);
-        let injected = match (self.injector.as_mut(), self.wear.as_mut()) {
-            (Some(inj), Some(w)) => {
-                let (stuck_wrong, erased) = w.stuck_read(line);
-                Some(if erased.is_empty() {
-                    inj.read_m_at(age)
-                } else {
-                    inj.read_m_at_stuck(age, stuck_wrong, erased)
-                })
-            }
-            (Some(inj), None) => Some(inj.read_m_at(age)),
-            (None, _) => None,
-        };
+        let injected = self.inject(line, age, true);
         let errors = match injected {
             Some(r) => r.m_errors,
             None => self.sampler.bit_errors_m(age),
         };
-        let convert = self.conversion_enabled
-            && self.controller.should_convert(self.counters.rm_reads);
-        let conversion = if convert {
-            // The redundant write re-tracks the line: the conversion is a
-            // full-line write even under Select (it is the only write in
-            // the window).
-            let slc = LwtFlags::storage_bits(self.k);
-            let st = self.table.get_mut(line, now_s);
-            st.last_full_write_s = now_s;
-            if let Some(s) = sub {
-                st.flags.on_write(s);
-            }
-            self.counters.full_writes += 1;
-            let mut cw = full_line_write(&self.energy, &self.params.timing, slc);
-            if let Some(w) = self.wear.as_mut() {
-                w.apply_program(line, &self.params, &self.energy, &mut cw);
-            }
-            Some(cw)
-        } else {
-            None
-        };
+        let policy = &mut self.policy;
+        let convert =
+            policy.conversion_enabled && policy.controller.should_convert(self.counters.rm_reads);
+        // The redundant write re-tracks the line: the conversion is a
+        // full-line write even under Select (it is the only write in the
+        // window).
+        let conversion = convert.then(|| self.tracked_write(line, now_s, sub));
         let mut out = ReadOutcome {
             conversion,
             untracked: true,
@@ -796,73 +615,45 @@ impl DeviceModel for LwtScheme {
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let slc = LwtFlags::storage_bits(self.k);
         let st = *self.table.get_mut(line, now_s);
         let sub = self.table.sub_interval(&st, now_s);
         // Select-(k:s): differential write when the last full-line write is
         // within `s` sub-intervals; the index-flag (conservatively, the
         // recorded full-write time) measures that distance.
-        if self.sdw_window > 0 {
-            let window_s = self.sdw_window as f64 * self.table.sub_len_s();
-            let full_age = self.table.full_write_age(&st, now_s);
-            if full_age < window_s {
-                // Differential write: only modified cells; flags are NOT
-                // updated (the R-sensing distance keeps measuring from the
-                // last full write).
-                self.counters.differential_writes += 1;
-                let cells = self.sampler.differential_write_cells();
-                let mut out = differential_write(&self.energy, &self.params.timing, cells);
-                if let Some(w) = self.wear.as_mut() {
-                    w.apply_program(line, &self.params, &self.energy, &mut out);
-                }
-                return out;
-            }
+        let window_s = self.policy.sdw_window as f64 * self.table.sub_len_s();
+        if self.policy.sdw_window > 0 && self.table.full_write_age(&st, now_s) < window_s {
+            // Differential write: only modified cells; flags are NOT
+            // updated (the R-sensing distance keeps measuring from the
+            // last full write).
+            self.counters.differential_writes += 1;
+            let cells = self.sampler.differential_write_cells();
+            let mut out = differential_write(&self.energy, &self.params.timing, cells);
+            self.charge_wear(line, &mut out);
+            return out;
         }
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
-        if let Some(s) = sub {
-            st.flags.on_write(s);
-        }
-        self.counters.full_writes += 1;
-        let mut out = full_line_write(&self.energy, &self.params.timing, slc);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut out);
-        }
-        out
+        self.tracked_write(line, now_s, sub)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
+        let age = self.age(line, now_s);
         let errors = self.sampler.bit_errors_m(age);
         // Stuck bits eat into the BCH margin: force the rewrite so the
         // wear controller sees the line and can remap it onto a spare.
-        let stuck = self.wear.as_ref().map_or(0, |w| w.stuck_cells(line));
+        let stuck = self.stuck_cells(line);
         let rewrite = errors >= 1 || stuck > 0;
-        let slc = LwtFlags::storage_bits(self.k);
         let st = self.table.get_mut(line, now_s);
         st.last_scrub_s = now_s;
         st.flags.on_scrub(rewrite);
         if rewrite {
             st.last_full_write_s = now_s;
         }
-        let mut rw = rewrite.then(|| full_line_write(&self.energy, &self.params.timing, slc));
-        if let (Some(w), Some(out)) = (self.wear.as_mut(), rw.as_mut()) {
-            w.apply_program(line, &self.params, &self.energy, out);
-        }
-        ScrubOutcome {
-            read_latency_ns: if stuck > 0 {
-                self.params.escalation_read_ns
-            } else {
-                self.params.timing.m_read_ns
-            },
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: rw,
-        }
+        let slc = LwtFlags::storage_bits(self.policy.k);
+        let rw = rewrite.then(|| self.full_write(line, slc));
+        self.scrub_outcome(stuck, self.params.timing.m_read_ns, rw)
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -1085,6 +876,30 @@ mod tests {
         let r = s.on_read(5, 20.0);
         // Full write at t=0 is recent: R allowed.
         assert_eq!(r.mode, ReadMode::RRead);
+    }
+
+    #[test]
+    fn cold_age_is_independent_of_call_order() {
+        // The override must neither drop a warm region or reserve set
+        // before it nor be dropped by them, inside and outside the warm
+        // region alike.
+        let first = HybridScheme::paper(1)
+            .with_cold_age(3.0e4)
+            .with_warm_region(50)
+            .with_reserve(4096);
+        let last = HybridScheme::paper(1)
+            .with_warm_region(50)
+            .with_reserve(4096)
+            .with_cold_age(3.0e4);
+        let (mut a, mut b) = (first.table, last.table);
+        for line in [0u64, 7, 49, 50, 51, 5000, u64::MAX] {
+            let (sa, sb) = (*a.get_mut(line, 123.0), *b.get_mut(line, 123.0));
+            assert_eq!(sa, sb, "line {line}");
+        }
+        // The warm region survived: line 0 was written within one interval.
+        assert!(b.get_mut(0, 123.0).last_full_write_s > 123.0 - 640.0);
+        // Outside it, the cold age replaced Hybrid's written-at-scrub default.
+        assert!(b.get_mut(5000, 123.0).last_full_write_s <= -3.0e4);
     }
 
     #[test]

@@ -70,26 +70,20 @@ impl WearConfig {
         }
     }
 
-    /// Reads the wear subsystem's environment knobs: `None` unless
-    /// `READDUO_WEAR` is set (wear is strictly opt-in — the default
-    /// simulation must stay bit-for-bit wear-free), otherwise the defaults
-    /// with `READDUO_ENDURANCE_MEAN`, `READDUO_VERIFY_RETRIES` and
-    /// `READDUO_SPARE_LINES` applied on top.
-    pub fn from_env(seed: u64) -> Option<Self> {
-        if !readduo_env::flag("READDUO_WEAR").unwrap_or(false) {
-            return None;
-        }
-        let mut cfg = Self::new(seed);
+    /// Applies the `READDUO_ENDURANCE_MEAN` / `READDUO_VERIFY_RETRIES` /
+    /// `READDUO_SPARE_LINES` overrides, leaving unset knobs at their
+    /// current values.
+    pub fn tuned_from_env(mut self) -> Self {
         if let Some(m) = readduo_env::u64_at_least("READDUO_ENDURANCE_MEAN", 1) {
-            cfg.median_cycles = m;
+            self.median_cycles = m;
         }
         if let Some(r) = readduo_env::u64_at_least("READDUO_VERIFY_RETRIES", 0) {
-            cfg.verify_retries = r as u32;
+            self.verify_retries = r as u32;
         }
         if let Some(s) = readduo_env::u64_at_least("READDUO_SPARE_LINES", 0) {
-            cfg.spare_lines = s as u32;
+            self.spare_lines = s as u32;
         }
-        Some(cfg)
+        self
     }
 
     /// The same configuration at a different accelerated-aging factor.
@@ -421,11 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn from_env_is_off_by_default() {
-        // The test harness never sets READDUO_WEAR globally; other tests
-        // that do use their own config structs, not from_env.
-        if std::env::var("READDUO_WEAR").is_err() {
-            assert!(WearConfig::from_env(1).is_none());
+    fn unset_knobs_leave_the_config_alone() {
+        // The test harness never sets the wear knobs globally.
+        let knobs = ["READDUO_ENDURANCE_MEAN", "READDUO_VERIFY_RETRIES", "READDUO_SPARE_LINES"];
+        if knobs.iter().all(|k| std::env::var(k).is_err()) {
+            assert_eq!(aggressive(4).tuned_from_env(), aggressive(4));
         }
     }
 }

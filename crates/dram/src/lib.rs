@@ -31,8 +31,9 @@
 //! The tier is strictly opt-in — same discipline as the fault and wear
 //! subsystems. [`DramConfig::from_env`] returns `None` unless
 //! `READDUO_DRAM` is set, and a [`DramConfig::lines`] of zero means "no
-//! tier": `SchemeKind::build_tiered` then returns the bare scheme device,
-//! so disabled runs are bit-for-bit identical to plain runs (values *and*
+//! tier": `readduo-core`'s `DeviceSpec::build` then returns the bare
+//! scheme device, so disabled runs are bit-for-bit identical to plain
+//! runs (values *and*
 //! RNG streams — the tier owns no RNG at all; its only nondeterminism
 //! input is the set-index hash seed).
 //!
@@ -89,8 +90,8 @@ pub struct DramConfig {
     /// across channel slices. The tier owns no RNG; this is its only
     /// seed-dependent behaviour.
     pub seed: u64,
-    /// Capacity in lines. Zero disables the tier entirely (`build_tiered`
-    /// returns the bare scheme device).
+    /// Capacity in lines. Zero disables the tier entirely
+    /// (`DeviceSpec::build` returns the bare scheme device).
     pub lines: u64,
     /// Set associativity (clamped to the capacity).
     pub ways: usize,
@@ -161,8 +162,7 @@ impl DramConfig {
     }
 
     /// The strictly-opt-in constructor: `None` unless `READDUO_DRAM` is
-    /// enabled, mirroring the wear subsystem's `WearConfig::from_env`.
-    /// When enabled, capacity comes from `READDUO_DRAM_LINES` (default
+    /// enabled. When enabled, capacity comes from `READDUO_DRAM_LINES` (default
     /// 4096) and the organisation knobs from `tuned_from_env`.
     pub fn from_env(seed: u64) -> Option<Self> {
         if !readduo_env::flag("READDUO_DRAM").unwrap_or(false) {
@@ -256,7 +256,7 @@ impl<D: DeviceModel> TieredDevice<D> {
     ///
     /// Panics when `cfg.lines` is zero — a zero-capacity tier means
     /// "disabled" and the caller must not construct a device for it
-    /// (`build_tiered` returns the bare scheme instead).
+    /// (`DeviceSpec::build` returns the bare scheme instead).
     pub fn new(inner: D, cfg: DramConfig) -> Self {
         assert!(cfg.lines > 0, "zero-capacity DRAM tier: build the bare device instead");
         let ways = cfg.ways.max(1).min(cfg.lines as usize).max(1);
@@ -621,8 +621,7 @@ mod tests {
 
     #[test]
     fn from_env_is_strictly_opt_in() {
-        // Not set in the test environment: must be None (the same
-        // discipline as WearConfig::from_env).
+        // Not set in the test environment: must be None.
         assert_eq!(DramConfig::from_env(1), None);
     }
 

@@ -130,12 +130,6 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Timed samples per microbenchmark case",
         },
         EnvVar {
-            name: "READDUO_BENCH_SKIP_10M",
-            kind: EnvKind::Flag,
-            default: "0",
-            doc: "Skip bench_sweep's paper-scale fig9@10M leg when set",
-        },
-        EnvVar {
             name: "READDUO_PROP_SEED",
             kind: EnvKind::Seed,
             default: "unset (run all cases)",
@@ -188,12 +182,6 @@ pub fn recognized() -> &'static [EnvVar] {
             kind: EnvKind::Flag,
             default: "1",
             doc: "Use the bitsliced 64-lane BCH decoder in fault injection (0 forces the scalar oracle)",
-        },
-        EnvVar {
-            name: "READDUO_WEAR",
-            kind: EnvKind::Flag,
-            default: "0",
-            doc: "Enable the endurance model: wear-out hard faults, write-verify retry and spare-line remapping",
         },
         EnvVar {
             name: "READDUO_ENDURANCE_MEAN",
@@ -522,20 +510,23 @@ mod tests {
         );
     }
 
-    /// Every `READDUO_*` variable read anywhere in the workspace must be
-    /// registered in [`recognized`]. Scans the sibling crates' sources plus
-    /// the workspace-level tests/examples for tokens and diffs them against
-    /// the registry, so adding a new variable without documenting it fails
-    /// this test with the offending file named.
+    /// The registry and the workspace agree in both directions: every
+    /// `READDUO_*` variable read anywhere outside this crate is registered
+    /// in [`recognized`], and every registered variable is read somewhere
+    /// outside this crate. Scans the sibling crates' sources plus the
+    /// workspace-level tests/examples, so adding a variable without
+    /// documenting it — or leaving a dead knob registered — fails this
+    /// test with the offending name.
     #[test]
     fn every_workspace_variable_is_registered() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .canonicalize()
             .expect("workspace root");
+        let this_crate = root.join("crates/env");
         let mut found: std::collections::BTreeMap<String, String> = Default::default();
         for dir in ["crates", "src", "tests", "examples"] {
-            scan_dir(&root.join(dir), &mut found);
+            scan_dir(&root.join(dir), &this_crate, &mut found);
         }
         assert!(
             found.contains_key("READDUO_THREADS") && found.contains_key("READDUO_INSTR"),
@@ -544,24 +535,34 @@ mod tests {
         let registered: std::collections::HashSet<&str> =
             recognized().iter().map(|v| v.name).collect();
         for (name, file) in &found {
-            // Test-fixture names (this crate's own unit tests) are exempt.
-            if name.contains("ENVTEST") {
-                continue;
-            }
             assert!(
                 registered.contains(name.as_str()),
                 "{name} is read in {file} but not registered in readduo_env::recognized()"
             );
         }
+        for name in &registered {
+            assert!(
+                found.contains_key(*name),
+                "{name} is registered in readduo_env::recognized() but read nowhere: \
+                 retire the dead knob"
+            );
+        }
     }
 
-    fn scan_dir(dir: &std::path::Path, found: &mut std::collections::BTreeMap<String, String>) {
+    fn scan_dir(
+        dir: &std::path::Path,
+        skip: &std::path::Path,
+        found: &mut std::collections::BTreeMap<String, String>,
+    ) {
         let Ok(entries) = std::fs::read_dir(dir) else { return };
         for entry in entries.flatten() {
             let path = entry.path();
+            if path == skip {
+                continue;
+            }
             if path.is_dir() {
                 // `target/` never appears under the scanned roots.
-                scan_dir(&path, found);
+                scan_dir(&path, skip, found);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let Ok(text) = std::fs::read_to_string(&path) else { continue };
                 let mut rest = text.as_str();

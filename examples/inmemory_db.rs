@@ -41,7 +41,7 @@ fn main() {
         SchemeKind::Lwt { k: 4 },
     ] {
         let warm = (db.footprint_lines as f64 * db.locality.written_fraction) as u64;
-        let mut dev = kind.build_for(42, warm, db.footprint_lines);
+        let mut dev = kind.build_for_channel(42, 0, warm, db.footprint_lines);
         let rep = sim.run(&trace, dev.as_mut());
         if kind == SchemeKind::Ideal {
             ideal_ns = rep.exec_ns;

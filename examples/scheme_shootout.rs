@@ -45,7 +45,7 @@ fn main() {
         SchemeKind::Tlc,
     ];
     for kind in kinds {
-        let mut dev = kind.build_for(5, warm, workload.footprint_lines);
+        let mut dev = kind.build_for_channel(5, 0, warm, workload.footprint_lines);
         let rep = sim.run(&trace, dev.as_mut());
         let reads = rep.reads.max(1) as f64;
         println!(

@@ -13,13 +13,13 @@
 mod prop_harness;
 
 use prop_harness::{check, ensure, ensure_eq};
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceSpec, SchemeKind};
 use readduo::dram::{DramConfig, EvictPolicy, TieredDevice};
 use readduo::memsim::{
     DeviceModel, MemoryConfig, ReadMode, ReadOutcome, ScrubOutcome, WriteOutcome,
 };
 use readduo::trace::Workload;
-use readduo_bench::Harness;
+use readduo_bench::{Harness, RunResult, Source};
 use readduo_rng::Rng as _;
 
 fn harness() -> Harness {
@@ -31,6 +31,11 @@ fn harness() -> Harness {
     }
 }
 
+/// One streamed run of `spec`.
+fn run(harness: &Harness, w: &Workload, spec: impl Into<DeviceSpec>) -> RunResult {
+    harness.run(w, spec, Source::Stream).expect("bare and tiered schemes build")
+}
+
 /// Disabled tier (zero capacity) == plain run, bit for bit, for every
 /// scheme shape. This is the same discipline the fault and wear
 /// subsystems obey: off means *absent*, not "present but idle".
@@ -40,8 +45,8 @@ fn zero_capacity_tier_is_bit_for_bit_the_plain_run() {
     let off = DramConfig { lines: 0, ..DramConfig::new(harness.seed, 1) };
     for scheme in [SchemeKind::Ideal, SchemeKind::Scrubbing, SchemeKind::Lwt { k: 4 }] {
         for w in [Workload::toy(), Workload::by_name("gcc").expect("gcc")] {
-            let plain = harness.run_one(&w, scheme);
-            let tiered = harness.run_one_tiered(&w, scheme, off);
+            let plain = run(&harness, &w, scheme);
+            let tiered = run(&harness, &w, DeviceSpec::from(scheme).with_dram(off));
             assert_eq!(
                 plain.report, tiered.report,
                 "zero-capacity tier perturbed {}/{scheme}",
@@ -60,8 +65,9 @@ fn tiered_runs_are_deterministic_and_account_every_access() {
     let dram = DramConfig::new(harness.seed, 2_048).with_threshold(1);
     for scheme in [SchemeKind::Lwt { k: 4 }, SchemeKind::Scrubbing] {
         let w = Workload::by_name("gcc").expect("gcc");
-        let a = harness.run_one_tiered(&w, scheme, dram);
-        let b = harness.run_one_tiered(&w, scheme, dram);
+        let spec = DeviceSpec::from(scheme).with_dram(dram);
+        let a = run(&harness, &w, spec);
+        let b = run(&harness, &w, spec);
         assert_eq!(a.report, b.report, "tiered {scheme} run not repeat-identical");
         assert!(a.report.dram_hits > 0, "{scheme}: tier never hit");
         assert!(a.report.dram_misses > 0, "{scheme}: tier never missed");
@@ -88,9 +94,9 @@ fn dram_tier_reduces_lwt_escalation_and_write_traffic() {
     let harness = harness();
     let scheme = SchemeKind::Lwt { k: 4 };
     let w = Workload::by_name("bzip2").expect("bzip2");
-    let base = harness.run_one(&w, scheme);
+    let base = run(&harness, &w, scheme);
     let dram = DramConfig::new(harness.seed, 8_192).with_threshold(1);
-    let tiered = harness.run_one_tiered(&w, scheme, dram);
+    let tiered = run(&harness, &w, DeviceSpec::from(scheme).with_dram(dram));
     assert_eq!(tiered.report.silent_corruptions, 0);
     assert!(
         tiered.report.rm_read_rate() < base.report.rm_read_rate(),

@@ -13,7 +13,7 @@ fn run(kind: SchemeKind, instr: u64) -> readduo::memsim::SimReport {
     // Device seed re-pinned for the in-workspace RNG streams: the
     // Ideal-fastest ordering holds in expectation but needs a seed whose
     // noise does not mask the ~microsecond margins at this volume.
-    let mut dev = kind.build_for(19, warm, w.footprint_lines);
+    let mut dev = kind.build_for_channel(19, 0, warm, w.footprint_lines);
     sim.run(&trace, dev.as_mut())
 }
 

@@ -10,14 +10,14 @@
 //! simulated device *experiences* must match the probability the paper's
 //! tables *predict*.
 
-use readduo::core::{FaultInjector, HybridScheme, SchemeKind};
+use readduo::core::{DeviceSpec, FaultInjector, HybridScheme, SchemeKind};
 use readduo::memsim::{MemoryConfig, Simulator};
 use readduo::pcm::{FaultModel, MetricConfig};
 use readduo::reliability::{CellErrorModel, LerAnalysis};
 use readduo::rng::rngs::StdRng;
 use readduo::rng::SeedableRng;
 use readduo::trace::{TraceGenerator, Workload};
-use readduo_bench::Harness;
+use readduo_bench::{Harness, Source};
 
 /// MLC cells per 512-bit line (the analytic model's basis).
 const DATA_CELLS: u32 = 256;
@@ -166,7 +166,7 @@ fn escalation_chain_runs_end_to_end_through_the_engine() {
     let mut dev = HybridScheme::paper(11)
         .with_cold_age(3.0e4)
         .with_fault_injection(0xFA16)
-        .with_dense_region(toy.footprint_lines);
+        .with_reserve(toy.footprint_lines);
     let rep = sim.run(&trace, &mut dev);
     assert!(rep.reads > 0);
     assert!(rep.reads_rm > 0, "cold lines must escalate some reads");
@@ -189,12 +189,14 @@ fn faulty_runs_are_deterministic_and_distinct_from_fault_free() {
         memory: MemoryConfig::small_test(),
     };
     let toy = Workload::toy();
-    let a = h.run_one_faulty(&toy, SchemeKind::Hybrid, 99).expect("Hybrid injects");
-    let b = h.run_one_faulty(&toy, SchemeKind::Hybrid, 99).expect("Hybrid injects");
+    let trace = h.trace_for(&toy);
+    let faulty = DeviceSpec::from(SchemeKind::Hybrid).with_fault(99);
+    let a = h.run(&toy, faulty, Source::Trace(&trace)).expect("Hybrid injects");
+    let b = h.run(&toy, faulty, Source::Trace(&trace)).expect("Hybrid injects");
     assert_eq!(a.report, b.report, "same fault seed must reproduce bit-for-bit");
     // The fault-free run is a different (purely analytic) code path; its
     // error accounting fields stay zero.
-    let clean = h.run_one(&toy, SchemeKind::Hybrid);
+    let clean = h.run_on_trace(&toy, &trace, SchemeKind::Hybrid);
     assert_eq!(clean.report.ecc_corrected_bits, 0);
     assert_eq!(clean.report.corrective_rewrites, 0);
     assert_eq!(clean.report.detected_uncorrectable, 0);

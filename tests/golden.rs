@@ -155,7 +155,9 @@ fn fig3_matches_golden() {
         seed: 0x00D5_EAD0_2016,
         memory: MemoryConfig::paper(),
     };
-    let results = harness.run_matrix(&schemes, &Workload::spec2006());
+    let results = harness
+        .run_matrix(&schemes, &Workload::spec2006())
+        .expect("bare schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
     let (label, geo) = rows.last().unwrap();
     assert_eq!(label, "geomean");

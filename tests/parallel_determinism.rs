@@ -9,10 +9,10 @@
 //! channels out on the ambient pool, and the merged reports must still be
 //! identical across thread counts.
 
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceSpec, SchemeKind};
 use readduo::memsim::MemoryConfig;
 use readduo::trace::Workload;
-use readduo_bench::Harness;
+use readduo_bench::{Harness, Source};
 
 #[test]
 fn run_matrix_is_identical_across_thread_counts() {
@@ -34,29 +34,36 @@ fn run_matrix_is_identical_across_thread_counts() {
     // enabled the merged report must still be independent of the pool
     // width (the wear table is per-channel state like everything else).
     let wear = readduo::core::WearConfig::new(0x00FA_0017).with_accel(4_000_000);
-    let worn_scheme = SchemeKind::Select { k: 4, s: 2 };
+    let worn_spec = DeviceSpec::from(SchemeKind::Select { k: 4, s: 2 })
+        .with_fault(0x00FA_0017)
+        .with_wear(wear);
     let worn_workload = Workload::by_name("mcf").expect("mcf");
 
     // Tiered runs too: the DRAM cache is per-channel state, so the merged
     // tiered report must also be independent of the pool width.
     let dram = readduo::dram::DramConfig::new(harness.seed, 1_024).with_threshold(1);
-    let tiered_scheme = SchemeKind::Lwt { k: 4 };
+    let tiered_spec = DeviceSpec::from(SchemeKind::Lwt { k: 4 }).with_dram(dram);
     let tiered_workload = Workload::by_name("gcc").expect("gcc");
 
+    let runs = || {
+        let matrix = harness
+            .run_matrix(&schemes, &workloads)
+            .expect("bare schemes");
+        let streamed = harness
+            .run_matrix_streamed(&schemes, &workloads)
+            .expect("bare schemes");
+        let worn = harness
+            .run(&worn_workload, worn_spec, Source::Stream)
+            .expect("Select is injectable");
+        let tiered = harness
+            .run(&tiered_workload, tiered_spec, Source::Stream)
+            .expect("LWT-4 is tierable");
+        (matrix, streamed, worn, tiered)
+    };
     std::env::set_var("READDUO_THREADS", "4");
-    let parallel = harness.run_matrix(&schemes, &workloads);
-    let streamed_par = harness.run_matrix_streamed(&schemes, &workloads);
-    let worn_par = harness
-        .run_one_worn(&worn_workload, worn_scheme, 0x00FA_0017, wear)
-        .expect("Select is injectable");
-    let tiered_par = harness.run_one_tiered(&tiered_workload, tiered_scheme, dram);
+    let (parallel, streamed_par, worn_par, tiered_par) = runs();
     std::env::set_var("READDUO_THREADS", "1");
-    let sequential = harness.run_matrix(&schemes, &workloads);
-    let streamed_seq = harness.run_matrix_streamed(&schemes, &workloads);
-    let worn_seq = harness
-        .run_one_worn(&worn_workload, worn_scheme, 0x00FA_0017, wear)
-        .expect("Select is injectable");
-    let tiered_seq = harness.run_one_tiered(&tiered_workload, tiered_scheme, dram);
+    let (sequential, streamed_seq, worn_seq, tiered_seq) = runs();
     std::env::remove_var("READDUO_THREADS");
 
     assert_eq!(

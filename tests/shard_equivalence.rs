@@ -11,9 +11,11 @@
 //! pre-topology engine, congestion isolation between channels, and
 //! per-channel scrub-pointer wrap-around.
 
-use readduo::core::{channel_seed, SchemeKind};
+use readduo::core::{channel_seed, DeviceSpec, SchemeKind, SpecError, WearConfig};
+use readduo::dram::DramConfig;
 use readduo::memsim::{FixedLatencyDevice, MemoryConfig, SimReport, Simulator, Topology};
 use readduo::trace::{MemOp, OpKind, OpSource, Trace, TraceCursor, TraceGenerator, Workload};
+use readduo_bench::{Harness, Source};
 use readduo_pool::Pool;
 
 const SEED: u64 = 0x00D5_EAD0_2016;
@@ -166,7 +168,6 @@ impl OpSource for SyntheticSource {
 /// an unreached wear table would make this leg vacuous.
 #[test]
 fn sharded_engine_matches_sequential_reference_under_wear() {
-    use readduo::core::WearConfig;
     let widths = pool_widths();
     let injectable = [
         SchemeKind::Scrubbing,
@@ -183,21 +184,8 @@ fn sharded_engine_matches_sequential_reference_under_wear() {
     for &scheme in &injectable {
         for channels in [1usize, 2, 8] {
             let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
-            let device = |ch: usize| {
-                let ch_wear = WearConfig {
-                    seed: channel_seed(wear.seed, ch),
-                    ..wear
-                };
-                scheme
-                    .build_worn(
-                        channel_seed(seed, ch),
-                        channel_seed(fault_seed, ch),
-                        ch_wear,
-                        0,
-                        0,
-                    )
-                    .expect("injectable scheme")
-            };
+            let spec = DeviceSpec::from(scheme).with_fault(fault_seed).with_wear(wear);
+            let device = |ch: usize| spec.build(seed, ch, channels, 0, 0).expect("injectable");
             let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
             total_remaps += reference.lines_remapped;
             for &workers in &widths {
@@ -225,7 +213,6 @@ fn sharded_engine_matches_sequential_reference_under_wear() {
 /// a cold cache would make this leg vacuous.
 #[test]
 fn sharded_engine_matches_sequential_reference_with_dram_tier() {
-    use readduo::dram::DramConfig;
     let widths = pool_widths();
     let schemes = [
         SchemeKind::Scrubbing,
@@ -244,8 +231,8 @@ fn sharded_engine_matches_sequential_reference_with_dram_tier() {
     for &scheme in &schemes {
         for channels in [1usize, 2, 8] {
             let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
-            let device =
-                |ch: usize| scheme.build_tiered_for_channel(seed, ch, channels, dram, 0, 0);
+            let spec = DeviceSpec::from(scheme).with_dram(dram);
+            let device = |ch: usize| spec.build(seed, ch, channels, 0, 0).expect("tierable");
             let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
             total_hits += reference.dram_hits;
             total_writebacks += reference.dram_writebacks;
@@ -265,6 +252,100 @@ fn sharded_engine_matches_sequential_reference_with_dram_tier() {
         "the tiered equivalence leg must exercise hits and dirty demotions \
          (hits {total_hits}, writebacks {total_writebacks})"
     );
+}
+
+/// The full composition: the DRAM tier over wear over fault injection,
+/// built by one `DeviceSpec`, for LWT-4 and Select-4:2 on {1, 2, 8}
+/// channels. The sharded run equals the sequential reference at every
+/// pool width, and `Harness::run` reproduces that report from the
+/// materialised trace and from a stream alike. Aging, tier size and
+/// volume are chosen so the tier hits and writes back and lines remap —
+/// a leg that reached none of them would be vacuous.
+#[test]
+fn composed_tier_wear_fault_device_matches_reference_and_streams() {
+    let widths = pool_widths();
+    let w = Workload::by_name("mcf").expect("mcf in the SPEC2006 set");
+    let instr = 60_000;
+    let trace = TraceGenerator::new(SEED).generate(&w, instr, 2);
+    // The harness's device seed and warm region, so its runs are
+    // comparable with the reference below.
+    let seed = SEED ^ w.name.len() as u64;
+    let warm = (w.footprint_lines.max(16) as f64 * w.locality.written_fraction) as u64;
+    let fault_seed = 0x00FA_0017u64;
+    let wear = WearConfig::new(fault_seed).with_accel(4_000_000);
+    let dram = DramConfig::new(SEED, 32).with_threshold(1);
+    let (mut hits, mut writebacks, mut remaps) = (0u64, 0u64, 0u64);
+    for scheme in [SchemeKind::Lwt { k: 4 }, SchemeKind::Select { k: 4, s: 2 }] {
+        let spec = DeviceSpec::from(scheme)
+            .with_fault(fault_seed)
+            .with_wear(wear)
+            .with_dram(dram);
+        for channels in [1usize, 2, 8] {
+            let memory = MemoryConfig::small_test().with_channels(channels);
+            let sim = Simulator::new(memory);
+            let device = |ch: usize| {
+                spec.build(seed, ch, channels, warm, w.footprint_lines)
+                    .expect("the layers compose")
+            };
+            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+            hits += reference.dram_hits;
+            writebacks += reference.dram_writebacks;
+            remaps += reference.lines_remapped;
+            for &workers in &widths {
+                let sharded =
+                    sim.run_sharded(&Pool::new(workers), |_| TraceCursor::new(&trace), device);
+                assert_eq!(
+                    sharded, reference,
+                    "{spec} channels={channels} workers={workers}: \
+                     composed sharded run diverged from the sequential reference"
+                );
+            }
+            let h = Harness { instructions_per_core: instr, cores: 2, seed: SEED, memory };
+            let on_trace = h.run(&w, spec, Source::Trace(&trace)).expect("the layers compose");
+            let streamed = h.run(&w, spec, Source::Stream).expect("the layers compose");
+            assert_eq!(on_trace.report, reference, "{spec} channels={channels}: harness run");
+            assert_eq!(streamed.report, on_trace.report, "{spec} channels={channels}: stream");
+        }
+    }
+    assert!(
+        hits > 0 && writebacks > 0 && remaps > 0,
+        "the composed leg must exercise tier hits, dirty demotions and remaps \
+         (hits {hits}, writebacks {writebacks}, remaps {remaps})"
+    );
+}
+
+/// A spec whose layers do not compose fails with a typed error before any
+/// trace is generated. The harness below has zero cores, so generating a
+/// trace panics: an `Err` proves none was generated.
+#[test]
+fn invalid_specs_fail_before_any_trace_is_generated() {
+    let tripwire = Harness {
+        instructions_per_core: 8_000,
+        cores: 0,
+        seed: SEED,
+        memory: MemoryConfig::small_test(),
+    };
+    let w = Workload::toy();
+    let lwt = SchemeKind::Lwt { k: 4 };
+    let tripped = std::panic::catch_unwind(|| tripwire.run(&w, lwt, Source::Stream));
+    assert!(tripped.is_err(), "a valid spec must reach trace generation and trip");
+    let mut cases: Vec<(DeviceSpec, SpecError)> =
+        [SchemeKind::Ideal, SchemeKind::MMetric, SchemeKind::Tlc]
+            .map(|s| (DeviceSpec::from(s).with_fault(1), SpecError::NotInjectable(s)))
+            .to_vec();
+    let unfaulted_wear = DeviceSpec::from(lwt).with_wear(WearConfig::new(1));
+    cases.push((unfaulted_wear, SpecError::WearWithoutFault(lwt)));
+    for (spec, err) in cases {
+        let workloads = std::slice::from_ref(&w);
+        assert_eq!(spec.build(SEED, 0, 1, 0, 0).err(), Some(err), "{spec}: build");
+        assert_eq!(tripwire.run(&w, spec, Source::Stream).err(), Some(err), "{spec}: run");
+        assert_eq!(tripwire.run_matrix(&[spec], workloads).err(), Some(err), "{spec}: matrix");
+        assert_eq!(
+            tripwire.run_matrix_streamed(&[lwt.into(), spec], workloads).err(),
+            Some(err),
+            "{spec}: streamed matrix"
+        );
+    }
 }
 
 /// Edge case: congestion does not cross channels. Core 0 hammers writes
@@ -357,7 +438,7 @@ fn per_channel_scrub_wraps_and_stays_sharded() {
 /// logical stream, however it is buffered).
 #[test]
 fn multi_channel_routing_is_stream_order_invariant() {
-    let h = readduo_bench::Harness {
+    let h = Harness {
         instructions_per_core: 8_000,
         cores: 2,
         seed: SEED,
@@ -367,7 +448,7 @@ fn multi_channel_routing_is_stream_order_invariant() {
         let trace = h.trace_for(w);
         for &scheme in &[SchemeKind::Hybrid, SchemeKind::Select { k: 4, s: 2 }] {
             let on_trace = h.run_on_trace(w, &trace, scheme);
-            let streamed = h.run_streamed(w, scheme);
+            let streamed = h.run(w, scheme, Source::Stream).expect("bare scheme");
             assert_eq!(
                 on_trace.report, streamed.report,
                 "{}/{scheme}: sharded stream diverged from sharded trace",

@@ -8,7 +8,7 @@
 use readduo::core::SchemeKind;
 use readduo::memsim::MemoryConfig;
 use readduo::trace::{TraceGenerator, Workload};
-use readduo_bench::Harness;
+use readduo_bench::{Harness, Source};
 
 fn harness() -> Harness {
     // `READDUO_CHANNELS` widens the topology (default 1): the streamed and
@@ -53,7 +53,7 @@ fn streamed_run_equals_materialised_run_for_every_scheme() {
         let trace = h.trace_for(w);
         for &scheme in &all_schemes() {
             let on_trace = h.run_on_trace(w, &trace, scheme);
-            let streamed = h.run_streamed(w, scheme);
+            let streamed = h.run(w, scheme, Source::Stream).expect("bare scheme");
             assert_eq!(
                 on_trace.report, streamed.report,
                 "stream diverged from trace for {} / {}",

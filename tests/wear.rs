@@ -16,10 +16,10 @@
 //!    erasure-hinted decode never passes wrong data off as good, no
 //!    matter how hard the aging is accelerated.
 
-use readduo::core::{HybridScheme, SchemeKind, WearConfig};
+use readduo::core::{DeviceSpec, HybridScheme, SchemeKind, WearConfig};
 use readduo::memsim::{MemoryConfig, Simulator};
 use readduo::trace::{TraceGenerator, Workload};
-use readduo_bench::Harness;
+use readduo_bench::{Harness, RunResult, Source};
 
 const SEED: u64 = 0x00D5_EAD0_2016;
 const FAULT_SEED: u64 = 0x00FA_0017;
@@ -31,6 +31,12 @@ fn harness(channels: usize) -> Harness {
         seed: SEED,
         memory: MemoryConfig::small_test().with_channels(channels),
     }
+}
+
+/// A fault-injected run of `scheme`, worn when `wear` is set.
+fn run(h: &Harness, w: &Workload, scheme: SchemeKind, wear: Option<WearConfig>) -> RunResult {
+    let spec = DeviceSpec { wear, ..DeviceSpec::from(scheme).with_fault(FAULT_SEED) };
+    h.run(w, spec, Source::Stream).expect("injectable")
 }
 
 fn injectable() -> [SchemeKind; 4] {
@@ -48,10 +54,8 @@ fn unreached_wear_is_bit_identical_to_the_plain_faulty_run() {
     for channels in [1usize, 2] {
         let h = harness(channels);
         for scheme in injectable() {
-            let plain = h.run_one_faulty(&w, scheme, FAULT_SEED).expect("injectable");
-            let worn = h
-                .run_one_worn(&w, scheme, FAULT_SEED, WearConfig::new(FAULT_SEED))
-                .expect("injectable");
+            let plain = run(&h, &w, scheme, None);
+            let worn = run(&h, &w, scheme, Some(WearConfig::new(FAULT_SEED)));
             assert_eq!(
                 plain.report, worn.report,
                 "{scheme} channels={channels}: an unreached wear table must be invisible"
@@ -69,8 +73,8 @@ fn worn_runs_replay_bit_for_bit_from_the_seed() {
     for channels in [1usize, 2] {
         let h = harness(channels);
         for scheme in injectable() {
-            let a = h.run_one_worn(&w, scheme, FAULT_SEED, wear).expect("injectable");
-            let b = h.run_one_worn(&w, scheme, FAULT_SEED, wear).expect("injectable");
+            let a = run(&h, &w, scheme, Some(wear));
+            let b = run(&h, &w, scheme, Some(wear));
             assert_eq!(
                 a.report, b.report,
                 "{scheme} channels={channels}: worn run is not deterministic"
@@ -91,7 +95,7 @@ fn heavy_wear_exercises_the_pipeline_without_silent_corruption() {
     let mut remaps = 0u64;
     let mut stuck_reads = 0u64;
     for scheme in injectable() {
-        let r = h.run_one_worn(&w, scheme, FAULT_SEED, wear).expect("injectable");
+        let r = run(&h, &w, scheme, Some(wear));
         assert_eq!(
             r.report.silent_corruptions, 0,
             "{scheme}: erasure-hinted decode must not corrupt silently"
@@ -117,17 +121,13 @@ fn spare_exhaustion_is_deterministic() {
         spare_lines: 2,
         ..WearConfig::new(FAULT_SEED).with_accel(4_000_000)
     };
-    let a = h
-        .run_one_worn(&w, SchemeKind::Hybrid, FAULT_SEED, wear)
-        .expect("injectable");
+    let a = run(&h, &w, SchemeKind::Hybrid, Some(wear));
     assert!(
         a.report.spares_exhausted_writes > 0,
         "2 spares under accel 4e6 must exhaust"
     );
     assert_eq!(a.report.lines_remapped, 2, "exactly the pool size remaps");
-    let b = h
-        .run_one_worn(&w, SchemeKind::Hybrid, FAULT_SEED, wear)
-        .expect("injectable");
+    let b = run(&h, &w, SchemeKind::Hybrid, Some(wear));
     assert_eq!(a.report, b.report, "exhaustion must replay bit-for-bit");
 }
 

@@ -61,7 +61,7 @@ fn toy_trace(seed: u64, instructions: u64) -> Trace {
 }
 
 fn hybrid(seed: u64) -> HybridScheme {
-    HybridScheme::paper(seed).with_dense_region(Workload::toy().footprint_lines)
+    HybridScheme::paper(seed).with_reserve(Workload::toy().footprint_lines)
 }
 
 // One test function, sequential legs: the counter is process-global and
