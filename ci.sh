@@ -24,6 +24,15 @@ cargo test --workspace -q
 echo "==> parallel determinism (READDUO_THREADS=4 vs =1)"
 cargo test -q --release --test parallel_determinism
 
+# The fault sampler decides most cells from a CDF threshold and the wear
+# scan inverts only the cells that can tie for a line's minimum; both must
+# reproduce the full-inversion oracles kept in tests/proptests.rs bit for
+# bit. Run those two properties by name so a bit-exactness regression
+# names itself in CI output.
+echo "==> bit-exact oracles (fault sampler, wear scan)"
+cargo test -q --release --test proptests -- --exact \
+    fault_sampler_matches_inversion_oracle wear_scan_matches_brute_force
+
 # Timed smoke run: fig9 at a reduced volume must finish inside a generous
 # wall-clock budget. Catches accidental serialisation or hot-path
 # regressions (the budget is ~10x the expected time on a laptop core).
@@ -117,9 +126,11 @@ fi
 # analytic model and that the full R-fail → M-retry → ECC-correct →
 # corrective-rewrite chain resolves every read with zero silent
 # corruptions. 4000 lines per point keeps it a few seconds in release.
-# READDUO_BITSLICE=1 pins the run through the 64-lane bitsliced BCH
-# decoder (the default path, made explicit so CI exercises it even if the
-# default ever flips).
+# READDUO_BITSLICE=1 sends fault_mc's escalation-band leg through the
+# 64-lane bitsliced BCH decoder (FaultInjector::read_batch_at), made
+# explicit so CI exercises it even if fault_mc's default ever flips. The
+# simulation path does not use it: FaultInjector::read_at decodes one read
+# at a time with the scalar Bch.
 echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000, bitsliced decode)"
 READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 READDUO_BITSLICE=1 \
     ./target/release/fault_mc >/dev/null

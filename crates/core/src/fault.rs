@@ -258,7 +258,7 @@ impl FaultInjector {
         stuck_wrong: &[u16],
         erased: &[u16],
     ) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
+        let faults = self.model.sample_line_m(age_s, FULL_LINE_CELLS, &mut self.rng);
         let m_bits = merge_stuck(&faults.m_bits, stuck_wrong, erased);
         let mut out = InjectedRead {
             m_errors: m_bits.len() as u32,
@@ -278,7 +278,7 @@ impl FaultInjector {
     /// One direct M-read (LWT's untracked path: R-sensing is skipped by
     /// the flag check, the line is read with M outright).
     pub fn read_m_at(&mut self, age_s: f64) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
+        let faults = self.model.sample_line_m(age_s, FULL_LINE_CELLS, &mut self.rng);
         let mut out = InjectedRead {
             m_errors: faults.m_bits.len() as u32,
             ..InjectedRead::default()

@@ -164,22 +164,6 @@ impl WearTable {
         self.lines.get(&line).map_or(0, |lw| lw.stuck.len() as u32)
     }
 
-    /// Smallest endurance among `line`'s live cells at `generation`,
-    /// skipping the already-dead `stuck` set.
-    fn scan_next_fail(model: &WearModel, line: u64, generation: u32, stuck: &[u16]) -> (u64, u32) {
-        let mut best = (u64::MAX, 0u32);
-        for cell in 0..FULL_LINE_CELLS {
-            if stuck.binary_search(&(cell as u16)).is_ok() {
-                continue;
-            }
-            let n = model.endurance_cycles(line, cell, generation);
-            if n < best.0 {
-                best = (n, cell);
-            }
-        }
-        best
-    }
-
     /// Charges one program of `line` against its cells' endurance and
     /// folds the consequences into `out`: verify retries for each cell
     /// that died mid-write, the remap (or the failed remap attempt) when
@@ -192,7 +176,7 @@ impl WearTable {
         out: &mut WriteOutcome,
     ) {
         if !self.lines.contains_key(&line) {
-            let (w, c) = Self::scan_next_fail(&self.model, line, 0, &[]);
+            let (w, c) = self.model.weakest_cell(line, 0, FULL_LINE_CELLS, &[]);
             self.lines.insert(
                 line,
                 LineWear {
@@ -217,7 +201,8 @@ impl WearTable {
             let at = lw.stuck.partition_point(|&c| c < cell);
             lw.stuck.insert(at, cell);
             deaths += 1;
-            let (w, c) = Self::scan_next_fail(&self.model, line, lw.generation, &lw.stuck);
+            let (w, c) =
+                self.model.weakest_cell(line, lw.generation, FULL_LINE_CELLS, &lw.stuck);
             lw.next_fail_wear = w;
             lw.next_fail_cell = c;
         }
@@ -237,7 +222,7 @@ impl WearTable {
                 lw.generation += 1;
                 lw.wear = 0;
                 lw.stuck.clear();
-                let (w, c) = Self::scan_next_fail(&self.model, line, lw.generation, &[]);
+                let (w, c) = self.model.weakest_cell(line, lw.generation, FULL_LINE_CELLS, &[]);
                 lw.next_fail_wear = w;
                 lw.next_fail_cell = c;
                 self.remap_log.push(line);

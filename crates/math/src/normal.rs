@@ -258,11 +258,27 @@ impl TruncatedNormal {
         self.base.quantile(target.clamp(1e-300, 1.0 - 1e-16))
     }
 
-    /// Draws one sample by inverse-transform on the truncated CDF.
+    /// Draws one sample by inverse-transform on the truncated CDF:
+    /// [`at_uniform`](Self::at_uniform) of one [`draw_uniform`](Self::draw_uniform).
     ///
-    /// Exact (no rejection), so it stays cheap even for narrow windows.
+    /// Exact (no rejection), so narrow windows cost no more than wide ones,
+    /// but every draw pays [`quantile`](Self::quantile)'s `inverse_erf`:
+    /// eight Newton steps of an `erf` and an `exp` each. Callers that only
+    /// need to know which side of a threshold the sample falls on can
+    /// compare the uniform with [`cdf`](Self::cdf) of the threshold instead.
     pub fn sample<R: readduo_rng::Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        self.at_uniform(Self::draw_uniform(rng))
+    }
+
+    /// The uniform deviate one [`sample`](Self::sample) consumes, in
+    /// `[f64::MIN_POSITIVE, 1)`.
+    pub fn draw_uniform<R: readduo_rng::Rng + ?Sized>(rng: &mut R) -> f64 {
+        rng.gen_range(f64::MIN_POSITIVE..1.0)
+    }
+
+    /// The sample the uniform deviate `u` maps to: its quantile, clamped
+    /// into the window.
+    pub fn at_uniform(&self, u: f64) -> f64 {
         self.quantile(u).clamp(self.lo, self.hi)
     }
 }

@@ -122,8 +122,14 @@ impl<K> EventQueue<K> {
 
     /// Schedules `kind` at time `at` (nanoseconds). Events pushed while one
     /// is being processed must not be earlier than the current window —
-    /// the engine only ever schedules at or after *now*.
+    /// the engine only ever schedules at or after *now*. Debug builds
+    /// (and so the test suites) panic on an earlier push.
     pub fn push(&mut self, at: u64, kind: K) {
+        debug_assert!(
+            at >= self.bucket_start,
+            "event at {at} ns pushed before the current window, which starts at {} ns",
+            self.bucket_start
+        );
         self.seq += 1;
         self.len += 1;
         let entry = Entry { at, seq: self.seq, kind };
@@ -346,6 +352,18 @@ mod tests {
         assert_eq!(q.pop(), Some((h2 + 1, 20)));
         assert_eq!(q.pop(), None);
         assert_eq!(q.len(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "pushed before the current window")]
+    fn push_before_the_current_window_panics_in_debug_builds() {
+        let mut q = EventQueue::new();
+        q.push(3 * BUCKET_WIDTH_NS, 1u32);
+        assert_eq!(q.pop(), Some((3 * BUCKET_WIDTH_NS, 1)));
+        // The window now starts at 3 × width; a push into the first
+        // window would be an event in the past.
+        q.push(BUCKET_WIDTH_NS - 1, 2);
     }
 
     #[test]

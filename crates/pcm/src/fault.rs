@@ -17,6 +17,24 @@
 //! (`σ_M = σ_R`, `μ_{α,M} = μ_{α,R}/7`, so `α_M = α_R / 7` cell by cell).
 //! A consequence worth testing: any cell that misreads under the M-metric
 //! also misreads under the R-metric — escalation can only help.
+//!
+//! # Threshold first, inversion only where it decides
+//!
+//! Drift only raises a cell's metric, so a cell is sensed at its own level
+//! exactly when its programmed deviate `z` stays at or below
+//! `z* = (ref_above − μ − α·u)/σ`. `z` is the truncated-normal quantile of
+//! a uniform `p`, so `z ≤ z*` is the same question as `p ≤ F(z*)` with
+//! `F` the truncated CDF — and answering it in `p` skips the quantile's
+//! eight Newton steps. The sampler therefore draws `p` and the drift
+//! deviate exactly as the inverse-transform sampler would (same calls,
+//! same order), skips the cell when `p < F(z* − 1e-9) − 1e-12`, and only
+//! inverts the CDF for the cells that test leaves undecided. The two
+//! margins cover `inverse_erf`'s documented ~1e-12 error and the rounding
+//! of the drift sum and of `F` itself by orders of magnitude, so a skipped
+//! cell is one the full inversion would also have sensed correctly: every
+//! pattern and every RNG stream is bit-for-bit the inversion sampler's.
+//! `F` comes from a grid built once per model; only a `p` inside the
+//! bracket of its two neighbouring knots pays an exact `erfc`.
 
 use crate::drift::{drift_exponent, log_metric_at_u};
 use crate::params::{MetricConfig, PROGRAM_WIDTH_SIGMAS};
@@ -30,6 +48,18 @@ use readduo_rng::Rng;
 /// model and the closed form agree about which (age, level) pairs can
 /// produce errors at all.
 const ALPHA_TAIL_SIGMAS: f64 = 10.0;
+
+/// Margin, in programmed-value sigmas, below the misread threshold `z*`
+/// at which the skip test is taken.
+const Z_MARGIN: f64 = 1e-9;
+
+/// Margin subtracted from the truncated CDF at the skip threshold.
+const P_MARGIN: f64 = 1e-12;
+
+/// Intervals of the truncated-CDF grid across the programmed window: a
+/// knot spacing of ~0.005σ leaves at most ~0.2% of cells for the exact
+/// `erfc`.
+const CDF_GRID_STEPS: usize = 1024;
 
 /// Sampled read faults for one line, under both metrics.
 ///
@@ -82,6 +112,41 @@ pub struct FaultModel {
     /// program-and-verify window (`±2.746σ`).
     z_programmed: TruncatedNormal,
     z_alpha: Normal,
+    /// `z_programmed.cdf(lo + k·h)` for `k = 0..=CDF_GRID_STEPS`, with
+    /// `h` the window width over `CDF_GRID_STEPS`.
+    cdf_grid: Vec<f64>,
+    /// `1/h`.
+    grid_scale: f64,
+    /// Per R level: the skip test's standardised reference (see
+    /// [`upper_gates`]).
+    r_gates: [Option<f64>; 4],
+    /// Per M level, likewise.
+    m_gates: [Option<f64>; 4],
+}
+
+/// Per level of `cfg`, the standardised reference `(ref_above − μ)/σ`
+/// under which a programmed deviate is sensed at its own level whatever
+/// its drift, or `None` when that one comparison cannot settle the sensed
+/// level: the top level has no reference above, and a level whose lowest
+/// programmable value `μ + z_lo·σ` is not above every lower reference
+/// can also misread downwards.
+fn upper_gates(cfg: &MetricConfig, z_lo: f64) -> [Option<f64>; 4] {
+    let mut gates = [None; 4];
+    let mut highest_below = f64::NEG_INFINITY;
+    for level in CellLevel::ALL {
+        let lp = cfg.level(level);
+        let Some(reference) = cfg.reference_above(level) else {
+            break; // the top level
+        };
+        // The same expression `sense_one` evaluates for x0 at z = z_lo; drift
+        // only adds to it.
+        let x0_min = lp.mu + z_lo * lp.sigma;
+        if lp.sigma > 0.0 && x0_min > highest_below {
+            gates[level.index()] = Some((reference - lp.mu) / lp.sigma);
+        }
+        highest_below = highest_below.max(reference);
+    }
+    gates
 }
 
 impl FaultModel {
@@ -105,11 +170,21 @@ impl FaultModel {
             r.t0(),
             m.t0()
         );
+        let z_programmed = TruncatedNormal::symmetric(Normal::standard(), PROGRAM_WIDTH_SIGMAS);
+        let (lo, hi) = (z_programmed.lo(), z_programmed.hi());
+        let h = (hi - lo) / CDF_GRID_STEPS as f64;
+        let cdf_grid = (0..=CDF_GRID_STEPS)
+            .map(|k| z_programmed.cdf(lo + k as f64 * h))
+            .collect();
         Self {
+            r_gates: upper_gates(&r, lo),
+            m_gates: upper_gates(&m, lo),
             r,
             m,
-            z_programmed: TruncatedNormal::symmetric(Normal::standard(), PROGRAM_WIDTH_SIGMAS),
+            z_programmed,
             z_alpha: Normal::standard(),
+            cdf_grid,
+            grid_scale: 1.0 / h,
         }
     }
 
@@ -139,7 +214,8 @@ impl FaultModel {
     }
 
     /// Samples the fault pattern of one `cells`-cell line read at `age_s`
-    /// seconds after its last full write.
+    /// seconds after its last full write, under both metrics: the pattern
+    /// an R-first read senses and, should it escalate, the M pattern.
     ///
     /// Levels are drawn uniformly (the simulator carries no data
     /// contents; uniform level occupancy is also what the analytic model
@@ -148,6 +224,28 @@ impl FaultModel {
     /// randomness*, so fault-free epochs cost nothing and perturb no
     /// downstream draws.
     pub fn sample_line<R: Rng + ?Sized>(&self, age_s: f64, cells: u32, rng: &mut R) -> LineFaults {
+        self.sample(false, age_s, cells, rng)
+    }
+
+    /// The M pattern alone, for a direct M-read: `m_bits` and `m_cells`
+    /// exactly as [`sample_line`](Self::sample_line) produces them from
+    /// the same stream, which this call advances identically. `r_bits`
+    /// stays empty: the skip test runs on the M references, so cells only
+    /// R would misread are never resolved.
+    pub fn sample_line_m<R: Rng + ?Sized>(&self, age_s: f64, cells: u32, rng: &mut R) -> LineFaults {
+        self.sample(true, age_s, cells, rng)
+    }
+
+    /// The sampler behind both entry points. The skip test runs on the
+    /// metric whose misreads the caller needs (M when `m_only`, else R):
+    /// a skipped cell is only certain to be sensed correctly under that
+    /// one.
+    fn sample<R: Rng + ?Sized>(&self, m_only: bool, age_s: f64, cells: u32, rng: &mut R) -> LineFaults {
+        let (gate, gates) = if m_only {
+            (&self.m, &self.m_gates)
+        } else {
+            (&self.r, &self.r_gates)
+        };
         // One elapsed time covers the whole line (and both metrics share
         // t0), so the log10 is paid once here instead of once per cell.
         // `log_metric_at(x0, a, t, t0) == x0 + a * drift_exponent(t, t0)`
@@ -171,14 +269,20 @@ impl FaultModel {
             if !can_cross_r[level.index()] {
                 continue;
             }
-            let z = self.z_programmed.sample(rng);
+            let p = TruncatedNormal::draw_uniform(rng);
             let za = self.z_alpha.sample(rng);
+            if self.surely_sensed(gate, gates, level, p, za, u) {
+                continue;
+            }
+            let z = self.z_programmed.at_uniform(p);
             let sensed_r = self.sense_one(&self.r, level, z, za, u);
             if sensed_r == level {
                 continue; // M cannot misread if R did not
             }
-            push_cell_bits(&mut faults.r_bits, cell, level, sensed_r);
-            faults.r_cells += 1;
+            if !m_only {
+                push_cell_bits(&mut faults.r_bits, cell, level, sensed_r);
+                faults.r_cells += 1;
+            }
             let sensed_m = self.sense_one(&self.m, level, z, za, u);
             if sensed_m != level {
                 push_cell_bits(&mut faults.m_bits, cell, level, sensed_m);
@@ -186,6 +290,60 @@ impl FaultModel {
             }
         }
         faults
+    }
+
+    /// The misread threshold of a cell programmed to `level` under `cfg`
+    /// with drift deviate `za`, lowered by `Z_MARGIN`: `None` when the
+    /// level has no usable gate (see [`upper_gates`]).
+    fn skip_threshold(
+        cfg: &MetricConfig,
+        gates: &[Option<f64>; 4],
+        level: CellLevel,
+        za: f64,
+        u: f64,
+    ) -> Option<f64> {
+        let z_ref = gates[level.index()]?;
+        let lp = cfg.level(level);
+        // α exactly as `sense_one` forms it.
+        let alpha = (lp.mu_alpha + za * lp.sigma_alpha).max(0.0);
+        Some(z_ref - alpha * u / lp.sigma - Z_MARGIN)
+    }
+
+    /// True when the cell is certain to be sensed at `level` under `cfg`
+    /// without inverting the CDF at `p`; false when only the inversion
+    /// can tell.
+    fn surely_sensed(
+        &self,
+        cfg: &MetricConfig,
+        gates: &[Option<f64>; 4],
+        level: CellLevel,
+        p: f64,
+        za: f64,
+        u: f64,
+    ) -> bool {
+        Self::skip_threshold(cfg, gates, level, za, u)
+            .is_some_and(|z_skip| self.p_surely_below(p, z_skip))
+    }
+
+    /// Whether `p < F(z) − P_MARGIN`, `F` the programmed deviate's
+    /// truncated CDF. The grid knots around `z` bracket `F(z)`; only a
+    /// `p` between them pays the exact `erfc`.
+    fn p_surely_below(&self, p: f64, z: f64) -> bool {
+        let t = (z - self.z_programmed.lo()) * self.grid_scale;
+        if t.is_nan() || t < 0.0 {
+            return false; // below the window, where F = 0
+        }
+        if t >= CDF_GRID_STEPS as f64 {
+            return true; // no programmed value lies above the window
+        }
+        let k = t as usize;
+        if p < self.cdf_grid[k] - P_MARGIN {
+            return true;
+        }
+        if p >= self.cdf_grid[k + 1] {
+            return false;
+        }
+        p < self.z_programmed.cdf(z) - P_MARGIN
     }
 
     /// Drifts one cell's shared deviates through `cfg` by the hoisted
@@ -306,6 +464,79 @@ mod tests {
         }
         assert!(r > 0);
         assert!(m * 50 < r, "M errors ({m}) should be ≪ R errors ({r})");
+    }
+
+    /// `p` values around `threshold`: the value itself, 1–4 ULP either
+    /// side and `P_MARGIN` either side.
+    fn around(threshold: f64) -> Vec<f64> {
+        let mut ps = vec![threshold, threshold - P_MARGIN, threshold + P_MARGIN];
+        let (mut up, mut down) = (threshold, threshold);
+        for _ in 0..4 {
+            up = up.next_up();
+            down = down.next_down();
+            ps.extend([up, down]);
+        }
+        ps
+    }
+
+    /// The skip test's error budget. For every gated level of both
+    /// metrics and a sweep of α·u that walks the misread threshold `z*`
+    /// across the whole programmed window, `p` is placed at the grid
+    /// knot's threshold, at the exact-`erfc` threshold and at `F(z*)`
+    /// itself (each ±1–4 ULP and ±`P_MARGIN`), and at `F(z* ± Z_MARGIN)`.
+    /// Whenever the fast decision skips, the exact quantile + `sense_one`
+    /// path must sense the cell at its level; and just past `z*` the
+    /// exact path must misread, so the threshold is the real one.
+    #[test]
+    fn skipped_cells_sense_correctly_at_both_thresholds() {
+        let model = FaultModel::paper();
+        let t = model.z_programmed;
+        let (mut skipped, mut kept) = (0u32, 0u32);
+        for (cfg, gates) in [(&model.r, &model.r_gates), (&model.m, &model.m_gates)] {
+            for level in [CellLevel::L0, CellLevel::L1, CellLevel::L2] {
+                let lp = cfg.level(level);
+                for u in [0.5, 1.0, 3.7, 7.0] {
+                    for step in 0..=120 {
+                        // α·u spanning z* from 3.0 (no drift) to -3.0.
+                        let alpha_u = f64::from(step) * 0.05 * lp.sigma;
+                        let za = (alpha_u / u - lp.mu_alpha) / lp.sigma_alpha;
+                        let z_skip = FaultModel::skip_threshold(cfg, gates, level, za, u)
+                            .expect("levels below the top are gated in the paper metrics");
+                        let z_star = z_skip + Z_MARGIN;
+                        let mut ps = around(t.cdf(z_star));
+                        ps.extend(around(t.cdf(z_skip) - P_MARGIN));
+                        ps.extend([t.cdf(z_star - Z_MARGIN), t.cdf(z_star + Z_MARGIN)]);
+                        let knot = (z_skip - t.lo()) * model.grid_scale;
+                        if (0.0..CDF_GRID_STEPS as f64).contains(&knot) {
+                            let k = knot as usize;
+                            ps.extend(around(model.cdf_grid[k] - P_MARGIN));
+                            ps.extend(around(model.cdf_grid[k + 1]));
+                        }
+                        for p in ps.into_iter().filter(|p| (f64::MIN_POSITIVE..1.0).contains(p)) {
+                            if model.surely_sensed(cfg, gates, level, p, za, u) {
+                                skipped += 1;
+                                let sensed = model.sense_one(cfg, level, t.at_uniform(p), za, u);
+                                assert_eq!(
+                                    sensed, level,
+                                    "{} {level} skipped at p={p:e} (u={u}, za={za}, z*={z_star})",
+                                    cfg.kind()
+                                );
+                            } else {
+                                kept += 1;
+                            }
+                        }
+                        let past = z_star + 1e-6;
+                        if t.lo() < past && past < t.hi() {
+                            let p = t.cdf(past);
+                            assert!(!model.surely_sensed(cfg, gates, level, p, za, u));
+                            let sensed = model.sense_one(cfg, level, t.at_uniform(p), za, u);
+                            assert_ne!(sensed, level, "{} {level}: z* too low", cfg.kind());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 1000 && kept > 1000, "skipped {skipped}, kept {kept}");
     }
 
     #[test]

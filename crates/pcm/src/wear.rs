@@ -20,11 +20,17 @@
 //! Endurance is drawn from a lognormal distribution (the standard
 //! empirical model for PCM cycles-to-failure): `N = median ·
 //! exp(σ·Φ⁻¹(u))` with `u` a per-cell uniform derived by hashing. There
-//! is no RNG stream to advance and nothing to allocate — cold cells cost
-//! one hash when first examined.
+//! is no RNG stream to advance and nothing to allocate. One endurance
+//! costs a hash plus `Φ⁻¹`, whose `inverse_erf` runs eight Newton steps
+//! of an `erf` and an `exp` each; [`WearModel::weakest_cell`] finds a
+//! line's first cell to fail from the hashes and inverts only the few
+//! cells that can tie for it.
 
 use crate::state::CellLevel;
 use readduo_math::Normal;
+
+/// `2⁵³`: the number of distinct endurance keys (53-bit hashed uniforms).
+const KEY_SPACE: f64 = (1u64 << 53) as f64;
 
 /// Lognormal shape parameter of the cycles-to-failure distribution, in
 /// natural-log space. σ = 0.45 puts the weakest cell of a 296-cell line
@@ -91,12 +97,74 @@ impl WearModel {
     /// build a uniform in the open interval (0, 1) — `Φ⁻¹` rejects the
     /// endpoints.
     pub fn endurance_cycles(&self, line: u64, cell: u32, generation: u32) -> u64 {
-        let h = self.h(line, cell, generation, 0x57EA_12D0);
+        self.cycles_at_key(self.endurance_key(line, cell, generation))
+    }
+
+    /// The 53-bit hashed uniform behind `cell`'s endurance.
+    fn endurance_key(&self, line: u64, cell: u32, generation: u32) -> u64 {
+        self.h(line, cell, generation, 0x57EA_12D0) >> 11
+    }
+
+    /// The endurance of a cell whose key is `key`: nondecreasing in `key`
+    /// up to the rounding of `Φ⁻¹`, which [`tie_window`](Self::tie_window)
+    /// bounds.
+    fn cycles_at_key(&self, key: u64) -> u64 {
         // 53 mantissa bits, offset by half an ulp: u ∈ (0, 1) strictly.
-        let u = ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+        let u = (key as f64 + 0.5) / KEY_SPACE;
         let z = Normal::standard().quantile(u);
         let n = self.median_cycles as f64 * (self.sigma_ln * z).exp();
         (n.max(1.0)).min(u64::MAX as f64) as u64
+    }
+
+    /// How far above the key of a cell with endurance `cycles` another
+    /// key must lie for its endurance to be certainly larger.
+    ///
+    /// `N(u) = median·exp(σ·Φ⁻¹(u))` grows at least `N·σ·√(2π)` per unit
+    /// of `u` (`Φ⁻¹` has slope `1/φ ≥ √(2π)`), so keys
+    /// `(4/cycles + 1e-9)/(σ√(2π))·2⁵³` apart lie at least 9e-10 apart in
+    /// `u` and differ by more than four whole cycles plus a relative 1e-9.
+    /// That
+    /// covers rounding to whole cycles, `exp`'s ~1e-15 relative error and
+    /// `Φ⁻¹`'s, which acts like a shift of a few ulp in `u`, many times
+    /// over. At `cycles == 1` the clamp flattens `N`, and the window (over
+    /// 2⁵³ keys) spans every cell.
+    fn tie_window(&self, cycles: u64) -> u64 {
+        let du = (4.0 / cycles as f64 + 1e-9)
+            / (self.sigma_ln * (2.0 * std::f64::consts::PI).sqrt());
+        if du >= 1.0 {
+            u64::MAX
+        } else {
+            (du * KEY_SPACE).ceil() as u64
+        }
+    }
+
+    /// The first cell of `line` at `generation` to fail: the smallest
+    /// endurance among cells `0..cells` not in `dead` (ascending), lowest
+    /// index on ties — `(u64::MAX, 0)` when no live cell can fail.
+    ///
+    /// Equal to scanning [`endurance_cycles`](Self::endurance_cycles) over
+    /// every live cell, at the cost of the hashes plus the inversions of
+    /// the cells whose keys lie within [`tie_window`](Self::tie_window)
+    /// of the smallest key — usually that cell alone.
+    pub fn weakest_cell(&self, line: u64, generation: u32, cells: u32, dead: &[u16]) -> (u64, u32) {
+        let live: Vec<(u32, u64)> = (0..cells)
+            .filter(|&cell| dead.binary_search(&(cell as u16)).is_err())
+            .map(|cell| (cell, self.endurance_key(line, cell, generation)))
+            .collect();
+        let Some(min_key) = live.iter().map(|&(_, key)| key).min() else {
+            return (u64::MAX, 0);
+        };
+        let limit = min_key.saturating_add(self.tie_window(self.cycles_at_key(min_key)));
+        let mut best = (u64::MAX, 0u32);
+        for &(cell, key) in &live {
+            if key <= limit {
+                let n = self.cycles_at_key(key);
+                if n < best.0 {
+                    best = (n, cell);
+                }
+            }
+        }
+        best
     }
 
     /// The level a dead cell is stuck at: fully crystalline (stuck-at-SET,

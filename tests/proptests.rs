@@ -13,15 +13,20 @@ use std::sync::OnceLock;
 use prop_harness::{check, ensure, ensure_eq, gen_bytes, gen_subset};
 use readduo::core::LwtFlags;
 use readduo::ecc::{Bch, BchBitslice, BitVec, DecodeOutcome, GfField, BITSLICE_LANES};
-use readduo::math::{binomial, erf, erf_slice, erfc, erfc_slice, ln_choose, LogProb};
+use readduo::math::{
+    binomial, erf, erf_slice, erfc, erfc_slice, ln_choose, LogProb, Normal, TruncatedNormal,
+};
 use readduo::memsim::{ChannelMerge, Topology};
+use readduo::pcm::params::PROGRAM_WIDTH_SIGMAS;
 use readduo::pcm::state::{bytes_to_cell_data, cell_data_to_bytes};
 use readduo::pcm::{
-    drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, MetricConfig,
+    drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, CellLevel, FaultModel,
+    LevelParams, LineFaults, MetricConfig, MetricKind, WearModel,
 };
 use readduo::reliability::{CachedErrorCurve, CellErrorModel};
 use readduo::trace::{read_trace, write_trace, TraceGenerator, Workload};
-use readduo_rng::Rng as _;
+use readduo_rng::rngs::StdRng;
+use readduo_rng::{Rng as _, RngCore as _, SeedableRng as _};
 
 /// GF(2^10): field axioms on arbitrary nonzero elements.
 #[test]
@@ -735,6 +740,192 @@ fn cached_curve_batched_lookup_matches_scalar_bitwise() {
                     "prob({t:e}): batch {p:e} != scalar {:e}",
                     curve.prob(t)
                 );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The per-cell fault sampler `FaultModel` replaced, kept as its oracle:
+/// every cell whose level can cross draws its programmed value through
+/// the full inverse CDF (`TruncatedNormal::sample`) and is sensed under R,
+/// then, if R misread it, under M. Also returns how many cells R sensed
+/// *below* their level.
+fn inversion_oracle(
+    r: &MetricConfig,
+    m: &MetricConfig,
+    age_s: f64,
+    cells: u32,
+    rng: &mut StdRng,
+) -> (LineFaults, u32) {
+    let u = drift_exponent(age_s, r.t0());
+    let z_programmed = TruncatedNormal::symmetric(Normal::standard(), PROGRAM_WIDTH_SIGMAS);
+    let z_alpha = Normal::standard();
+    let sense = |cfg: &MetricConfig, level: CellLevel, z: f64, za: f64| {
+        let lp = cfg.level(level);
+        let alpha = (lp.mu_alpha + za * lp.sigma_alpha).max(0.0);
+        cfg.sense_level(log_metric_at_u(lp.mu + z * lp.sigma, alpha, u))
+    };
+    // The impossibility precheck: the top of the verify window drifting
+    // at μ_α + 10σ_α must cross the R reference above.
+    let can_cross = |level: CellLevel| {
+        r.reference_above(level).is_some_and(|boundary| {
+            let lp = r.level(level);
+            let x0_max = lp.mu + PROGRAM_WIDTH_SIGMAS * lp.sigma;
+            let alpha_max = (lp.mu_alpha + 10.0 * lp.sigma_alpha).max(0.0);
+            log_metric_at_u(x0_max, alpha_max, u) > boundary
+        })
+    };
+    let push_bits = |bits: &mut Vec<u16>, cell: u32, level: CellLevel, sensed: CellLevel| {
+        let diff = level.data() ^ sensed.data();
+        if diff & 0b10 != 0 {
+            bits.push(cell as u16 * 2);
+        }
+        if diff & 0b01 != 0 {
+            bits.push(cell as u16 * 2 + 1);
+        }
+    };
+    let mut faults = LineFaults::default();
+    let mut below = 0;
+    if !CellLevel::ALL.into_iter().any(can_cross) {
+        return (faults, below);
+    }
+    for cell in 0..cells {
+        let level = CellLevel::from_index(rng.gen_range(0..4usize));
+        if !can_cross(level) {
+            continue;
+        }
+        let z = z_programmed.sample(rng);
+        let za = z_alpha.sample(rng);
+        let sensed_r = sense(r, level, z, za);
+        if sensed_r == level {
+            continue;
+        }
+        below += u32::from(sensed_r < level);
+        push_bits(&mut faults.r_bits, cell, level, sensed_r);
+        faults.r_cells += 1;
+        let sensed_m = sense(m, level, z, za);
+        if sensed_m != level {
+            push_bits(&mut faults.m_bits, cell, level, sensed_m);
+            faults.m_cells += 1;
+        }
+    }
+    (faults, below)
+}
+
+/// An R/M pair like the paper's, except that L2's programmed window
+/// (5 ± 2.746·0.3) reaches below L1's reference at 4.5: its cells can
+/// misread *downwards*, which no threshold on the reference above can
+/// rule out.
+fn overlapping_metrics() -> (MetricConfig, MetricConfig) {
+    let mut levels = *MetricConfig::r_metric().levels();
+    levels[2].sigma = 0.3;
+    let m_levels = levels.map(|lp| LevelParams::new(lp.mu - 4.0, lp.sigma, lp.mu_alpha / 7.0));
+    (
+        MetricConfig::custom(MetricKind::R, levels, 1.0),
+        MetricConfig::custom(MetricKind::M, m_levels, 1.0),
+    )
+}
+
+/// `FaultModel`'s threshold-first sampler is the inversion sampler, bit
+/// for bit: the R-first pattern (`sample_line`), the M-only pattern
+/// (`sample_line_m` against the oracle's M half) and the next word of the
+/// RNG stream, at ages from fault-free to far past every scrub interval,
+/// on 256- and 296-cell lines. The second model's L2 window reaches the
+/// reference below, so no L2 cell may be skipped; its oracle must see
+/// downward misreads, or that half of the case is vacuous.
+#[test]
+fn fault_sampler_matches_inversion_oracle() {
+    const AGES: [f64; 12] = [0.5, 1.2, 1.5, 2.7, 8.0, 64.0, 160.0, 640.0, 2e4, 1e5, 1e6, 1e7];
+    let (wide_r, wide_m) = overlapping_metrics();
+    let models = [
+        (FaultModel::paper(), MetricConfig::r_metric(), MetricConfig::m_metric()),
+        (FaultModel::new(wide_r.clone(), wide_m.clone()), wide_r, wide_m),
+    ];
+    check(
+        "fault_sampler_matches_inversion_oracle",
+        |rng| rng.gen::<u64>(),
+        |&seed| {
+            for (i, (model, r, m)) in models.iter().enumerate() {
+                let mut below = 0u32;
+                for age in AGES {
+                    for cells in [256u32, 296] {
+                        let stream = seed ^ age.to_bits() ^ u64::from(cells);
+                        let mut fast = StdRng::seed_from_u64(stream);
+                        let mut oracle = StdRng::seed_from_u64(stream);
+                        for _ in 0..2 {
+                            let (want, down) = inversion_oracle(r, m, age, cells, &mut oracle);
+                            below += down;
+                            ensure_eq!(model.sample_line(age, cells, &mut fast), want);
+                            let (want, _) = inversion_oracle(r, m, age, cells, &mut oracle);
+                            let m_only = LineFaults {
+                                m_bits: want.m_bits,
+                                m_cells: want.m_cells,
+                                ..LineFaults::default()
+                            };
+                            ensure_eq!(model.sample_line_m(age, cells, &mut fast), m_only);
+                        }
+                        ensure!(
+                            fast.next_u64() == oracle.next_u64(),
+                            "model {i}, age {age}, {cells} cells: RNG streams diverged"
+                        );
+                    }
+                }
+                ensure!(i == 0 || below > 0, "no downward misread under the overlapping metrics");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The weakest-cell scan `WearModel::weakest_cell` replaced, kept as its
+/// oracle: every live cell's endurance, keeping the first minimum.
+fn brute_force_weakest(
+    model: &WearModel,
+    line: u64,
+    generation: u32,
+    cells: u32,
+    dead: &[u16],
+) -> (u64, u32) {
+    let mut best = (u64::MAX, 0u32);
+    for cell in 0..cells {
+        if dead.binary_search(&(cell as u16)).is_ok() {
+            continue;
+        }
+        let n = model.endurance_cycles(line, cell, generation);
+        if n < best.0 {
+            best = (n, cell);
+        }
+    }
+    best
+}
+
+/// `WearModel::weakest_cell`, which inverts only the cells near the
+/// smallest hashed key, equals the brute-force scan — including at the
+/// tiny medians where most cells round to the same few cycles, which pins
+/// the lowest-index tie-break, and with every cell dead.
+#[test]
+fn wear_scan_matches_brute_force() {
+    check(
+        "wear_scan_matches_brute_force",
+        |rng| {
+            let dead = if rng.gen_range(0u32..8) == 0 {
+                (0..296).collect()
+            } else {
+                gen_subset(rng, 296, 0, 40)
+            };
+            (rng.gen::<u64>(), rng.gen::<u64>(), rng.gen_range(0u32..8), dead)
+        },
+        |(seed, line, generation, dead)| {
+            let dead: Vec<u16> = dead.iter().map(|&c| c as u16).collect();
+            for median in [1, 2, 3, 10, 10_000, 10_000_000, 100_000_000] {
+                let model = WearModel::new(*seed, median);
+                for cells in [256u32, 296] {
+                    ensure_eq!(
+                        model.weakest_cell(*line, *generation, cells, &dead),
+                        brute_force_weakest(&model, *line, *generation, cells, &dead)
+                    );
+                }
             }
             Ok(())
         },
