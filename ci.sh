@@ -24,14 +24,16 @@ cargo test --workspace -q
 echo "==> parallel determinism (READDUO_THREADS=4 vs =1)"
 cargo test -q --release --test parallel_determinism
 
-# The fault sampler decides most cells from a CDF threshold and the wear
-# scan inverts only the cells that can tie for a line's minimum; both must
-# reproduce the full-inversion oracles kept in tests/proptests.rs bit for
-# bit. Run those two properties by name so a bit-exactness regression
-# names itself in CI output.
-echo "==> bit-exact oracles (fault sampler, wear scan)"
+# The fault sampler decides most cells from a CDF threshold, the wear
+# scan inverts only the cells that can tie for a line's minimum, and the
+# Zipf sampler's squeeze accepts most candidates without the exact test;
+# all three must reproduce the always-exact oracles kept in
+# tests/proptests.rs bit for bit. Run those properties by name so a
+# bit-exactness regression names itself in CI output.
+echo "==> bit-exact oracles (fault sampler, wear scan, Zipf squeeze)"
 cargo test -q --release --test proptests -- --exact \
-    fault_sampler_matches_inversion_oracle wear_scan_matches_brute_force
+    fault_sampler_matches_inversion_oracle wear_scan_matches_brute_force \
+    zipf_squeeze_matches_exact_acceptance_oracle
 
 # Timed smoke run: fig9 at a reduced volume must finish inside a generous
 # wall-clock budget. Catches accidental serialisation or hot-path

@@ -240,7 +240,8 @@ pub struct TieredDevice<D: DeviceModel> {
     hands: Vec<usize>,
     /// Monotone access counter (LRU stamps).
     tick: u64,
-    /// Miss counts of non-resident lines (cleared on promotion).
+    /// Miss counts of non-resident lines (cleared on promotion). Unused
+    /// at threshold 1, where every miss promotes.
     miss_counts: HashMap<u64, u32>,
     /// Open row per DRAM bank.
     open_rows: [u64; DRAM_BANKS],
@@ -401,7 +402,10 @@ impl<D: DeviceModel> TieredDevice<D> {
         }
         self.slots[slot] = Slot { line, dirty, stamp: 0, referenced: false };
         self.touch(slot);
-        self.miss_counts.remove(&line);
+        // Always empty at threshold 1: skip hashing the line there.
+        if !self.miss_counts.is_empty() {
+            self.miss_counts.remove(&line);
+        }
         self.stats.promotions += 1;
         self.stats.resident += 1;
         metrics::counter_add("dram.promote", 1);
@@ -410,8 +414,12 @@ impl<D: DeviceModel> TieredDevice<D> {
     }
 
     /// Counts a miss of `line` and reports whether it crossed the
-    /// migration threshold.
+    /// migration threshold. At threshold 1 every miss crosses, so nothing
+    /// is counted.
     fn miss_crosses_threshold(&mut self, line: u64) -> bool {
+        if self.cfg.threshold <= 1 {
+            return true;
+        }
         let c = self.miss_counts.entry(line).or_insert(0);
         *c += 1;
         *c >= self.cfg.threshold

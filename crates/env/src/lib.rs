@@ -172,12 +172,6 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Per-workload trace-materialisation budget (MB) in streamed matrices; 0 streams everything",
         },
         EnvVar {
-            name: "READDUO_ARENA_CAP",
-            kind: EnvKind::Count { min: 1 },
-            default: "4096",
-            doc: "Pre-reserved steady-state pool capacity (events / queue slots) per engine",
-        },
-        EnvVar {
             name: "READDUO_BITSLICE",
             kind: EnvKind::Flag,
             default: "1",

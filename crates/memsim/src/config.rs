@@ -100,7 +100,7 @@ pub struct LineAddr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Independent channels, each with its own bus, controller, write
-    /// queues, scrub engine and timing wheel.
+    /// queues, scrub engine and event queue.
     pub channels: usize,
     /// Ranks per channel (timing-transparent grouping of banks; the
     /// controller dispatches on the flat `bank_in_channel` index).

@@ -3,8 +3,7 @@
 //! The engine consumes ops through the [`OpSource`] trait, so a bounded-
 //! memory [`TraceStream`] and a materialised [`Trace`] replay identically
 //! ([`Simulator::run_source`] vs [`Simulator::run`]); events flow through
-//! the two-level bucketed scheduler in [`crate::sched`] rather than one
-//! global `BinaryHeap`.
+//! the `(at, seq)` heap in [`crate::sched`].
 //!
 //! [`TraceStream`]: readduo_trace::TraceStream
 
@@ -24,6 +23,15 @@ use readduo_trace::{OpKind, OpSource, Trace, TraceCursor};
 /// are far too few to be evicted again before use. Measured on the
 /// fig9@10M matrix: depth 8 beats depth 1 by ~3%, deeper is noise.
 const PREFETCH_DIST: usize = 8;
+
+/// Pending events pre-reserved per engine, far above the run's high-water
+/// mark (one issue per core plus a kick and a scrub tick per bank), so the
+/// hot loop never grows the event heap. The 256 KiB reservation is freed
+/// with the run and is part of the slack that lets the next run's device
+/// tables reuse the same heap region: at 4096 entries, glibc's placement
+/// split that region in a fifth to two fifths of the benchmark's worn_mcf
+/// runs, adding 3 MB to peak RSS (DESIGN.md, "Zero-alloc steady state").
+const EVENT_CAPACITY: usize = 8192;
 
 /// Origin of a queued write job (for energy/lifetime attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,10 +102,6 @@ enum EventKind {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: MemoryConfig,
-    /// Steady-state pool capacity per engine (`READDUO_ARENA_CAP`):
-    /// events pre-reserved in the timing wheel's tiers so the hot loop
-    /// never grows a heap.
-    arena_cap: usize,
 }
 
 /// Per-run telemetry state: the sim-time trace plus per-bank counter
@@ -154,7 +158,7 @@ fn mode_name(mode: ReadMode) -> &'static str {
 }
 
 /// One channel's engine state: its own bus, bank array, write queues,
-/// scrub engine and timing wheel. A single-channel machine is exactly one
+/// scrub engine and event queue. A single-channel machine is exactly one
 /// `Run`; a sharded machine is `channels` of them, each consuming the ops
 /// its channel owns. `pub(crate)` so the sharded executor in
 /// [`crate::shard`] can seed and single-step it.
@@ -188,9 +192,7 @@ impl Simulator {
     /// Panics if the configuration is invalid.
     pub fn new(config: MemoryConfig) -> Self {
         config.validate();
-        let arena_cap = readduo_env::u64_at_least("READDUO_ARENA_CAP", 1)
-            .unwrap_or(4096) as usize;
-        Self { config, arena_cap }
+        Self { config }
     }
 
     /// The configuration in use.
@@ -262,7 +264,7 @@ impl Simulator {
                 .map(|_| Bank::with_capacity(self.config.write_queue_cap, self.config.cores))
                 .collect(),
             live_cores: 0,
-            events: EventQueue::with_capacity(self.arena_cap),
+            events: EventQueue::with_capacity(EVENT_CAPACITY),
             bus_busy_until: 0,
             report: SimReport::default(),
             scrub_period_ns: None,
@@ -312,7 +314,7 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
 
     /// Time of this channel's next pending event — the key the sequential
     /// reference merges channels on.
-    pub(crate) fn next_at(&mut self) -> Option<u64> {
+    pub(crate) fn next_at(&self) -> Option<u64> {
         self.events.peek_at()
     }
 

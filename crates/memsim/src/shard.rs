@@ -2,7 +2,7 @@
 //!
 //! A [`Topology`] with `channels > 1` splits the machine into fully
 //! independent sub-simulations: each channel owns its bus, bank array,
-//! write queues, scrub engine and timing wheel (one `Run` from
+//! write queues, scrub engine and event queue (one `Run` from
 //! [`crate::engine`] per channel). Cross-channel traffic does not exist —
 //! the address interleave partitions the line space — so channels can be
 //! stepped concurrently without any shared simulation state, and the
@@ -114,7 +114,7 @@ impl Simulator {
         SimReport::merged(&reports)
     }
 
-    /// The sequential single-wheel oracle for [`run_sharded`]: the same
+    /// The sequential oracle for [`run_sharded`]: the same
     /// per-channel engines, stepped one event at a time in global
     /// `(at, channel, seq)` order on the calling thread.
     ///
@@ -143,9 +143,9 @@ impl Simulator {
         loop {
             // The merge rule: earliest `at` wins, ties to the lowest
             // channel (strict `<` keeps the first), per-channel `seq`
-            // order inside each wheel.
+            // order inside each channel's queue.
             let mut best: Option<(u64, usize)> = None;
-            for (ch, r) in runs.iter_mut().enumerate() {
+            for (ch, r) in runs.iter().enumerate() {
                 if let Some(at) = r.next_at() {
                     if best.is_none_or(|(b_at, _)| at < b_at) {
                         best = Some((at, ch));

@@ -24,7 +24,7 @@ use readduo::pcm::{
     LevelParams, LineFaults, MetricConfig, MetricKind, WearModel,
 };
 use readduo::reliability::{CachedErrorCurve, CellErrorModel};
-use readduo::trace::{read_trace, write_trace, TraceGenerator, Workload};
+use readduo::trace::{read_trace, write_trace, TraceGenerator, Workload, Zipf};
 use readduo_rng::rngs::StdRng;
 use readduo_rng::{Rng as _, RngCore as _, SeedableRng as _};
 
@@ -926,6 +926,107 @@ fn wear_scan_matches_brute_force() {
                         brute_force_weakest(&model, *line, *generation, cells, &dead)
                     );
                 }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The rejection-inversion loop `Zipf::sample` replaced, kept as its
+/// oracle: every candidate pays the exact acceptance test
+/// `u ≥ H(k + ½) − h(k)`.
+struct ExactZipf {
+    n: u64,
+    s: f64,
+    h_x1: f64,
+    h_n: f64,
+}
+
+impl ExactZipf {
+    fn new(n: u64, s: f64) -> Self {
+        let mut z = Self { n, s, h_x1: 0.0, h_n: 0.0 };
+        z.h_x1 = z.h_integral(1.5) - 1.0;
+        z.h_n = z.h_integral(n as f64 + 0.5);
+        z
+    }
+
+    fn h_integral(&self, x: f64) -> f64 {
+        let log_x = x.ln();
+        let t = (1.0 - self.s) * log_x;
+        let exp_m1_over = if t.abs() > 1e-8 {
+            t.exp_m1() / t
+        } else {
+            1.0 + t * 0.5 * (1.0 + t / 3.0 * (1.0 + 0.25 * t))
+        };
+        exp_m1_over * log_x
+    }
+
+    fn h_integral_inverse(&self, x: f64) -> f64 {
+        let mut t = x * (1.0 - self.s);
+        if t < -1.0 {
+            t = -1.0;
+        }
+        let ln_1p_over = if t.abs() > 1e-8 {
+            t.ln_1p() / t
+        } else {
+            1.0 - t * (0.5 - t * (1.0 / 3.0 - 0.25 * t))
+        };
+        (ln_1p_over * x).exp()
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> u64 {
+        loop {
+            let u = self.h_n + rng.gen::<f64>() * (self.h_x1 - self.h_n);
+            let x = self.h_integral_inverse(u);
+            let k = (x.clamp(1.0, self.n as f64) + 0.5).floor().clamp(1.0, self.n as f64) as u64;
+            if u >= self.h_integral(k as f64 + 0.5) - (-(k as f64).ln() * self.s).exp() {
+                return k;
+            }
+        }
+    }
+}
+
+/// `Zipf::sample`, whose squeeze accepts most candidates without the
+/// exact test, draws the oracle's ranks and leaves the RNG stream where
+/// the oracle leaves it: at the warm and cold `(n, s)` of every SPEC2006
+/// workload (sized as the trace generator sizes them), and over a grid
+/// from a one-rank support to 10⁹ ranks with exponents on both sides of
+/// 1, where the squeeze's rank cutoff falls inside the support.
+#[test]
+fn zipf_squeeze_matches_exact_acceptance_oracle() {
+    let mut params = Vec::new();
+    for w in Workload::spec2006() {
+        let footprint = w.footprint_lines.max(16);
+        let warm = ((footprint as f64 * w.locality.written_fraction) as u64).clamp(1, footprint);
+        params.push((warm, w.locality.zipf_s));
+        if footprint > warm {
+            params.push((footprint - warm, w.locality.zipf_s));
+        }
+    }
+    for n in [1, 2, 3, 10, 1_000_000, 1_000_000_000] {
+        for s in [0.3, 0.8, 0.999, 1.0, 1.001, 1.5, 3.0] {
+            params.push((n, s));
+        }
+    }
+    let pairs: Vec<(Zipf, ExactZipf)> =
+        params.iter().map(|&(n, s)| (Zipf::new(n, s), ExactZipf::new(n, s))).collect();
+    check(
+        "zipf_squeeze_matches_exact_acceptance_oracle",
+        |rng| rng.gen::<u64>(),
+        |&seed| {
+            for (fast, oracle) in &pairs {
+                let stream = seed ^ oracle.n ^ oracle.s.to_bits();
+                let mut fast_rng = StdRng::seed_from_u64(stream);
+                let mut oracle_rng = StdRng::seed_from_u64(stream);
+                for _ in 0..500 {
+                    ensure_eq!(fast.sample(&mut fast_rng), oracle.sample(&mut oracle_rng));
+                }
+                ensure!(
+                    fast_rng.next_u64() == oracle_rng.next_u64(),
+                    "n={}, s={}: RNG streams diverged",
+                    oracle.n,
+                    oracle.s
+                );
             }
             Ok(())
         },

@@ -3,8 +3,8 @@
 //! The tentpole claim of the topology work is that sharding is *pure
 //! parallelism*: a `channels × ranks × banks` machine run channel-by-
 //! channel on a worker pool produces bit-for-bit the report of the
-//! sequential single-wheel reference, which steps the same per-channel
-//! engines one event at a time in exact `(at, channel, seq)` order. This
+//! sequential reference, which steps the same per-channel engines one
+//! event at a time in exact `(at, channel, seq)` order. This
 //! suite pins that equivalence across every scheme, several workloads,
 //! channel counts {1, 2, 8} and pool widths {1, 4, ambient}, and covers
 //! the topology's edge cases: a 1-channel topology reproducing the
@@ -59,7 +59,7 @@ fn pool_widths() -> Vec<usize> {
 
 /// The headline differential test: for every scheme × workload × channel
 /// count, `run_sharded` at every pool width equals the sequential
-/// single-wheel reference bit-for-bit.
+/// reference bit-for-bit.
 #[test]
 fn sharded_engine_matches_sequential_reference() {
     let widths = pool_widths();
@@ -163,7 +163,7 @@ impl OpSource for SyntheticSource {
 /// The same differential gate with the endurance model switched on: hard
 /// faults, write-verify retries and spare-line remapping are all channel-
 /// local state, so a worn sharded run must still be bit-for-bit the
-/// sequential single-wheel reference at every pool width. The aging is
+/// sequential reference at every pool width. The aging is
 /// accelerated enough that cells actually die and lines actually remap —
 /// an unreached wear table would make this leg vacuous.
 #[test]
@@ -208,8 +208,8 @@ fn sharded_engine_matches_sequential_reference_under_wear() {
 /// The same differential gate with the hybrid DRAM–PCM tier in front of
 /// every channel's device: the cache tag store, miss counters, row-buffer
 /// state and migration decisions are all channel-local, so a tiered
-/// sharded run must still be bit-for-bit the sequential single-wheel
-/// reference at every pool width. The tier is sized to actually hit —
+/// sharded run must still be bit-for-bit the sequential reference at
+/// every pool width. The tier is sized to actually hit —
 /// a cold cache would make this leg vacuous.
 #[test]
 fn sharded_engine_matches_sequential_reference_with_dram_tier() {

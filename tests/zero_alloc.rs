@@ -1,6 +1,6 @@
 //! Steady-state allocation audit for the engine hot path.
 //!
-//! PR 8's arena work (pre-reserved timing-wheel tiers, bounded bank
+//! The engine's arena work (a pre-reserved event heap, bounded bank
 //! queues, warm line tables) promises that the steady-state engine loop
 //! allocates *nothing*: after warm-up, every simulated op runs entirely
 //! inside capacity that already exists. This suite pins that with a
@@ -9,7 +9,7 @@
 //! * **plain** — the same device is run twice over the same trace; the
 //!   second run's line table and curve caches are warm, so its
 //!   allocation count must be a small per-run setup constant (engine
-//!   scaffolding: bank vectors, wheel buckets, the cursor), independent
+//!   scaffolding: bank vectors, the event heap, the cursor), independent
 //!   of the 100k+ ops simulated.
 //! * **sharded** — `run_sharded` rebuilds devices per run, so the
 //!   warm-device trick does not apply; instead the op count is doubled
@@ -81,9 +81,9 @@ fn steady_state_engine_loop_does_not_allocate() {
     let plain_delta = allocs() - before;
     eprintln!("zero_alloc: plain warm run = {plain_delta} allocations over {ops} ops");
     assert_eq!(rep.reads + rep.writes, ops, "replays must issue identically");
-    // Per-run scaffolding (bank vector + deques, 256 wheel buckets + two
-    // heaps, trace cursor, report) is a few hundred allocations; per-op
-    // leakage would show up as ops-many. The bound leaves headroom for
+    // Per-run scaffolding (bank vector + deques, the event heap, trace
+    // cursor, report) is a handful of allocations; per-op leakage would
+    // show up as ops-many. The bound leaves headroom for
     // scaffolding while sitting three orders of magnitude below one
     // allocation per op.
     assert!(
