@@ -128,13 +128,8 @@ fi
 # analytic model and that the full R-fail → M-retry → ECC-correct →
 # corrective-rewrite chain resolves every read with zero silent
 # corruptions. 4000 lines per point keeps it a few seconds in release.
-# READDUO_BITSLICE=1 sends fault_mc's escalation-band leg through the
-# 64-lane bitsliced BCH decoder (FaultInjector::read_batch_at), made
-# explicit so CI exercises it even if fault_mc's default ever flips. The
-# simulation path does not use it: FaultInjector::read_at decodes one read
-# at a time with the scalar Bch.
-echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000, bitsliced decode)"
-READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 READDUO_BITSLICE=1 \
+echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000)"
+READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 \
     ./target/release/fault_mc >/dev/null
 echo "    fault_mc assertions passed"
 
@@ -174,8 +169,8 @@ if [ "$elapsed" -gt 180 ]; then
 fi
 
 # DRAM-tier gate, three directions. (1) Disabled identity: with every
-# DRAM knob exported but READDUO_DRAM left off, a fig9 smoke must be
-# byte-identical to the plain run — the tier is strictly opt-in, like
+# DRAM organisation knob exported but no --dram-lines, a fig9 smoke must
+# be byte-identical to the plain run — the tier is strictly opt-in, like
 # wear and fault injection. (2) A seeded dram_sweep smoke run twice must
 # produce a byte-identical CSV (the tier owns no RNG; migration,
 # eviction and writeback order all replay), and the threshold-1 rows
@@ -185,8 +180,7 @@ fi
 echo "==> dram gate (disabled identity + seeded sweep twice + byte-diff, budget 180 s)"
 READDUO_INSTR=50000 ./target/release/fig9 >/dev/null
 cp target/experiments/fig9.csv target/experiments/fig9-dram-off.csv
-READDUO_DRAM=0 READDUO_DRAM_LINES=1024 READDUO_DRAM_WAYS=4 \
-    READDUO_DRAM_THRESHOLD=1 READDUO_DRAM_POLICY=clock \
+READDUO_DRAM_WAYS=4 READDUO_DRAM_THRESHOLD=1 READDUO_DRAM_POLICY=clock \
     READDUO_INSTR=50000 ./target/release/fig9 >/dev/null
 if ! cmp -s target/experiments/fig9-dram-off.csv target/experiments/fig9.csv; then
     echo "    FAIL: disabled DRAM tier perturbed the fig9 CSV" >&2

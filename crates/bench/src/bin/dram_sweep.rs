@@ -15,10 +15,9 @@
 //!   hits never escalate at all), so the tier pulls the escalation rate
 //!   down.
 //!
-//! `READDUO_DRAM` is *not* required — this bin is the DRAM experiment —
-//! but `READDUO_DRAM_WAYS` and `READDUO_DRAM_POLICY` are honoured;
-//! capacity and threshold are the swept dimensions, so
-//! `READDUO_DRAM_LINES` / `READDUO_DRAM_THRESHOLD` are ignored here.
+//! `READDUO_DRAM_WAYS` and `READDUO_DRAM_POLICY` are honoured; capacity
+//! and threshold are the swept dimensions, so `READDUO_DRAM_THRESHOLD` is
+//! ignored here.
 
 use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
 use readduo_core::{DeviceSpec, SchemeKind};

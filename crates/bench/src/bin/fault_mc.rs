@@ -113,37 +113,23 @@ fn main() {
     write_csv("fault_mc", &csv);
 
     // ---- Leg 2: escalation-band audit -------------------------------
-    // READDUO_BITSLICE=1 (default) decodes through the 64-lane bitsliced
-    // BCH decoder; 0 forces the scalar per-read oracle. Both are pinned to
-    // identical outcomes (the batch API samples the same RNG stream and
-    // the sliced decoder matches the scalar lane for lane), so the
-    // assertions below hold either way.
-    let bitslice = readduo_env::flag("READDUO_BITSLICE").unwrap_or(true);
     let mut inj = FaultInjector::new(seed ^ 1, true);
     let (mut escalated, mut rewrites, mut detected, mut silent) = (0u64, 0u64, 0u64, 0u64);
     let band_age = 3.0e4;
     let band_n = n.min(20_000);
-    let ages = vec![band_age; band_n as usize];
     let band_start = std::time::Instant::now();
-    let reads: Vec<_> = if bitslice {
-        ages.chunks(readduo_ecc::BITSLICE_LANES)
-            .flat_map(|chunk| inj.read_batch_at(chunk))
-            .collect()
-    } else {
-        ages.iter().map(|&a| inj.read_at(a)).collect()
-    };
-    let band_ms = band_start.elapsed().as_millis();
-    for r in &reads {
+    for _ in 0..band_n {
+        let r = inj.read(band_age, false, &[], &[]);
         escalated += u64::from(r.escalated);
         rewrites += u64::from(r.needs_rewrite);
         detected += u64::from(r.detected_uncorrectable);
         silent += u64::from(r.silent_corruption);
     }
+    let band_ms = band_start.elapsed().as_millis();
     println!(
-        "escalation band @ {band_age:.0} s over {band_n} reads ({} decode, {band_ms} ms): \
+        "escalation band @ {band_age:.0} s over {band_n} reads ({band_ms} ms): \
          {escalated} escalated, {rewrites} rewrites, {detected} detected-uncorrectable, \
-         {silent} silent",
-        if bitslice { "bitsliced" } else { "scalar" }
+         {silent} silent"
     );
     assert!(escalated > 0, "the 9–17-error band must be populated at {band_age} s");
     assert_eq!(

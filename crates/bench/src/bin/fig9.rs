@@ -6,11 +6,10 @@
 //! the worker pool, and the table/CSV reflect the merged reports.
 //!
 //! `--dram-lines N` puts the hybrid DRAM–PCM migration tier (capacity
-//! `N` lines, organisation from the `READDUO_DRAM_*` knobs) in front of
-//! every scheme and runs the same matrix through it; `READDUO_DRAM=1`
-//! does the same with the capacity taken from `READDUO_DRAM_LINES`.
-//! With neither, the tier does not exist and the output is bit-for-bit
-//! the plain figure.
+//! `N` lines; `READDUO_DRAM_WAYS`, `READDUO_DRAM_THRESHOLD` and
+//! `READDUO_DRAM_POLICY` set its organisation) in front of every scheme
+//! and runs the same matrix through it. Without it the tier does not
+//! exist and the output is bit-for-bit the plain figure.
 
 use readduo_bench::{
     finish_telemetry, handle_help, normalized, render_table, result_for, write_csv, Harness,
@@ -67,11 +66,8 @@ fn main() {
         harness.instructions_per_core,
         harness.memory.topology.channels
     );
-    // `--dram-lines N` wins; otherwise `READDUO_DRAM=1` enables the tier
-    // at the `READDUO_DRAM_*` organisation. Neither ⇒ the plain figure.
-    let tier = dram_lines
-        .map(|lines| readduo_dram::DramConfig::new(harness.seed, lines).tuned_from_env())
-        .or_else(|| readduo_dram::DramConfig::from_env(harness.seed));
+    let tier =
+        dram_lines.map(|lines| readduo_dram::DramConfig::new(harness.seed, lines).tuned_from_env());
     if let Some(dram) = tier {
         eprintln!(
             "  DRAM tier: {} lines, {}-way, threshold {}, {:?}",

@@ -16,9 +16,9 @@
 //! pool) spare exhaustion and graceful degradation through erasure-hinted
 //! decoding alone.
 //!
-//! `READDUO_ENDURANCE_MEAN`, `READDUO_VERIFY_RETRIES` and
-//! `READDUO_SPARE_LINES` tune the endurance model; `READDUO_FAULT_SEED`
-//! seeds the fault and endurance streams.
+//! The endurance model runs at its defaults (10⁷-cycle median, 3 verify
+//! retries); `READDUO_SPARE_LINES` sizes the spare pool and
+//! `READDUO_FAULT_SEED` seeds the fault and endurance streams.
 
 use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness, Source};
 use readduo_core::{DeviceSpec, SchemeKind, WearConfig};

@@ -15,10 +15,11 @@
 //! Without an injector every scheme byte-for-byte retains its analytic
 //! read path — fault injection is strictly additive.
 
-use readduo_ecc::{Bch, BchBitslice, PatternOutcome, BITSLICE_LANES};
+use readduo_ecc::{Bch, PatternOutcome};
 use readduo_pcm::FaultModel;
 use readduo_rng::rngs::StdRng;
 use readduo_rng::SeedableRng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::common::FULL_LINE_CELLS;
@@ -46,8 +47,8 @@ pub struct InjectedRead {
     /// rewritten so it re-enters the fast R-readable population.
     pub needs_rewrite: bool,
     /// Stuck-at bits of worn-out cells that read back wrong (they entered
-    /// the decode as erasure-hinted persistent errors; 0 on the wear-free
-    /// paths).
+    /// the decode as erasure-hinted persistent errors; 0 on lines without
+    /// dead cells).
     pub stuck_bits: u32,
 }
 
@@ -57,7 +58,6 @@ pub struct InjectedRead {
 pub struct FaultInjector {
     model: FaultModel,
     code: Arc<Bch>,
-    sliced: Arc<BchBitslice>,
     rng: StdRng,
     escalate: bool,
 }
@@ -70,225 +70,67 @@ impl FaultInjector {
     /// R-decode as an M-read; the R-only Scrubbing baseline has no
     /// M-sensing circuit, so its failed decodes surface directly.
     pub fn new(seed: u64, escalate: bool) -> Self {
-        let code = Arc::new(Bch::new(10, 8, 512));
-        let sliced = Arc::new(BchBitslice::new(&code));
         Self {
             model: FaultModel::paper(),
-            code,
-            sliced,
+            code: Arc::new(Bch::new(10, 8, 512)),
             rng: StdRng::seed_from_u64(seed),
             escalate,
         }
     }
 
-    /// Whether this injector escalates failed R-decodes to M-reads.
-    pub fn escalates(&self) -> bool {
-        self.escalate
-    }
-
-    /// The fault model in use.
-    pub fn model(&self) -> &FaultModel {
-        &self.model
-    }
-
-    /// One R-first read of a line aged `age_s` seconds since its last full
-    /// write, through the full decode/escalate chain.
-    pub fn read_at(&mut self, age_s: f64) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
-        let mut out = InjectedRead {
-            r_errors: faults.r_bits.len() as u32,
-            ..InjectedRead::default()
-        };
-        match self.code.decode_error_pattern(&faults.r_bits) {
-            PatternOutcome::Clean => {}
-            PatternOutcome::Corrected(n) => out.corrected_bits = n as u32,
-            PatternOutcome::Miscorrected => out.silent_corruption = true,
-            PatternOutcome::Detected if !self.escalate => out.detected_uncorrectable = true,
-            PatternOutcome::Detected => {
-                // Retry with M-sensing: same cells, the drift-robust
-                // metric. The M pattern was sampled from the same per-cell
-                // randomness, so this is the physical cell re-read, not a
-                // fresh roll of the dice.
-                out.escalated = true;
-                out.m_errors = faults.m_bits.len() as u32;
-                match self.code.decode_error_pattern(&faults.m_bits) {
-                    PatternOutcome::Clean => out.needs_rewrite = true,
-                    PatternOutcome::Corrected(n) => {
-                        out.corrected_bits = n as u32;
-                        out.needs_rewrite = true;
-                    }
-                    PatternOutcome::Detected => out.detected_uncorrectable = true,
-                    PatternOutcome::Miscorrected => out.silent_corruption = true,
-                }
-            }
-        }
-        self.publish(&out);
-        out
-    }
-
-    /// Reads up to [`BITSLICE_LANES`] lines in one pass — one R-first read
-    /// per age, decoded by the 64-lane bitsliced BCH decoder.
+    /// One read of a line aged `age_s` seconds since its last full write:
+    /// R-first through the decode/escalate chain, or a direct M-read when
+    /// `m_only` (LWT's untracked path: the flag check skips R-sensing).
     ///
-    /// Outcome-identical to calling [`read_at`] once per age in order: the
-    /// fault patterns are sampled sequentially from the same RNG stream
-    /// *before* any decoding (decoding consumes no randomness, so hoisting
-    /// it out of the sampling loop cannot perturb the stream), and the
-    /// bitsliced decoder is pinned lane-for-lane to the scalar oracle.
-    /// Escalated lanes decode their M-patterns in a second batched pass.
+    /// `stuck_wrong` are the codeword bits worn-out cells return wrong and
+    /// `erased` every bit position a dead cell occupies — the erasure
+    /// hints handed to the decoder, a superset of `stuck_wrong`; both are
+    /// ascending, and empty on lines without dead cells. Dead silicon does
+    /// not drift, so drift bits landing on erased positions are replaced
+    /// by the stuck reading.
     ///
-    /// # Panics
-    ///
-    /// Panics if more than [`BITSLICE_LANES`] ages are passed.
-    ///
-    /// [`read_at`]: FaultInjector::read_at
-    pub fn read_batch_at(&mut self, ages: &[f64]) -> Vec<InjectedRead> {
-        assert!(
-            ages.len() <= BITSLICE_LANES,
-            "at most {BITSLICE_LANES} reads per batch, got {}",
-            ages.len()
-        );
-        let faults: Vec<_> = ages
-            .iter()
-            .map(|&a| self.model.sample_line(a, FULL_LINE_CELLS, &mut self.rng))
-            .collect();
-        let r_pats: Vec<&[u16]> = faults.iter().map(|f| f.r_bits.as_slice()).collect();
-        let mut outs: Vec<InjectedRead> = faults
-            .iter()
-            .map(|f| InjectedRead {
-                r_errors: f.r_bits.len() as u32,
-                ..InjectedRead::default()
-            })
-            .collect();
-        let mut escalations: Vec<usize> = Vec::new();
-        for (i, verdict) in self.sliced.decode_patterns(&r_pats).into_iter().enumerate() {
-            match verdict {
-                PatternOutcome::Clean => {}
-                PatternOutcome::Corrected(n) => outs[i].corrected_bits = n as u32,
-                PatternOutcome::Miscorrected => outs[i].silent_corruption = true,
-                PatternOutcome::Detected if !self.escalate => {
-                    outs[i].detected_uncorrectable = true
-                }
-                PatternOutcome::Detected => {
-                    outs[i].escalated = true;
-                    outs[i].m_errors = faults[i].m_bits.len() as u32;
-                    escalations.push(i);
-                }
-            }
-        }
-        if !escalations.is_empty() {
-            let m_pats: Vec<&[u16]> =
-                escalations.iter().map(|&i| faults[i].m_bits.as_slice()).collect();
-            for (&i, verdict) in escalations.iter().zip(self.sliced.decode_patterns(&m_pats)) {
-                match verdict {
-                    PatternOutcome::Clean => outs[i].needs_rewrite = true,
-                    PatternOutcome::Corrected(n) => {
-                        outs[i].corrected_bits = n as u32;
-                        outs[i].needs_rewrite = true;
-                    }
-                    PatternOutcome::Detected => outs[i].detected_uncorrectable = true,
-                    PatternOutcome::Miscorrected => outs[i].silent_corruption = true,
-                }
-            }
-        }
-        for o in &outs {
-            self.publish(o);
-        }
-        outs
-    }
-
-    /// One R-first read of a line carrying stuck-at bits from worn-out
-    /// cells: `stuck_wrong` are the codeword bits the dead cells return
-    /// wrong, `erased` every bit position a dead cell occupies (the
-    /// erasure hints handed to the decoder). Samples the drift pattern
-    /// exactly like [`read_at`] — same RNG consumption — then overlays the
-    /// stuck cells: dead silicon does not drift, so drift bits landing on
-    /// erased positions are replaced by the stuck reading, and both sides
-    /// decode through the errors-and-erasures path.
-    ///
-    /// With empty slices this is outcome- and stream-identical to
-    /// [`read_at`]; callers branch to the plain path anyway to skip the
-    /// merge.
-    ///
-    /// [`read_at`]: FaultInjector::read_at
-    pub fn read_at_stuck(
+    /// The line is sampled once, before any decoding: an escalated M-read
+    /// re-senses the same cells, so its pattern comes from the same
+    /// per-cell randomness, not a fresh roll of the dice.
+    pub fn read(
         &mut self,
         age_s: f64,
+        m_only: bool,
         stuck_wrong: &[u16],
         erased: &[u16],
     ) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
-        let r_bits = merge_stuck(&faults.r_bits, stuck_wrong, erased);
+        let faults = if m_only {
+            self.model
+                .sample_line_m(age_s, FULL_LINE_CELLS, &mut self.rng)
+        } else {
+            self.model
+                .sample_line(age_s, FULL_LINE_CELLS, &mut self.rng)
+        };
+        let code = &self.code;
+        let decode = |drift: &[u16], wrong_bits: &mut u32| {
+            let bits = merge_stuck(drift, stuck_wrong, erased);
+            *wrong_bits = bits.len() as u32;
+            code.decode_error_pattern_with_erasures(&bits, erased)
+        };
         let mut out = InjectedRead {
-            r_errors: r_bits.len() as u32,
             stuck_bits: stuck_wrong.len() as u32,
             ..InjectedRead::default()
         };
-        match self.code.decode_error_pattern_with_erasures(&r_bits, erased) {
-            PatternOutcome::Clean => {}
-            PatternOutcome::Corrected(n) => out.corrected_bits = n as u32,
-            PatternOutcome::Miscorrected => out.silent_corruption = true,
-            PatternOutcome::Detected if !self.escalate => out.detected_uncorrectable = true,
-            PatternOutcome::Detected => {
-                out.escalated = true;
-                let m_bits = merge_stuck(&faults.m_bits, stuck_wrong, erased);
-                out.m_errors = m_bits.len() as u32;
-                match self.code.decode_error_pattern_with_erasures(&m_bits, erased) {
-                    PatternOutcome::Clean => out.needs_rewrite = true,
-                    PatternOutcome::Corrected(n) => {
-                        out.corrected_bits = n as u32;
-                        out.needs_rewrite = true;
-                    }
-                    PatternOutcome::Detected => out.detected_uncorrectable = true,
-                    PatternOutcome::Miscorrected => out.silent_corruption = true,
-                }
-            }
-        }
-        self.publish(&out);
-        out
-    }
-
-    /// The stuck-aware counterpart of [`read_m_at`]: a direct M-read of a
-    /// line carrying dead cells, decoded with erasure hints. Same RNG
-    /// consumption as [`read_m_at`].
-    ///
-    /// [`read_m_at`]: FaultInjector::read_m_at
-    pub fn read_m_at_stuck(
-        &mut self,
-        age_s: f64,
-        stuck_wrong: &[u16],
-        erased: &[u16],
-    ) -> InjectedRead {
-        let faults = self.model.sample_line_m(age_s, FULL_LINE_CELLS, &mut self.rng);
-        let m_bits = merge_stuck(&faults.m_bits, stuck_wrong, erased);
-        let mut out = InjectedRead {
-            m_errors: m_bits.len() as u32,
-            stuck_bits: stuck_wrong.len() as u32,
-            ..InjectedRead::default()
+        let r_verdict = (!m_only).then(|| decode(&faults.r_bits, &mut out.r_errors));
+        out.escalated = self.escalate && r_verdict == Some(PatternOutcome::Detected);
+        let verdict = match r_verdict {
+            Some(v) if !out.escalated => v,
+            _ => decode(&faults.m_bits, &mut out.m_errors),
         };
-        match self.code.decode_error_pattern_with_erasures(&m_bits, erased) {
+        match verdict {
             PatternOutcome::Clean => {}
             PatternOutcome::Corrected(n) => out.corrected_bits = n as u32,
             PatternOutcome::Detected => out.detected_uncorrectable = true,
             PatternOutcome::Miscorrected => out.silent_corruption = true,
         }
-        self.publish(&out);
-        out
-    }
-
-    /// One direct M-read (LWT's untracked path: R-sensing is skipped by
-    /// the flag check, the line is read with M outright).
-    pub fn read_m_at(&mut self, age_s: f64) -> InjectedRead {
-        let faults = self.model.sample_line_m(age_s, FULL_LINE_CELLS, &mut self.rng);
-        let mut out = InjectedRead {
-            m_errors: faults.m_bits.len() as u32,
-            ..InjectedRead::default()
-        };
-        match self.code.decode_error_pattern(&faults.m_bits) {
-            PatternOutcome::Clean => {}
-            PatternOutcome::Corrected(n) => out.corrected_bits = n as u32,
-            PatternOutcome::Detected => out.detected_uncorrectable = true,
-            PatternOutcome::Miscorrected => out.silent_corruption = true,
-        }
+        // A line readable only through escalation is rewritten so it
+        // re-enters the fast R-readable population.
+        out.needs_rewrite = out.escalated && !out.detected_uncorrectable && !out.silent_corruption;
         self.publish(&out);
         out
     }
@@ -312,8 +154,11 @@ impl FaultInjector {
 /// landing on erased positions are dropped (dead silicon does not drift —
 /// the cell reads its stuck value whatever was programmed) and the dead
 /// cells' wrong bits merged in. All three inputs are ascending; so is the
-/// result.
-fn merge_stuck(drift: &[u16], stuck_wrong: &[u16], erased: &[u16]) -> Vec<u16> {
+/// result, which borrows `drift` when nothing is erased.
+fn merge_stuck<'a>(drift: &'a [u16], stuck_wrong: &[u16], erased: &[u16]) -> Cow<'a, [u16]> {
+    if erased.is_empty() {
+        return Cow::Borrowed(drift);
+    }
     let mut out = Vec::with_capacity(drift.len() + stuck_wrong.len());
     let mut stuck = stuck_wrong.iter().copied().peekable();
     for &b in drift.iter().filter(|b| erased.binary_search(b).is_err()) {
@@ -328,7 +173,7 @@ fn merge_stuck(drift: &[u16], stuck_wrong: &[u16], erased: &[u16]) -> Vec<u16> {
         out.push(b);
     }
     out.extend(stuck);
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -339,7 +184,7 @@ mod tests {
     fn fresh_lines_read_clean() {
         let mut inj = FaultInjector::new(1, true);
         for _ in 0..50 {
-            let r = inj.read_at(1.0);
+            let r = inj.read(1.0, false, &[], &[]);
             assert_eq!(r, InjectedRead::default());
         }
     }
@@ -349,7 +194,7 @@ mod tests {
         let mut a = FaultInjector::new(9, true);
         let mut b = FaultInjector::new(9, true);
         for _ in 0..200 {
-            assert_eq!(a.read_at(2e4), b.read_at(2e4));
+            assert_eq!(a.read(2e4, false, &[], &[]), b.read(2e4, false, &[], &[]));
         }
     }
 
@@ -361,7 +206,7 @@ mod tests {
         let mut escalated = 0u32;
         let mut silent = 0u32;
         for _ in 0..3000 {
-            let r = inj.read_at(2e4);
+            let r = inj.read(2e4, false, &[], &[]);
             if r.escalated {
                 escalated += 1;
                 assert!(r.needs_rewrite || r.detected_uncorrectable || r.silent_corruption);
@@ -376,67 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn non_escalating_injector_surfaces_failures() {
-        let mut with = FaultInjector::new(3, true);
-        let mut without = FaultInjector::new(3, false);
-        let (mut esc, mut det) = (0u32, 0u32);
-        for _ in 0..3000 {
-            esc += u32::from(with.read_at(2e4).escalated);
-            det += u32::from(without.read_at(2e4).detected_uncorrectable);
-        }
-        // Same seed, same fault stream: every escalation of the ReadDuo
-        // policy is a detected-uncorrectable for the R-only baseline.
-        assert_eq!(esc, det);
-        assert!(det > 0);
-    }
-
-    #[test]
-    fn batched_reads_equal_sequential_reads() {
-        // Same seed: a batched pass must reproduce the sequential chain
-        // read for read, across ages spanning clean, correctable and
-        // escalating bands — and regardless of batch size.
-        let ages: Vec<f64> = (0..150)
-            .map(|i| match i % 5 {
-                0 => 1.0,
-                1 => 640.0,
-                2 => 2e4,
-                3 => 3e4,
-                _ => 1e5,
-            })
-            .collect();
-        let mut seq = FaultInjector::new(77, true);
-        let expected: Vec<InjectedRead> = ages.iter().map(|&a| seq.read_at(a)).collect();
-        for chunk in [1usize, 7, 64] {
-            let mut batch = FaultInjector::new(77, true);
-            let got: Vec<InjectedRead> =
-                ages.chunks(chunk).flat_map(|c| batch.read_batch_at(c)).collect();
-            assert_eq!(got, expected, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
-    fn stuck_reads_with_empty_masks_match_plain_reads() {
-        // The wear-free fast path in the schemes calls `read_at`; the
-        // stuck variant with empty masks must be indistinguishable, so a
-        // wear table that never saw a failure changes nothing.
-        let ages = [1.0, 640.0, 2e4, 3e4, 1e5];
-        let mut plain = FaultInjector::new(21, true);
-        let mut stuck = FaultInjector::new(21, true);
-        for _ in 0..100 {
-            for &a in &ages {
-                assert_eq!(stuck.read_at_stuck(a, &[], &[]), plain.read_at(a));
-            }
-        }
-        let mut plain_m = FaultInjector::new(22, true);
-        let mut stuck_m = FaultInjector::new(22, true);
-        for _ in 0..100 {
-            for &a in &ages {
-                assert_eq!(stuck_m.read_m_at_stuck(a, &[], &[]), plain_m.read_m_at(a));
-            }
-        }
-    }
-
-    #[test]
     fn stuck_bits_decode_through_erasure_hints_on_young_lines() {
         // A young line (no drift errors) carrying dead cells: the stuck
         // wrong bits are persistent errors, but their positions are known
@@ -447,7 +231,7 @@ mod tests {
             let wrong: Vec<u16> = erased[..wrong_n].to_vec();
             let mut inj = FaultInjector::new(31, true);
             for _ in 0..50 {
-                let r = inj.read_at_stuck(0.5, &wrong, &erased);
+                let r = inj.read(0.5, false, &wrong, &erased);
                 assert_eq!(r.stuck_bits, wrong_n as u32);
                 assert!(!r.silent_corruption, "wrong={wrong_n}");
                 assert!(!r.detected_uncorrectable, "wrong={wrong_n}");
@@ -465,7 +249,7 @@ mod tests {
         let erased: Vec<u16> = vec![40, 41, 220, 221];
         let mut inj = FaultInjector::new(32, true);
         for _ in 0..2000 {
-            let r = inj.read_at_stuck(640.0, &wrong, &erased);
+            let r = inj.read(640.0, false, &wrong, &erased);
             assert!(!r.silent_corruption);
         }
     }
@@ -474,7 +258,7 @@ mod tests {
     fn direct_m_reads_are_robust() {
         let mut inj = FaultInjector::new(4, true);
         for _ in 0..500 {
-            let r = inj.read_m_at(1e4);
+            let r = inj.read(1e4, true, &[], &[]);
             assert!(!r.escalated);
             assert!(!r.needs_rewrite);
             assert!(!r.detected_uncorrectable && !r.silent_corruption);

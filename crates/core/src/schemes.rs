@@ -169,21 +169,15 @@ impl<P> Scheme<P> {
     }
 
     /// One injected read of `line` aged `age` — R-first, or M-only when
-    /// `m_only` — or `None` without an injector. Wear-free lines take the
-    /// plain path bit-for-bit; lines with dead cells overlay their stuck
-    /// bits and decode with erasure hints.
+    /// `m_only` — or `None` without an injector. Lines with dead cells
+    /// overlay their stuck bits and decode with erasure hints.
     fn inject(&mut self, line: u64, age: f64, m_only: bool) -> Option<InjectedRead> {
         let inj = self.injector.as_mut()?;
         let (stuck_wrong, erased) = match self.wear.as_mut() {
             Some(w) => w.stuck_read(line),
             None => (&[][..], &[][..]),
         };
-        Some(match (m_only, erased.is_empty()) {
-            (false, true) => inj.read_at(age),
-            (false, false) => inj.read_at_stuck(age, stuck_wrong, erased),
-            (true, true) => inj.read_m_at(age),
-            (true, false) => inj.read_m_at_stuck(age, stuck_wrong, erased),
-        })
+        Some(inj.read(age, m_only, stuck_wrong, erased))
     }
 
     /// Charges one program of `line` against the wear table, if any.
@@ -219,66 +213,70 @@ impl<P> Scheme<P> {
         }
     }
 
+    /// An R-read returning `drift_errors` wrong bits.
+    fn r_read(&self, drift_errors: u32) -> ReadOutcome {
+        ReadOutcome {
+            drift_errors,
+            ..ReadOutcome::basic(
+                self.params.timing.r_read_ns,
+                ReadMode::RRead,
+                self.energy.r_read_pj,
+            )
+        }
+    }
+
+    /// An R-M-read (R-sensing, then M-sensing) returning `drift_errors`
+    /// wrong bits.
+    fn rm_read(&self, drift_errors: u32) -> ReadOutcome {
+        ReadOutcome {
+            drift_errors,
+            ..ReadOutcome::basic(
+                self.params.escalation_read_ns,
+                ReadMode::RmRead,
+                self.energy.r_read_pj + self.energy.m_read_pj,
+            )
+        }
+    }
+
     /// The analytic three-band read path shared by Hybrid and LWT.
     fn banded_read(&mut self, age: f64) -> ReadOutcome {
-        let (energy, params) = (&self.energy, &self.params);
         let errors = self.sampler.bit_errors_r(age);
         if errors <= CORRECT_MAX {
-            ReadOutcome {
-                drift_errors: errors,
-                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
+            self.r_read(errors)
         } else if errors <= DETECT_MAX {
             // Detected but uncorrectable under R: retry with M-sensing.
             self.counters.rm_reads += 1;
             let m_errors = self.sampler.bit_errors_m(age);
-            ReadOutcome {
-                drift_errors: m_errors,
-                ..ReadOutcome::basic(
-                    params.escalation_read_ns,
-                    ReadMode::RmRead,
-                    energy.r_read_pj + energy.m_read_pj,
-                )
-            }
+            self.rm_read(m_errors)
         } else {
             // Beyond detection: the data goes back uncorrected.
             self.counters.uncorrectable_reads += 1;
-            ReadOutcome {
-                drift_errors: errors,
-                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
+            self.r_read(errors)
         }
     }
 
-    /// The injected counterpart of [`Self::banded_read`]: the outcome of
-    /// an injected read `r` (without corrective traffic — the caller
-    /// schedules that when `r.needs_rewrite`).
-    fn injected_banded_read(&mut self, r: InjectedRead) -> ReadOutcome {
-        let (energy, params) = (&self.energy, &self.params);
+    /// The outcome of an injected read `r`: an R-read, or an R-M-read when
+    /// it escalated or (`m_only`) skipped R-sensing outright. Corrective
+    /// traffic is the caller's: it schedules that when `r.needs_rewrite`.
+    fn injected_read(&mut self, r: InjectedRead, m_only: bool) -> ReadOutcome {
         if r.detected_uncorrectable {
             self.counters.uncorrectable_reads += 1;
         }
-        let mut out = if r.escalated {
+        if r.escalated {
             self.counters.rm_reads += 1;
-            ReadOutcome {
-                drift_errors: r.m_errors,
-                ..ReadOutcome::basic(
-                    params.escalation_read_ns,
-                    ReadMode::RmRead,
-                    energy.r_read_pj + energy.m_read_pj,
-                )
-            }
+        }
+        let out = if r.escalated || m_only {
+            self.rm_read(r.m_errors)
         } else {
-            ReadOutcome {
-                drift_errors: r.r_errors,
-                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
+            self.r_read(r.r_errors)
         };
-        out.ecc_corrected_bits = r.corrected_bits;
-        out.detected_uncorrectable = r.detected_uncorrectable;
-        out.silent_corruption = r.silent_corruption;
-        out.stuck_bits = r.stuck_bits;
-        out
+        ReadOutcome {
+            ecc_corrected_bits: r.corrected_bits,
+            detected_uncorrectable: r.detected_uncorrectable,
+            silent_corruption: r.silent_corruption,
+            stuck_bits: r.stuck_bits,
+            ..out
+        }
     }
 }
 
@@ -318,28 +316,15 @@ impl ScrubbingScheme {
 impl DeviceModel for ScrubbingScheme {
     fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
         let age = self.age(line, now_s);
-        let (r_read_ns, r_read_pj) = (self.params.timing.r_read_ns, self.energy.r_read_pj);
+        // The R-only baseline never escalates: an injected read is an R-read.
         if let Some(r) = self.inject(line, age, false) {
-            if r.detected_uncorrectable {
-                self.counters.uncorrectable_reads += 1;
-            }
-            return ReadOutcome {
-                drift_errors: r.r_errors,
-                ecc_corrected_bits: r.corrected_bits,
-                detected_uncorrectable: r.detected_uncorrectable,
-                silent_corruption: r.silent_corruption,
-                stuck_bits: r.stuck_bits,
-                ..ReadOutcome::basic(r_read_ns, ReadMode::RRead, r_read_pj)
-            };
+            return self.injected_read(r, false);
         }
         let errors = self.sampler.bit_errors_r(age);
         if errors > DETECT_MAX {
             self.counters.uncorrectable_reads += 1;
         }
-        ReadOutcome {
-            drift_errors: errors,
-            ..ReadOutcome::basic(r_read_ns, ReadMode::RRead, r_read_pj)
-        }
+        self.r_read(errors)
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
@@ -451,7 +436,7 @@ impl DeviceModel for HybridScheme {
         let Some(r) = self.inject(line, age, false) else {
             return self.banded_read(age);
         };
-        let mut out = self.injected_banded_read(r);
+        let mut out = self.injected_read(r, false);
         if r.needs_rewrite {
             // The line is only readable through escalation: rewrite it so
             // it re-enters the fast R-readable population.
@@ -571,7 +556,7 @@ impl DeviceModel for LwtScheme {
             let Some(r) = self.inject(line, age, false) else {
                 return self.banded_read(age);
             };
-            let mut out = self.injected_banded_read(r);
+            let mut out = self.injected_read(r, false);
             if r.needs_rewrite {
                 out.corrective = Some(self.tracked_write(line, now_s, sub));
             }
@@ -580,10 +565,12 @@ impl DeviceModel for LwtScheme {
         // Un-tracked: R-sensing aborted after the flag check, M-sensing
         // reissued — an R-M-read.
         self.counters.rm_reads += 1;
-        let injected = self.inject(line, age, true);
-        let errors = match injected {
-            Some(r) => r.m_errors,
-            None => self.sampler.bit_errors_m(age),
+        let mut out = match self.inject(line, age, true) {
+            Some(r) => self.injected_read(r, true),
+            None => {
+                let errors = self.sampler.bit_errors_m(age);
+                self.rm_read(errors)
+            }
         };
         let policy = &mut self.policy;
         let convert =
@@ -591,26 +578,8 @@ impl DeviceModel for LwtScheme {
         // The redundant write re-tracks the line: the conversion is a
         // full-line write even under Select (it is the only write in the
         // window).
-        let conversion = convert.then(|| self.tracked_write(line, now_s, sub));
-        let mut out = ReadOutcome {
-            conversion,
-            untracked: true,
-            drift_errors: errors,
-            ..ReadOutcome::basic(
-                self.params.escalation_read_ns,
-                ReadMode::RmRead,
-                self.energy.r_read_pj + self.energy.m_read_pj,
-            )
-        };
-        if let Some(r) = injected {
-            out.ecc_corrected_bits = r.corrected_bits;
-            out.detected_uncorrectable = r.detected_uncorrectable;
-            out.silent_corruption = r.silent_corruption;
-            out.stuck_bits = r.stuck_bits;
-            if r.detected_uncorrectable {
-                self.counters.uncorrectable_reads += 1;
-            }
-        }
+        out.conversion = convert.then(|| self.tracked_write(line, now_s, sub));
+        out.untracked = true;
         out
     }
 

@@ -36,15 +36,14 @@ use std::collections::HashMap;
 pub struct WearConfig {
     /// Seed of the per-cell endurance/stuck-value hashes.
     pub seed: u64,
-    /// Median cycles-to-failure of the lognormal endurance distribution
-    /// (`READDUO_ENDURANCE_MEAN`).
+    /// Median cycles-to-failure of the lognormal endurance distribution.
     pub median_cycles: u64,
     /// Wear cycles charged per program — the accelerated-aging factor the
     /// lifetime sweep varies. 1 is real time; 10⁵ compresses a 10⁷-cycle
     /// median into ~100 writes.
     pub accel: u64,
     /// Write-verify retry budget per failed cell before it is declared
-    /// dead (`READDUO_VERIFY_RETRIES`).
+    /// dead.
     pub verify_retries: u32,
     /// Spare lines available for remapping, per device/channel
     /// (`READDUO_SPARE_LINES`).
@@ -70,16 +69,9 @@ impl WearConfig {
         }
     }
 
-    /// Applies the `READDUO_ENDURANCE_MEAN` / `READDUO_VERIFY_RETRIES` /
-    /// `READDUO_SPARE_LINES` overrides, leaving unset knobs at their
-    /// current values.
+    /// Applies the `READDUO_SPARE_LINES` override, leaving the spare pool
+    /// at its current size when the knob is unset.
     pub fn tuned_from_env(mut self) -> Self {
-        if let Some(m) = readduo_env::u64_at_least("READDUO_ENDURANCE_MEAN", 1) {
-            self.median_cycles = m;
-        }
-        if let Some(r) = readduo_env::u64_at_least("READDUO_VERIFY_RETRIES", 0) {
-            self.verify_retries = r as u32;
-        }
         if let Some(s) = readduo_env::u64_at_least("READDUO_SPARE_LINES", 0) {
             self.spare_lines = s as u32;
         }
@@ -401,9 +393,8 @@ mod tests {
 
     #[test]
     fn unset_knobs_leave_the_config_alone() {
-        // The test harness never sets the wear knobs globally.
-        let knobs = ["READDUO_ENDURANCE_MEAN", "READDUO_VERIFY_RETRIES", "READDUO_SPARE_LINES"];
-        if knobs.iter().all(|k| std::env::var(k).is_err()) {
+        // The test harness never sets the wear knob globally.
+        if std::env::var("READDUO_SPARE_LINES").is_err() {
             assert_eq!(aggressive(4).tuned_from_env(), aggressive(4));
         }
     }

@@ -29,13 +29,13 @@
 //!   `READDUO_DRAM_POLICY`.
 //!
 //! The tier is strictly opt-in — same discipline as the fault and wear
-//! subsystems. [`DramConfig::from_env`] returns `None` unless
-//! `READDUO_DRAM` is set, and a [`DramConfig::lines`] of zero means "no
-//! tier": `readduo-core`'s `DeviceSpec::build` then returns the bare
-//! scheme device, so disabled runs are bit-for-bit identical to plain
-//! runs (values *and*
-//! RNG streams — the tier owns no RNG at all; its only nondeterminism
-//! input is the set-index hash seed).
+//! subsystems. It exists only where a `DeviceSpec` carries a
+//! [`DramConfig`] (`fig9 --dram-lines N` and `dram_sweep` build one), and
+//! a [`DramConfig::lines`] of zero means "no tier": `readduo-core`'s
+//! `DeviceSpec::build` then returns the bare scheme device, so disabled
+//! runs are bit-for-bit identical to plain runs (values *and* RNG
+//! streams — the tier owns no RNG at all; its only nondeterminism input
+//! is the set-index hash seed).
 //!
 //! Everything the tier does is reported through the
 //! [`TierOutcome`] carried on each read/write outcome; the engine
@@ -159,17 +159,6 @@ impl DramConfig {
             self.policy = EvictPolicy::from_keyword(kw).expect("validated keyword");
         }
         self
-    }
-
-    /// The strictly-opt-in constructor: `None` unless `READDUO_DRAM` is
-    /// enabled. When enabled, capacity comes from `READDUO_DRAM_LINES` (default
-    /// 4096) and the organisation knobs from `tuned_from_env`.
-    pub fn from_env(seed: u64) -> Option<Self> {
-        if !readduo_env::flag("READDUO_DRAM").unwrap_or(false) {
-            return None;
-        }
-        let lines = readduo_env::u64_at_least("READDUO_DRAM_LINES", 1).unwrap_or(4096);
-        Some(Self::new(seed, lines).tuned_from_env())
     }
 
     /// This tier's per-channel slice of the total capacity: `lines` is
@@ -625,12 +614,6 @@ mod tests {
         let res = d.resident_lines();
         assert_eq!(res.len(), 2);
         assert!(res.contains(&3));
-    }
-
-    #[test]
-    fn from_env_is_strictly_opt_in() {
-        // Not set in the test environment: must be None.
-        assert_eq!(DramConfig::from_env(1), None);
     }
 
     #[test]

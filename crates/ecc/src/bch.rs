@@ -303,7 +303,6 @@ impl Bch {
             cw.set(p as usize, true);
         }
         match self.decode(&mut cw) {
-            DecodeOutcome::Clean if positions.is_empty() => PatternOutcome::Clean,
             // A nonzero pattern with all-zero syndromes IS another
             // codeword: the errors are invisible and the data is wrong.
             DecodeOutcome::Clean => PatternOutcome::Miscorrected,
@@ -348,6 +347,12 @@ impl Bch {
         errors: &[u16],
         erasures: &[u16],
     ) -> PatternOutcome {
+        // Nothing erased: trial 1 would re-decode the same pattern, so the
+        // verdict is the plain decode's. Lines without dead cells — nearly
+        // every read under fault injection — take this path.
+        if erasures.is_empty() {
+            return self.decode_error_pattern(errors);
+        }
         // Validate both lists (and build trial 1's pattern) up front, so
         // bad inputs panic whether or not the second trial runs.
         let flipped = self.flip_erased(errors, erasures);
@@ -377,7 +382,7 @@ impl Bch {
     /// # Panics
     ///
     /// Panics if a position is out of range or repeated within its list.
-    pub(crate) fn flip_erased(&self, errors: &[u16], erasures: &[u16]) -> Vec<u16> {
+    fn flip_erased(&self, errors: &[u16], erasures: &[u16]) -> Vec<u16> {
         let n = self.codeword_bits();
         let mut mark = vec![false; n];
         for &p in errors {

@@ -1,13 +1,17 @@
 //! 64-lane bitsliced BCH pattern decoding.
 //!
 //! Fault injection decodes an error *pattern* per read ([`Bch::
-//! decode_error_pattern`]), and Monte-Carlo legs decode tens of thousands
-//! of them. The expensive part — walking every error bit and accumulating
-//! its `2t` syndrome contributions, then proving most words clean — is a
-//! pile of independent GF(2) XORs, which is exactly the shape bitslicing
-//! devours: this module packs **64 codewords into `u64` lanes** (bit `j`
-//! of every machine word belongs to codeword `j`) so one XOR advances all
-//! 64 decodes at once.
+//! decode_error_pattern`]). The expensive part — walking every error bit
+//! and accumulating its `2t` syndrome contributions, then proving most
+//! words clean — is a pile of independent GF(2) XORs, the shape
+//! bitslicing is built for: this module packs **64 codewords into `u64`
+//! lanes** (bit `j` of every machine word belongs to codeword `j`) so one
+//! XOR advances all 64 decodes at once.
+//!
+//! No simulation or Monte-Carlo path calls it: even on `fault_mc`'s dense
+//! aged mix it is slower than the scalar decoder (DESIGN "Bitsliced BCH
+//! decode"). It remains only as the repository benchmark's
+//! `ecc.bch_bitslice_ns_per_cw` micro kernel.
 //!
 //! The pipeline:
 //!
@@ -23,10 +27,8 @@
 //!    slices and finish with the same Berlekamp–Massey + Chien + verify
 //!    steps as the scalar decoder.
 //!
-//! The scalar [`Bch::decode_error_pattern`] is retained untouched as the
-//! oracle; a property suite pins every lane of this decoder to it
-//! bit-for-bit. Decoding consumes no randomness, so swapping a sequential
-//! decode loop for one batched call cannot perturb any RNG stream.
+//! The scalar [`Bch::decode_error_pattern`] is the oracle; a property
+//! suite pins every lane of this decoder to it bit for bit.
 //!
 //! [`Bch::decode_error_pattern`]: crate::Bch::decode_error_pattern
 
@@ -60,11 +62,6 @@ impl BchBitslice {
             }
         }
         Self { code: code.clone(), contrib }
-    }
-
-    /// The underlying code.
-    pub fn code(&self) -> &Bch {
-        &self.code
     }
 
     /// Decodes up to [`LANES`] error patterns in one bitsliced pass.
@@ -156,68 +153,6 @@ impl BchBitslice {
                 self.finish_lane(pat, &s, &slice, 1u64 << lane)
             })
             .collect()
-    }
-
-    /// Decodes up to [`LANES`] error patterns with per-lane *erasure
-    /// hints* in bitsliced batches: the lane-for-lane counterpart of
-    /// [`Bch::decode_error_pattern_with_erasures`].
-    ///
-    /// Trial 0 (the word as read) runs for all lanes in one
-    /// [`decode_patterns`] pass; only the lanes it left `Detected` pay
-    /// for trial 1, which flips their erased bits and re-decodes them in
-    /// a second batch. Lane outcomes are pinned to the scalar oracle by
-    /// the erasure property suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `errors` and `erasures` disagree in length, more than
-    /// [`LANES`] lanes are passed, or any lane holds an out-of-range or
-    /// repeated position within one of its lists.
-    ///
-    /// [`decode_patterns`]: BchBitslice::decode_patterns
-    /// [`Bch::decode_error_pattern_with_erasures`]:
-    ///     crate::Bch::decode_error_pattern_with_erasures
-    pub fn decode_patterns_with_erasures(
-        &self,
-        errors: &[&[u16]],
-        erasures: &[&[u16]],
-    ) -> Vec<PatternOutcome> {
-        assert_eq!(
-            errors.len(),
-            erasures.len(),
-            "one erasure set per lane ({} vs {})",
-            errors.len(),
-            erasures.len()
-        );
-        // Validate every lane (and build its trial-1 pattern) up front:
-        // like the scalar path, bad inputs panic whether or not that lane
-        // reaches the second trial.
-        let flipped: Vec<Vec<u16>> = errors
-            .iter()
-            .zip(erasures)
-            .map(|(e, f)| self.code.flip_erased(e, f))
-            .collect();
-        let mut out = self.decode_patterns(errors);
-        let retry: Vec<usize> = out
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o, PatternOutcome::Detected))
-            .map(|(i, _)| i)
-            .collect();
-        if retry.is_empty() {
-            return out;
-        }
-        let pats: Vec<&[u16]> = retry.iter().map(|&i| flipped[i].as_slice()).collect();
-        for (&i, second) in retry.iter().zip(self.decode_patterns(&pats)) {
-            out[i] = match second {
-                PatternOutcome::Clean | PatternOutcome::Corrected(_) => {
-                    PatternOutcome::Corrected(errors[i].len())
-                }
-                PatternOutcome::Miscorrected => PatternOutcome::Miscorrected,
-                PatternOutcome::Detected => PatternOutcome::Detected,
-            };
-        }
-        out
     }
 
     /// Completes one dirty lane: the Berlekamp–Massey / Chien / verify
@@ -360,55 +295,6 @@ mod tests {
         let code = paper_code();
         let bad: &[u16] = &[3, 3];
         let _ = BchBitslice::new(&code).decode_patterns(&[bad]);
-    }
-
-    #[test]
-    fn erasure_lanes_match_the_scalar_erasure_oracle() {
-        // Adversarial mix per lane: erasures overlapping, containing, or
-        // disjoint from the errors, at weights spanning clean to far past
-        // t — every lane must agree with the scalar two-trial decoder.
-        let code = paper_code();
-        let sliced = BchBitslice::new(&code);
-        let mut rng = StdRng::seed_from_u64(77);
-        for round in 0..4 {
-            let mut errs: Vec<Vec<u16>> = Vec::new();
-            let mut eras: Vec<Vec<u16>> = Vec::new();
-            for lane in 0..LANES {
-                let e = random_pattern(&mut rng, lane % 18, code.codeword_bits());
-                let f = match lane % 4 {
-                    // Disjoint erasures.
-                    0 => random_pattern(&mut rng, 6, code.codeword_bits())
-                        .into_iter()
-                        .filter(|p| !e.contains(p))
-                        .collect(),
-                    // Erasures ⊆ errors (every stuck bit wrong).
-                    1 => e.iter().copied().take(lane % 9).collect(),
-                    // Free overlap.
-                    2 => random_pattern(&mut rng, lane % 14, code.codeword_bits()),
-                    // No hints at all.
-                    _ => Vec::new(),
-                };
-                errs.push(e);
-                eras.push(f);
-            }
-            let er: Vec<&[u16]> = errs.iter().map(Vec::as_slice).collect();
-            let fr: Vec<&[u16]> = eras.iter().map(Vec::as_slice).collect();
-            for (lane, out) in sliced.decode_patterns_with_erasures(&er, &fr).into_iter().enumerate() {
-                assert_eq!(
-                    out,
-                    code.decode_error_pattern_with_erasures(&errs[lane], &eras[lane]),
-                    "round {round} lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one erasure set per lane")]
-    fn erasure_lane_count_mismatch_rejected() {
-        let code = paper_code();
-        let e: &[u16] = &[1];
-        let _ = BchBitslice::new(&code).decode_patterns_with_erasures(&[e, e], &[e]);
     }
 
     #[test]

@@ -172,40 +172,10 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Per-workload trace-materialisation budget (MB) in streamed matrices; 0 streams everything",
         },
         EnvVar {
-            name: "READDUO_BITSLICE",
-            kind: EnvKind::Flag,
-            default: "1",
-            doc: "Use the bitsliced 64-lane BCH decoder in fault injection (0 forces the scalar oracle)",
-        },
-        EnvVar {
-            name: "READDUO_ENDURANCE_MEAN",
-            kind: EnvKind::Count { min: 1 },
-            default: "10000000",
-            doc: "Median cycles-to-failure of the lognormal per-cell endurance distribution",
-        },
-        EnvVar {
-            name: "READDUO_VERIFY_RETRIES",
-            kind: EnvKind::Count { min: 0 },
-            default: "3",
-            doc: "Write-verify re-pulse budget per failed cell before it is declared dead",
-        },
-        EnvVar {
             name: "READDUO_SPARE_LINES",
             kind: EnvKind::Count { min: 0 },
             default: "64",
             doc: "Spare lines available per device/channel for remapping over-margin worn lines",
-        },
-        EnvVar {
-            name: "READDUO_DRAM",
-            kind: EnvKind::Flag,
-            default: "0",
-            doc: "Enable the hybrid DRAM-PCM tier: a hardware-managed migration cache in front of PCM",
-        },
-        EnvVar {
-            name: "READDUO_DRAM_LINES",
-            kind: EnvKind::Count { min: 1 },
-            default: "4096",
-            doc: "Total DRAM-tier capacity in lines (split evenly across channels when sharded)",
         },
         EnvVar {
             name: "READDUO_DRAM_WAYS",

@@ -88,7 +88,7 @@ fn r_baseline_policy_failure_rate_matches_analytic_prediction() {
     let mut inj = FaultInjector::new(0xFA13, false);
     for &age in &[1.0e4, 3.0e4] {
         let failures = (0..N)
-            .map(|_| inj.read_at(age))
+            .map(|_| inj.read(age, false, &[], &[]))
             .filter(|r| r.detected_uncorrectable || r.silent_corruption)
             .count();
         let emp = failures as f64 / N as f64;
@@ -118,7 +118,7 @@ fn readduo_policy_escalates_at_the_analytic_rate_and_never_fails() {
         let mut escalated = 0u64;
         let mut failures = 0u64;
         for _ in 0..N {
-            let r = inj.read_at(age);
+            let r = inj.read(age, false, &[], &[]);
             escalated += u64::from(r.escalated);
             failures += u64::from(r.detected_uncorrectable || r.silent_corruption);
         }

@@ -11,8 +11,10 @@ mod prop_harness;
 use std::sync::OnceLock;
 
 use prop_harness::{check, ensure, ensure_eq, gen_bytes, gen_subset};
-use readduo::core::LwtFlags;
-use readduo::ecc::{Bch, BchBitslice, BitVec, DecodeOutcome, GfField, BITSLICE_LANES};
+use readduo::core::{FaultInjector, InjectedRead, LwtFlags};
+use readduo::ecc::{
+    Bch, BchBitslice, BitVec, DecodeOutcome, GfField, PatternOutcome, BITSLICE_LANES,
+};
 use readduo::math::{
     binomial, erf, erf_slice, erfc, erfc_slice, ln_choose, LogProb, Normal, TruncatedNormal,
 };
@@ -496,23 +498,35 @@ fn to_u16(positions: impl IntoIterator<Item = usize>) -> Vec<u16> {
     positions.into_iter().map(|p| p as u16).collect()
 }
 
-/// Every lane of the bitsliced *erasure-aware* decoder returns exactly
-/// the scalar oracle's verdict. Each case fills all 64 lanes with the
-/// stuck-bit shapes the wear subsystem produces plus adversarial ones —
-/// wrong ⊆ erased with `f ≤ t` (the guaranteed-correct hint), erased
-/// positions that read right (hints that cost a trial but flip nothing
-/// wrong), drift errors outside the erasure set near the `e + f ≤ 2t`
-/// boundary, erasure sets far beyond capacity, and the degenerate empty
-/// hint that must collapse to the plain decode.
+/// The errors-and-erasures decoder keeps the two-trial method's
+/// guarantees. With `w` wrong bits inside the hint, `e` outside it and
+/// `f` the hint size:
+///
+/// * (a) an empty hint gives the plain decode's verdict;
+/// * (b) `e + w ≤ t` is `Clean` with nothing wrong, else `Corrected(e + w)`;
+/// * (c) a plain verdict other than `Detected` stands;
+/// * (d) a `Detected` plain verdict with `e + f − w ≤ t` becomes
+///   `Corrected(e + w)`: flipping every erased bit leaves a correctable
+///   residual;
+/// * (e) `Corrected(n)` always has `n = e + w`, and `Clean` means nothing
+///   was wrong.
+///
+/// Each case draws 64 (errors, hint) pairs from the stuck-bit shapes the
+/// wear subsystem produces plus adversarial ones — wrong ⊆ erased with
+/// `f ≤ t` (the guaranteed-correct hint), erased positions that read
+/// right (hints that cost a trial but flip nothing wrong), drift errors
+/// outside the erasure set near the `e + f ≤ 2t` boundary, erasure sets
+/// far beyond capacity (every bit of one wrong, so only trial 1 repairs
+/// it), and the degenerate empty hint.
 #[test]
-fn bch_erasure_decode_matches_scalar_oracle_bitsliced() {
+fn bch_erasure_decode_keeps_two_trial_guarantees() {
     check(
-        "bch_erasure_decode_matches_scalar_oracle_bitsliced",
+        "bch_erasure_decode_keeps_two_trial_guarantees",
         |rng| {
             let (code, _) = bch_pair();
             let nbits = code.codeword_bits();
-            (0..BITSLICE_LANES)
-                .map(|lane| match lane % 8 {
+            (0..64)
+                .map(|lane| match lane % 9 {
                     0 => (Vec::new(), Vec::new()),
                     1 => {
                         // The steady-state wear shape: every wrong bit is
@@ -564,6 +578,12 @@ fn bch_erasure_decode_matches_scalar_oracle_bitsliced() {
                         (wrong, to_u16(erased))
                     }
                     6 => {
+                        // Every erased bit wrong, past t: unless trial 0
+                        // miscorrects, trial 1's flips alone repair it.
+                        let erased = to_u16(gen_subset(rng, nbits, 9, 40));
+                        (erased.clone(), erased)
+                    }
+                    7 => {
                         // Adversarial: heavy unrelated errors with a hint
                         // that points mostly at the wrong cells.
                         (
@@ -579,29 +599,154 @@ fn bch_erasure_decode_matches_scalar_oracle_bitsliced() {
                 .collect::<Vec<(Vec<u16>, Vec<u16>)>>()
         },
         |lanes| {
-            let (code, sliced) = bch_pair();
+            let (code, _) = bch_pair();
             let nbits = code.codeword_bits();
+            let t = code.correction_capability();
             let in_domain = |p: &[u16]| {
                 p.iter().all(|&b| (b as usize) < nbits) && p.windows(2).all(|w| w[0] < w[1])
             };
-            if lanes.len() > BITSLICE_LANES
-                || lanes.iter().any(|(e, f)| !in_domain(e) || !in_domain(f))
-            {
+            if lanes.iter().any(|(e, f)| !in_domain(e) || !in_domain(f)) {
                 return Ok(());
             }
-            let errs: Vec<&[u16]> = lanes.iter().map(|(e, _)| e.as_slice()).collect();
-            let eras: Vec<&[u16]> = lanes.iter().map(|(_, f)| f.as_slice()).collect();
-            let batch = sliced.decode_patterns_with_erasures(&errs, &eras);
-            ensure_eq!(batch.len(), lanes.len());
             for (lane, (errors, erasures)) in lanes.iter().enumerate() {
-                let oracle = code.decode_error_pattern_with_erasures(errors, erasures);
-                ensure!(
-                    batch[lane] == oracle,
-                    "lane {lane} e={} f={}: bitsliced {:?} != scalar {oracle:?}",
-                    errors.len(),
-                    erasures.len(),
-                    batch[lane]
-                );
+                let verdict = code.decode_error_pattern_with_erasures(errors, erasures);
+                let plain = code.decode_error_pattern(errors);
+                let w = errors
+                    .iter()
+                    .filter(|b| erasures.binary_search(b).is_ok())
+                    .count();
+                let (e, f) = (errors.len() - w, erasures.len());
+                let at = format!("lane {lane} e={e} w={w} f={f}: {verdict:?} (plain {plain:?})");
+                if erasures.is_empty() {
+                    ensure!(verdict == plain, "(a) {at}");
+                }
+                if e + w <= t {
+                    let want = if errors.is_empty() {
+                        PatternOutcome::Clean
+                    } else {
+                        PatternOutcome::Corrected(e + w)
+                    };
+                    ensure!(verdict == want, "(b) {at}");
+                }
+                if plain != PatternOutcome::Detected {
+                    ensure!(verdict == plain, "(c) {at}");
+                } else if e + f - w <= t {
+                    ensure!(verdict == PatternOutcome::Corrected(e + w), "(d) {at}");
+                }
+                match verdict {
+                    PatternOutcome::Corrected(n) => ensure!(n == e + w, "(e) {at}"),
+                    PatternOutcome::Clean => ensure!(errors.is_empty(), "(e) {at}"),
+                    PatternOutcome::Detected | PatternOutcome::Miscorrected => {}
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// One fault-injected read obeys the R→M escalation policy's laws at any
+/// age from 1 s to 10⁶ s, R-first or M-only, with or without stuck bits:
+/// only an escalating injector's R-first reads escalate; exactly the
+/// escalated reads that decode are rewritten; an M-only read senses no R
+/// pattern; every stuck-wrong bit is reported; a repair excludes both
+/// failure flags. Driven in lockstep from one seed, injectors see the
+/// same lines (an M-only read advances the stream exactly as an R-first
+/// one): the escalating injector escalates exactly where the
+/// non-escalating one reports detected-uncorrectable, wherever it does
+/// not escalate the two reads are identical, and an escalated read
+/// resolves exactly as a direct M-read of the same line.
+#[test]
+fn injected_read_obeys_escalation_laws() {
+    check(
+        "injected_read_obeys_escalation_laws",
+        |rng| {
+            let reads = (0..rng.gen_range(1usize..=16))
+                .map(|_| {
+                    let age = match rng.gen_range(0u32..8) {
+                        0 => 1.0,
+                        1 => 1.0e6,
+                        _ => 10f64.powf(rng.gen_range(0.0f64..6.0)),
+                    };
+                    let dead_cells = |rng: &mut StdRng, lo, hi| -> Vec<u16> {
+                        gen_subset(rng, 296, lo, hi)
+                            .into_iter()
+                            .flat_map(|c| [2 * c as u16, 2 * c as u16 + 1])
+                            .collect()
+                    };
+                    let erased: Vec<u16> = match rng.gen_range(0u32..4) {
+                        0 => Vec::new(),
+                        // Whole dead cells (both bits of each), within the
+                        // remap margin and far beyond it.
+                        1 => dead_cells(rng, 1, 4),
+                        2 => dead_cells(rng, 5, 20),
+                        _ => to_u16(gen_subset(rng, 592, 1, 16)),
+                    };
+                    let wrong: Vec<u16> = match rng.gen_range(0u32..3) {
+                        0 => erased.clone(),
+                        _ => erased
+                            .iter()
+                            .copied()
+                            .filter(|_| rng.gen_range(0u32..2) == 0)
+                            .collect(),
+                    };
+                    (age, rng.gen_range(0u32..3) == 0, wrong, erased)
+                })
+                .collect::<Vec<_>>();
+            (rng.next_u64(), reads)
+        },
+        |(seed, reads)| {
+            let ascending = |p: &[u16]| p.windows(2).all(|w| w[0] < w[1]);
+            if reads.iter().any(|(age, _, wrong, erased)| {
+                !(1.0..=1.0e6).contains(age)
+                    || !ascending(wrong)
+                    || !ascending(erased)
+                    || erased.last().is_some_and(|&b| b >= 592)
+                    || wrong.iter().any(|b| erased.binary_search(b).is_err())
+            }) {
+                return Ok(());
+            }
+            let mut escalating = FaultInjector::new(*seed, true);
+            let mut plain = FaultInjector::new(*seed, false);
+            let mut direct_m = FaultInjector::new(*seed, true);
+            for (i, (age, m_only, wrong, erased)) in reads.iter().enumerate() {
+                let esc = escalating.read(*age, *m_only, wrong, erased);
+                let non = plain.read(*age, *m_only, wrong, erased);
+                let m = direct_m.read(*age, true, wrong, erased);
+                for (escalates, r) in [(true, esc), (false, non)] {
+                    let at = format!(
+                        "read {i} age {age:e} m_only {m_only} escalates {escalates}: {r:?}"
+                    );
+                    ensure!(!r.escalated || (!m_only && escalates), "{at}");
+                    ensure!(
+                        r.needs_rewrite
+                            == (r.escalated && !r.detected_uncorrectable && !r.silent_corruption),
+                        "{at}"
+                    );
+                    ensure!(!m_only || r.r_errors == 0, "{at}");
+                    ensure!(r.stuck_bits as usize == wrong.len(), "{at}");
+                    ensure!(
+                        r.corrected_bits == 0
+                            || (!r.detected_uncorrectable && !r.silent_corruption),
+                        "{at}"
+                    );
+                }
+                if !m_only {
+                    ensure!(
+                        esc.escalated == non.detected_uncorrectable,
+                        "read {i}: {esc:?} vs {non:?}"
+                    );
+                }
+                if !esc.escalated {
+                    ensure!(esc == non, "read {i}: {esc:?} vs {non:?}");
+                } else {
+                    let resolved = InjectedRead {
+                        r_errors: esc.r_errors,
+                        escalated: true,
+                        needs_rewrite: esc.needs_rewrite,
+                        ..m
+                    };
+                    ensure!(esc == resolved, "read {i}: {esc:?} vs direct M {m:?}");
+                }
             }
             Ok(())
         },
