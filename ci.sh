@@ -218,6 +218,12 @@ READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=50000 \
 echo "==> cargo test --manifest-path benchmark/Cargo.toml"
 cargo test --offline --manifest-path benchmark/Cargo.toml -q
 
+# Rustdoc gate: a doc link to a deleted or private item, an ambiguous
+# link, or a citation like [26] that rustdoc reads as a link fails here
+# instead of rotting silently.
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Clippy ships with rustup toolchains but may be absent in minimal
 # containers; the gate is advisory there rather than a hard failure.
 if cargo clippy --version >/dev/null 2>&1; then

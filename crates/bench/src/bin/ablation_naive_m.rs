@@ -1,8 +1,8 @@
 //! Ablation: why the optimised 450 ns M-sensing circuit matters.
 //!
 //! Section II-B: "a naive implementation often needs more than 1000 ns to
-//! finish read operation"; only the optimised ~450 ns circuits of [16],
-//! [1], [14] make M-metric sensing practical. This bin quantifies that:
+//! finish read operation"; only the optimised ~450 ns circuits of \[16\],
+//! \[1\], \[14\] make M-metric sensing practical. This bin quantifies that:
 //! it sweeps the M-read latency and reports the M-metric-only scheme's
 //! execution overhead — at naive latency, M-metric-only is worse than the
 //! W=0 scrubbing it was meant to replace.

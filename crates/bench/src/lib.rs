@@ -53,7 +53,7 @@ pub enum Source<'a> {
     /// An already-generated trace (matrix callers share one across specs).
     Trace(&'a Trace),
     /// A bounded-memory stream, generated chunk by chunk while the engine
-    /// consumes it: peak memory stays bounded by `cores × READDUO_CHUNK`
+    /// consumes it: peak memory stays bounded by `cores × DEFAULT_CHUNK`
     /// records regardless of instruction count.
     Stream,
 }
@@ -246,18 +246,31 @@ impl Harness {
     ///
     /// Peak memory stays bounded regardless of `instructions_per_core`:
     /// workloads are processed one at a time, and a workload whose
-    /// materialised trace fits under the [`matrix_trace_budget_bytes`]
-    /// budget is generated **once** and shared across all specs (the
-    /// per-op hot path's single biggest redundancy was re-generating the
-    /// same stream once per scheme). Above the budget the workload falls
-    /// back to true chunk-by-chunk streaming per spec, which is what
-    /// makes paper-scale volumes (100M–1B instructions/core) runnable at
-    /// all. Either way at most one workload's trace is live at a time, and
-    /// results are returned in workload-major order, bit-for-bit identical
-    /// to the materialised matrix (pinned by `tests/stream_equivalence.rs`
-    /// and `tests/parallel_determinism.rs`).
+    /// materialised trace fits under [`MATRIX_TRACE_BUDGET_BYTES`] is
+    /// generated **once** and shared across all specs (the per-op hot
+    /// path's single biggest redundancy was re-generating the same stream
+    /// once per scheme). Above the budget the workload falls back to true
+    /// chunk-by-chunk streaming per spec, which is what makes paper-scale
+    /// volumes (100M–1B instructions/core) runnable at all. Either way at
+    /// most one workload's trace is live at a time, and results are
+    /// returned in workload-major order, bit-for-bit identical to the
+    /// materialised matrix (pinned by `tests/stream_equivalence.rs` and
+    /// `tests/parallel_determinism.rs`).
     pub fn run_matrix_streamed_on<S: Copy + Into<DeviceSpec>>(
         &self,
+        pool: &Pool,
+        specs: &[S],
+        workloads: &[Workload],
+    ) -> Result<Vec<RunResult>, SpecError> {
+        self.run_matrix_streamed_within(MATRIX_TRACE_BUDGET_BYTES, pool, specs, workloads)
+    }
+
+    /// [`run_matrix_streamed_on`](Harness::run_matrix_streamed_on) with
+    /// the per-workload materialisation budget as a parameter, so a test
+    /// can force the chunk-by-chunk branch with a budget of 0.
+    fn run_matrix_streamed_within<S: Copy + Into<DeviceSpec>>(
+        &self,
+        budget: u64,
         pool: &Pool,
         specs: &[S],
         workloads: &[Workload],
@@ -269,7 +282,6 @@ impl Harness {
         } else {
             &seq
         };
-        let budget = matrix_trace_budget_bytes();
         let mut out = Vec::with_capacity(specs.len() * workloads.len());
         for w in workloads {
             let trace = (self.trace_estimate_bytes(w) <= budget).then(|| self.trace_for(w));
@@ -290,6 +302,13 @@ impl Harness {
         ops.saturating_mul(std::mem::size_of::<readduo_trace::MemOp>() as u64)
     }
 }
+
+/// Per-workload trace-materialisation budget of the streamed matrix, in
+/// bytes (128 MiB). A workload whose estimated trace fits the budget is
+/// generated once and shared across schemes instead of being re-generated
+/// per scheme — same reports either way, only the wall clock and the peak
+/// RSS differ.
+pub const MATRIX_TRACE_BUDGET_BYTES: u64 = 128 << 20;
 
 /// The specs of a matrix, each checked before any work starts.
 fn validated<S: Copy + Into<DeviceSpec>>(specs: &[S]) -> Result<Vec<DeviceSpec>, SpecError> {
@@ -359,18 +378,6 @@ pub fn finish_telemetry() {
         Ok(None) => {}
         Err(e) => eprintln!("[telemetry] export failed: {e}"),
     }
-}
-
-/// Per-workload trace-materialisation budget of the streamed matrix, in
-/// bytes (`READDUO_MATRIX_BUDGET_MB`, default 128 MB; 0 forces pure
-/// chunk-by-chunk streaming). A workload whose estimated trace fits the
-/// budget is generated once and shared across schemes instead of being
-/// re-generated per scheme — same reports either way, only the wall clock
-/// and the peak RSS differ.
-pub fn matrix_trace_budget_bytes() -> u64 {
-    readduo_env::u64_at_least("READDUO_MATRIX_BUDGET_MB", 0)
-        .unwrap_or(128)
-        .saturating_mul(1 << 20)
 }
 
 /// Whether a matrix of `tasks` (workload, spec) pairs should fan out to
@@ -608,18 +615,29 @@ mod tests {
         assert!(!matrix_uses_pool(&Pool::new(4), 0));
     }
 
+    /// Both branches of the streamed matrix match the materialised one:
+    /// a workload under the budget is generated once and shared, and one
+    /// above it streams chunk by chunk per spec. A budget of 0 forces the
+    /// second branch, which the 128 MiB budget reserves for volumes no
+    /// test can afford.
     #[test]
     fn streamed_matrix_matches_materialised_matrix() {
         let h = tiny_harness();
         let schemes = [SchemeKind::Ideal, SchemeKind::Scrubbing, SchemeKind::MMetric];
-        let workloads = [Workload::toy()];
+        let workloads = [Workload::toy(), Workload::by_name("mcf").expect("mcf")];
+        assert!(workloads.iter().all(|w| h.trace_estimate_bytes(w) > 0));
         let on_trace = h.run_matrix(&schemes, &workloads).unwrap();
-        let streamed = h.run_matrix_streamed(&schemes, &workloads).unwrap();
-        assert_eq!(on_trace.len(), streamed.len());
-        for (a, b) in on_trace.iter().zip(&streamed) {
-            assert_eq!(a.workload, b.workload);
-            assert_eq!(a.scheme, b.scheme);
-            assert_eq!(a.report, b.report, "{}/{}", a.workload, a.scheme);
+        let shared = h.run_matrix_streamed(&schemes, &workloads).unwrap();
+        let chunked = h
+            .run_matrix_streamed_within(0, &Pool::new(2), &schemes, &workloads)
+            .unwrap();
+        for streamed in [shared, chunked] {
+            assert_eq!(on_trace.len(), streamed.len());
+            for (a, b) in on_trace.iter().zip(&streamed) {
+                assert_eq!(a.workload, b.workload);
+                assert_eq!(a.scheme, b.scheme);
+                assert_eq!(a.report, b.report, "{}/{}", a.workload, a.scheme);
+            }
         }
     }
 

@@ -25,7 +25,7 @@ pub const ECC_CELLS: u32 = 40;
 pub const DATA_CELLS: u32 = 256;
 
 /// Fraction of data cells a typical demand write modifies. The paper cites
-/// ~20% of bits changing per write [35]; bit flips cluster within words
+/// ~20% of bits changing per write \[35\]; bit flips cluster within words
 /// (and within 2-bit cells), so at cell granularity the changed fraction
 /// lands near 15%.
 pub const DIFF_WRITE_CHANGED_FRACTION: f64 = 0.15;

@@ -19,8 +19,8 @@
 //!    most full-line writes into differential writes — safe because the
 //!    tracking already knows how long ago the last *full* write was.
 //!
-//! Baselines: [`ScrubbingScheme`] [2], [`MMetricScheme`] [23],
-//! [`TlcScheme`] [26], and drift-free Ideal
+//! Baselines: [`ScrubbingScheme`] \[2\], [`MMetricScheme`] \[23\],
+//! [`TlcScheme`] \[26\], and drift-free Ideal
 //! ([`readduo_memsim::FixedLatencyDevice::ideal`]).
 //!
 //! The [`area`] and [`edap`] modules provide the density and

@@ -8,7 +8,7 @@
 //! (untracked).
 //!
 //! Storage is a flat open-addressed table with linear probing, keyed by
-//! raw line id through a fast multiply-xor mix ([`mix`] — SipHash would
+//! raw line id through a fast multiply-xor mix (`mix` — SipHash would
 //! dominate the probe on this hot path, and HashDoS is not a threat model
 //! for a simulator hashing its own deterministic trace). Key and state
 //! live side by side in one 32-byte slot, so a probe touches exactly one
@@ -145,7 +145,7 @@ impl LineTable {
     }
 
     /// Sizing hint: the workload touches on the order of `lines` distinct
-    /// lines. Pre-sizes the slot array (capped at [`RESERVE_CAP`] entries)
+    /// lines. Pre-sizes the slot array (capped at `RESERVE_CAP` entries)
     /// so steady-state insertion never rehashes mid-run. Storage is
     /// touched-proportional either way; the hint only smooths growth.
     pub fn reserve(&mut self, lines: u64) {

@@ -23,7 +23,7 @@ pub fn channel_seed(seed: u64, channel: usize) -> u64 {
 pub enum SchemeKind {
     /// Drift-free MLC (the normalisation baseline).
     Ideal,
-    /// Efficient scrubbing [2], R-sensing, `(BCH=8, S=8, W=1)`.
+    /// Efficient scrubbing \[2\], R-sensing, `(BCH=8, S=8, W=1)`.
     Scrubbing,
     /// The reliability-sound `(BCH=8, S=8, W=0)` variant.
     ScrubbingW0,
@@ -48,7 +48,7 @@ pub enum SchemeKind {
         /// Full-write window in sub-intervals.
         s: u8,
     },
-    /// Tri-Level-Cell baseline [26].
+    /// Tri-Level-Cell baseline \[26\].
     Tlc,
 }
 

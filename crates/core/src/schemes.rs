@@ -1,13 +1,13 @@
 //! The readout schemes of the evaluation (Section IV):
 //!
-//! * [`ScrubbingScheme`] — R-sensing with `(BCH=8, S=8 s, W∈{0,1})` [2],
-//! * [`MMetricScheme`] — M-sensing only, `(BCH=8, S=640 s, W=1)` [23],
+//! * [`ScrubbingScheme`] — R-sensing with `(BCH=8, S=8 s, W∈{0,1})` \[2\],
+//! * [`MMetricScheme`] — M-sensing only, `(BCH=8, S=640 s, W=1)` \[23\],
 //! * [`HybridScheme`] — ReadDuo-Hybrid: R-read with BCH-decoupled fallback
 //!   to M-read, `(BCH=8, S=640 s, W=0)`,
 //! * [`LwtScheme`] — ReadDuo-LWT-k: Hybrid plus last-write tracking and
 //!   R-M-read conversion, `(BCH=8, S=640 s, W=1)`; [`LwtScheme::select`]
 //!   adds ReadDuo-Select-(k:s)'s selective differential writes,
-//! * [`TlcScheme`] — the Tri-Level-Cell baseline [26] (no drift errors, no
+//! * [`TlcScheme`] — the Tri-Level-Cell baseline \[26\] (no drift errors, no
 //!   scrubbing, lower density),
 //! * Ideal is [`readduo_memsim::FixedLatencyDevice::ideal`].
 //!
@@ -76,7 +76,7 @@ pub struct Scheme<P> {
     policy: P,
 }
 
-/// Efficient scrubbing [2] with R-metric sensing.
+/// Efficient scrubbing \[2\] with R-metric sensing.
 pub type ScrubbingScheme = Scheme<ScrubbingPolicy>;
 /// M-metric-only sensing with `(BCH=8, S=640, W=1)`.
 pub type MMetricScheme = Scheme<MMetricPolicy>;

@@ -13,9 +13,7 @@
 //! * [`poly`] — binary polynomials (generator construction, LFSR division),
 //! * [`bch`] — the full codec: systematic encoding, syndrome computation,
 //!   Berlekamp–Massey, Chien search, and the detect/correct decoupling,
-//! * [`secded`] — Hamming (72,64) SECDED for the TLC baseline,
-//! * [`parity`] — interleaved parity used alongside BCH in the Scrubbing
-//!   baseline's storage layout.
+//! * [`secded`] — Hamming (72,64) SECDED for the TLC baseline.
 //!
 //! # Example
 //!
@@ -45,7 +43,6 @@ pub mod bch;
 pub mod bitslice;
 pub mod bitvec;
 pub mod gf;
-pub mod parity;
 pub mod poly;
 pub mod secded;
 
@@ -53,6 +50,5 @@ pub use bch::{Bch, DecodeOutcome, PatternOutcome};
 pub use bitslice::{BchBitslice, LANES as BITSLICE_LANES};
 pub use bitvec::BitVec;
 pub use gf::GfField;
-pub use parity::InterleavedParity;
 pub use poly::BinPoly;
 pub use secded::Secded;

@@ -1,6 +1,6 @@
 //! Hamming (72,64) SECDED — single-error-correct, double-error-detect.
 //!
-//! The TLC baseline [26] protects each 64-bit word with the classic
+//! The TLC baseline \[26\] protects each 64-bit word with the classic
 //! (72,64) extended Hamming code used by DDR ECC DIMMs: 7 Hamming parity
 //! bits plus one overall parity bit.
 

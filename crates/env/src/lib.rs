@@ -1,8 +1,8 @@
 //! Validated `READDUO_*` environment-variable overrides.
 //!
-//! Every tunable in the workspace (`READDUO_THREADS`, `READDUO_CHUNK`,
-//! `READDUO_INSTR`, `READDUO_RSS_CEILING_MB`, `READDUO_FAULT_SEED`, …)
-//! goes through this one helper. The old pattern —
+//! Every tunable in the workspace (`READDUO_THREADS`, `READDUO_INSTR`,
+//! `READDUO_RSS_CEILING_MB`, `READDUO_FAULT_SEED`, …) goes through this
+//! one helper. The old pattern —
 //! `var(..).ok().and_then(parse).filter(..).unwrap_or(default)` — silently
 //! fell back to the default on a typo, which is the worst possible
 //! behaviour for a reproducibility harness: `READDUO_THREADS=O4` quietly
@@ -88,22 +88,10 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Memory channels of the topology; >1 shards the engine per channel",
         },
         EnvVar {
-            name: "READDUO_CHUNK",
-            kind: EnvKind::Count { min: 1 },
-            default: "8192",
-            doc: "Records buffered per core per refill in streaming trace replay",
-        },
-        EnvVar {
             name: "READDUO_INSTR",
             kind: EnvKind::Count { min: 1 },
             default: "1000000",
             doc: "Instructions simulated per core by the bench harness",
-        },
-        EnvVar {
-            name: "READDUO_GOLDEN_INSTR",
-            kind: EnvKind::Count { min: 1 },
-            default: "150000",
-            doc: "Instructions per core in the golden-test simulation legs",
         },
         EnvVar {
             name: "READDUO_RSS_CEILING_MB",
@@ -154,22 +142,10 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Output path of the Chrome trace-event JSON (telemetry runs)",
         },
         EnvVar {
-            name: "READDUO_METRICS_OUT",
-            kind: EnvKind::Path,
-            default: "<READDUO_TRACE_OUT>.metrics.json",
-            doc: "Output path of the metrics snapshot JSON (telemetry runs)",
-        },
-        EnvVar {
             name: "READDUO_TRACE_CAP",
             kind: EnvKind::Count { min: 1 },
             default: "262144",
             doc: "Bounded ring capacity (events) of the telemetry trace buffer",
-        },
-        EnvVar {
-            name: "READDUO_MATRIX_BUDGET_MB",
-            kind: EnvKind::Count { min: 0 },
-            default: "128",
-            doc: "Per-workload trace-materialisation budget (MB) in streamed matrices; 0 streams everything",
         },
         EnvVar {
             name: "READDUO_SPARE_LINES",
@@ -480,7 +456,10 @@ mod tests {
     /// outside this crate. Scans the sibling crates' sources plus the
     /// workspace-level tests/examples, so adding a variable without
     /// documenting it — or leaving a dead knob registered — fails this
-    /// test with the offending name.
+    /// test with the offending name. `ci.sh` is checked in one direction
+    /// only: every variable it sets must be registered, so a gate cannot
+    /// set a retired knob and quietly test the default. A mention there
+    /// does not count as a read.
     #[test]
     fn every_workspace_variable_is_registered() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -511,6 +490,37 @@ mod tests {
                  retire the dead knob"
             );
         }
+        let ci = std::fs::read_to_string(root.join("ci.sh")).expect("read ci.sh");
+        let set_in_ci = variables_set_in(&ci);
+        assert!(
+            set_in_ci.contains("READDUO_INSTR"),
+            "ci.sh scanner is broken: READDUO_INSTR=… not found"
+        );
+        for name in &set_in_ci {
+            assert!(
+                registered.contains(name.as_str()),
+                "ci.sh sets {name}, which readduo_env::recognized() does not register: \
+                 the gate would run the default"
+            );
+        }
+    }
+
+    /// Every `READDUO_*` name in `script` written as an assignment
+    /// (`NAME=value`, bare or after `export`).
+    fn variables_set_in(script: &str) -> std::collections::BTreeSet<String> {
+        let mut set = std::collections::BTreeSet::new();
+        let mut rest = script;
+        while let Some(i) = rest.find("READDUO_") {
+            let tail = &rest[i..];
+            let len = tail
+                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(tail.len());
+            if tail[len..].starts_with('=') {
+                set.insert(tail[..len].to_string());
+            }
+            rest = &rest[i + len.max(1)..];
+        }
+        set
     }
 
     fn scan_dir(

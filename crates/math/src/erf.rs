@@ -192,28 +192,12 @@ pub fn erfc_scaled(x: f64) -> f64 {
     erfcx_cody(x)
 }
 
-/// Batched `erf` over a slice: `out[i] = erf(xs[i])`.
-///
-/// Each element goes through exactly the scalar [`erf`] code path, so the
-/// results are bit-identical to calling `erf` in a loop — the batch form
-/// exists so the drift-curve tabulation (hundreds of thousands of
-/// integrand evaluations) runs one tight pass the compiler can keep in
-/// registers instead of a call per point.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn erf_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "erf_slice length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = erf(x);
-    }
-}
-
 /// Batched `erfc` over a slice: `out[i] = erfc(xs[i])`.
 ///
 /// Bit-identical to the scalar [`erfc`] per element (same rationals, same
-/// interval dispatch); see [`erf_slice`] for why the batch form exists.
+/// interval dispatch). No simulation path calls it; the repository
+/// benchmark's `math.erfc_batch_ns_per_cell` row times it against the
+/// scalar call.
 ///
 /// # Panics
 ///

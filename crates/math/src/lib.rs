@@ -6,7 +6,7 @@
 //! normal distributions. No offline crate provides the required special
 //! functions, so this crate implements them from scratch:
 //!
-//! * [`erf`]/[`erfc`] accurate to ~1e-15 over the full range, plus a scaled
+//! * [`erf`](fn@erf)/[`erfc`] accurate to ~1e-15 over the full range, plus a scaled
 //!   complementary error function for extreme tails,
 //! * [`Normal`] and [`TruncatedNormal`] distributions with numerically stable
 //!   tail (survival) functions and log-tails,
@@ -43,7 +43,7 @@ pub mod normal;
 pub mod stats;
 
 pub use binomial::BinomialSampler;
-pub use erf::{erf, erf_slice, erfc, erfc_scaled, erfc_slice, inverse_erf};
+pub use erf::{erf, erfc, erfc_scaled, erfc_slice, inverse_erf};
 pub use integrate::{adaptive_simpson, gauss_legendre, GaussLegendre};
 pub use logspace::{ln_choose, ln_factorial, log1mexp, log_sum_exp, LogProb};
 pub use normal::{Normal, TruncatedNormal};

@@ -7,7 +7,7 @@
 //! tail, so both distributions expose `sf` and `ln_sf` built on
 //! [`crate::erf::ln_erfc`].
 
-use crate::erf::{erf, erfc, inverse_erf, ln_erfc};
+use crate::erf::{erfc, inverse_erf, ln_erfc};
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
 
@@ -71,12 +71,6 @@ impl Normal {
         (-0.5 * z * z).exp() / (self.sigma * (2.0 * std::f64::consts::PI).sqrt())
     }
 
-    /// Natural log of the density at `x`; stable far into the tails.
-    pub fn ln_pdf(&self, x: f64) -> f64 {
-        let z = self.z(x);
-        -0.5 * z * z - self.sigma.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
-    }
-
     /// Cumulative distribution function `P(X <= x)`.
     ///
     /// ```
@@ -106,12 +100,6 @@ impl Normal {
     pub fn ln_sf(&self, x: f64) -> f64 {
         let z = self.z(x);
         ln_erfc(z / SQRT_2) - std::f64::consts::LN_2
-    }
-
-    /// `ln P(X <= x)`; stable in the *left* tail.
-    pub fn ln_cdf(&self, x: f64) -> f64 {
-        let z = self.z(x);
-        ln_erfc(-z / SQRT_2) - std::f64::consts::LN_2
     }
 
     /// Quantile (inverse CDF): the `x` with `cdf(x) == p`.
@@ -281,11 +269,6 @@ impl TruncatedNormal {
     pub fn at_uniform(&self, u: f64) -> f64 {
         self.quantile(u).clamp(self.lo, self.hi)
     }
-}
-
-/// Standard-normal CDF convenience, `Φ(z)`.
-pub fn phi(z: f64) -> f64 {
-    0.5 * (1.0 + erf(z / SQRT_2))
 }
 
 #[cfg(test)]

@@ -161,7 +161,8 @@ fn mode_name(mode: ReadMode) -> &'static str {
 /// scrub engine and event queue. A single-channel machine is exactly one
 /// `Run`; a sharded machine is `channels` of them, each consuming the ops
 /// its channel owns. `pub(crate)` so the sharded executor in
-/// [`crate::shard`] can seed and single-step it.
+/// [`crate::shard`] can run it and [`crate::oracle`] can seed and
+/// single-step it.
 pub(crate) struct Run<'a, D: DeviceModel + ?Sized, S: OpSource> {
     cfg: MemoryConfig,
     /// This channel's index within the topology.

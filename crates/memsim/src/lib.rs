@@ -7,7 +7,7 @@
 //! * a 4-core **in-order CPU** front end consuming per-core trace streams —
 //!   reads block the issuing core, writes post to the controller,
 //! * a **memory controller** with per-bank write queues, read priority, and
-//!   **write cancellation** [18] (an in-flight demand write is cancelled
+//!   **write cancellation** \[18\] (an in-flight demand write is cancelled
 //!   and re-queued when a read arrives for its bank),
 //! * **banked PCM** with per-bank busy intervals and a shared-per-bank data
 //!   bus term, giving bank conflicts and bus contention,
@@ -42,6 +42,8 @@
 pub mod config;
 pub mod device;
 pub mod engine;
+#[doc(hidden)]
+pub mod oracle;
 pub mod sched;
 pub mod shard;
 pub mod stats;
@@ -52,6 +54,6 @@ pub use device::{
     WriteOutcome,
 };
 pub use engine::Simulator;
-pub use sched::{ChannelMerge, EventQueue};
+pub use sched::EventQueue;
 pub use shard::ChannelFilter;
 pub use stats::{LatencySummary, SimReport};

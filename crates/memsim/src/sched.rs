@@ -49,9 +49,9 @@ impl<K> PartialOrd for Entry<K> {
 /// The event queue. `K` is the event payload; ordering is by
 /// `(time, insertion sequence)` only.
 ///
-/// Public so the sharded engine's cross-channel merge ([`ChannelMerge`])
-/// and its property tests can drive a queue directly; the engine itself
-/// owns one queue per channel.
+/// Public so the property tests of the cross-channel merge
+/// ([`earliest_lane`]) and the repository benchmark's queue micro can
+/// drive queues directly; the engine itself owns one queue per channel.
 #[derive(Debug)]
 pub struct EventQueue<K> {
     heap: BinaryHeap<Reverse<Entry<K>>>,
@@ -119,65 +119,19 @@ impl<K> EventQueue<K> {
     }
 }
 
-/// The cross-channel merge rule of the sharded engine, as a standalone
-/// structure: one [`EventQueue`] lane per channel, popped in exact
-/// `(at, channel, seq)` order — earliest time first, ties broken by the
-/// lowest channel index, and insertion order within a channel. The
-/// sequential reference runner (`Simulator::run_sharded_reference`)
-/// applies this identical rule over the per-channel engines' own queues;
-/// keeping the rule reified here lets the property suite pin it against a
-/// `BinaryHeap` reference independently of the engine.
-#[derive(Debug)]
-pub struct ChannelMerge<K> {
-    lanes: Vec<EventQueue<K>>,
-}
-
-impl<K> ChannelMerge<K> {
-    /// Creates a merge over `channels` empty lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `channels` is zero.
-    pub fn new(channels: usize) -> Self {
-        assert!(channels >= 1, "at least one channel");
-        Self {
-            lanes: (0..channels).map(|_| EventQueue::new()).collect(),
-        }
-    }
-
-    /// Number of lanes.
-    pub fn channels(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Schedules `kind` on `channel` at time `at`. Sequence numbers are
-    /// per-channel, exactly as in the sharded engine where each channel
-    /// pushes onto its own queue.
-    pub fn push(&mut self, channel: usize, at: u64, kind: K) {
-        self.lanes[channel].push(at, kind);
-    }
-
-    /// Removes and returns the earliest pending event by
-    /// `(at, channel, seq)`.
-    pub fn pop(&mut self) -> Option<(u64, usize, K)> {
-        let mut best: Option<(u64, usize)> = None;
-        for (ch, lane) in self.lanes.iter().enumerate() {
-            if let Some(at) = lane.peek_at() {
-                // Strict `<` keeps the earliest channel on ties.
-                if best.is_none_or(|(b_at, _)| at < b_at) {
-                    best = Some((at, ch));
-                }
-            }
-        }
-        let (_, ch) = best?;
-        let (at, kind) = self.lanes[ch].pop().expect("just peeked");
-        Some((at, ch, kind))
-    }
-
-    /// Total pending events across all lanes.
-    pub fn pending(&self) -> usize {
-        self.lanes.iter().map(EventQueue::pending).sum()
-    }
+/// The cross-channel merge rule: the index of the lane whose next event
+/// comes first. `next_ats` yields each lane's next event time in lane
+/// order, `None` for a drained lane. The earliest time wins and ties go
+/// to the lowest index; popping the chosen lane's own queue then keeps
+/// insertion order within it, so repeated calls visit events in exact
+/// `(at, channel, seq)` order. Returns `None` when every lane is drained.
+pub fn earliest_lane(next_ats: impl IntoIterator<Item = Option<u64>>) -> Option<usize> {
+    next_ats
+        .into_iter()
+        .enumerate()
+        .filter_map(|(lane, at)| Some((at?, lane)))
+        .min()
+        .map(|(_, lane)| lane)
 }
 
 #[cfg(test)]
@@ -258,22 +212,30 @@ mod tests {
     /// channel, insertion order wins — the `(at, channel, seq)` rule.
     #[test]
     fn channel_merge_orders_by_at_channel_seq() {
-        let mut m = ChannelMerge::new(3);
-        m.push(2, 100, "c2-a");
-        m.push(0, 100, "c0-a");
-        m.push(1, 100, "c1-a");
-        m.push(0, 100, "c0-b");
-        m.push(1, 50, "c1-early");
-        m.push(2, 5_000_000, "c2-far");
-        assert_eq!(m.pending(), 6);
-        assert_eq!(m.pop(), Some((50, 1, "c1-early")));
-        assert_eq!(m.pop(), Some((100, 0, "c0-a")));
-        assert_eq!(m.pop(), Some((100, 0, "c0-b")));
-        assert_eq!(m.pop(), Some((100, 1, "c1-a")));
-        assert_eq!(m.pop(), Some((100, 2, "c2-a")));
-        assert_eq!(m.pop(), Some((5_000_000, 2, "c2-far")));
-        assert_eq!(m.pop(), None);
-        assert_eq!(m.pending(), 0);
+        let mut lanes: Vec<EventQueue<&str>> = (0..3).map(|_| EventQueue::new()).collect();
+        lanes[2].push(100, "c2-a");
+        lanes[0].push(100, "c0-a");
+        lanes[1].push(100, "c1-a");
+        lanes[0].push(100, "c0-b");
+        lanes[1].push(50, "c1-early");
+        lanes[2].push(5_000_000, "c2-far");
+        let mut popped = Vec::new();
+        while let Some(ch) = earliest_lane(lanes.iter().map(EventQueue::peek_at)) {
+            let (at, kind) = lanes[ch].pop().expect("the chosen lane has an event");
+            popped.push((at, ch, kind));
+        }
+        assert_eq!(
+            popped,
+            [
+                (50, 1, "c1-early"),
+                (100, 0, "c0-a"),
+                (100, 0, "c0-b"),
+                (100, 1, "c1-a"),
+                (100, 2, "c2-a"),
+                (5_000_000, 2, "c2-far"),
+            ]
+        );
+        assert_eq!(earliest_lane(std::iter::empty()), None);
     }
 
     /// Interleaved pushes and pops against a sorted-`Vec` reference, with

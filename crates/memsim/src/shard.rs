@@ -27,17 +27,17 @@
 //! come back in channel order regardless of completion order, and reports
 //! are folded in channel order (see [`SimReport::merge`]), so the merged
 //! report is a pure function of `(config, sources, devices)`.
-//! [`Simulator::run_sharded_reference`] is the differential oracle: the
-//! same per-channel engines stepped one event at a time on the calling
-//! thread, in exact `(at, channel, seq)` order — earliest event time
-//! first, ties to the lowest channel, per-channel insertion order within a
-//! channel (the rule reified by [`crate::sched::ChannelMerge`]). The
+//! `oracle::run_sharded_reference` is the differential oracle: the same
+//! per-channel engines stepped one event at a time on the calling thread,
+//! in exact `(at, channel, seq)` order — earliest event time first, ties
+//! to the lowest channel, per-channel insertion order within a channel
+//! (the rule of [`earliest_lane`](crate::sched::earliest_lane)). The
 //! `shard_equivalence` suite pins `run_sharded == run_sharded_reference`
 //! across schemes, workloads, channel counts and host thread counts.
 
 use crate::config::Topology;
 use crate::device::DeviceModel;
-use crate::engine::{Run, Simulator};
+use crate::engine::Simulator;
 use crate::stats::SimReport;
 use readduo_pool::Pool;
 use readduo_trace::{MemOp, OpSource};
@@ -96,8 +96,8 @@ impl Simulator {
     /// derive per-channel RNG seeds so channels draw independent noise.
     ///
     /// The merged report is identical at any pool size, including
-    /// sequential execution, and identical to
-    /// [`run_sharded_reference`](Simulator::run_sharded_reference).
+    /// sequential execution, and identical to the sequential oracle
+    /// `readduo_memsim::oracle::run_sharded_reference`.
     pub fn run_sharded<S, D, FS, FD>(&self, pool: &Pool, source_for: FS, device_for: FD) -> SimReport
     where
         S: OpSource,
@@ -113,51 +113,6 @@ impl Simulator {
         });
         SimReport::merged(&reports)
     }
-
-    /// The sequential oracle for [`run_sharded`]: the same
-    /// per-channel engines, stepped one event at a time in global
-    /// `(at, channel, seq)` order on the calling thread.
-    ///
-    /// [`run_sharded`]: Simulator::run_sharded
-    pub fn run_sharded_reference<S, D, FS, FD>(&self, source_for: FS, device_for: FD) -> SimReport
-    where
-        S: OpSource,
-        D: DeviceModel,
-        FS: Fn(usize) -> S,
-        FD: Fn(usize) -> D,
-    {
-        let topo = self.config().topology;
-        let mut sources: Vec<ChannelFilter<S>> = (0..topo.channels)
-            .map(|ch| ChannelFilter::new(source_for(ch), topo, ch))
-            .collect();
-        let mut devices: Vec<D> = (0..topo.channels).map(device_for).collect();
-        let mut runs: Vec<Run<'_, D, ChannelFilter<S>>> = sources
-            .iter_mut()
-            .zip(devices.iter_mut())
-            .enumerate()
-            .map(|(ch, (s, d))| self.channel_run(ch, s, d))
-            .collect();
-        for r in &mut runs {
-            r.seed();
-        }
-        loop {
-            // The merge rule: earliest `at` wins, ties to the lowest
-            // channel (strict `<` keeps the first), per-channel `seq`
-            // order inside each channel's queue.
-            let mut best: Option<(u64, usize)> = None;
-            for (ch, r) in runs.iter().enumerate() {
-                if let Some(at) = r.next_at() {
-                    if best.is_none_or(|(b_at, _)| at < b_at) {
-                        best = Some((at, ch));
-                    }
-                }
-            }
-            let Some((_, ch)) = best else { break };
-            runs[ch].step();
-        }
-        let reports: Vec<SimReport> = runs.into_iter().map(Run::finish).collect();
-        SimReport::merged(&reports)
-    }
 }
 
 #[cfg(test)]
@@ -165,6 +120,7 @@ mod tests {
     use super::*;
     use crate::config::MemoryConfig;
     use crate::device::FixedLatencyDevice;
+    use crate::oracle::run_sharded_reference;
     use readduo_trace::{TraceCursor, TraceGenerator, Workload};
 
     fn trace() -> readduo_trace::Trace {
@@ -214,7 +170,7 @@ mod tests {
             |_| FixedLatencyDevice::ideal(),
         );
         let reference =
-            sim.run_sharded_reference(|_| TraceCursor::new(&t), |_| FixedLatencyDevice::ideal());
+            run_sharded_reference(&sim, |_| TraceCursor::new(&t), |_| FixedLatencyDevice::ideal());
         assert_eq!(plain, sharded);
         assert_eq!(plain, reference);
     }
@@ -238,7 +194,7 @@ mod tests {
                     let d = FixedLatencyDevice::with_latencies(150, 1000);
                     if scrub { d.with_scrub(2e-4, true) } else { d }
                 };
-                let reference = sim.run_sharded_reference(|_| TraceCursor::new(&t), device);
+                let reference = run_sharded_reference(&sim, |_| TraceCursor::new(&t), device);
                 for workers in [1usize, 4] {
                     let sharded =
                         sim.run_sharded(&Pool::new(workers), |_| TraceCursor::new(&t), device);

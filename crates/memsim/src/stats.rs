@@ -200,7 +200,7 @@ impl SimReport {
             + self.cells_written_demotion
     }
 
-    /// DRAM-tier hit rate over all demand accesses, in [0,1] (0 when the
+    /// DRAM-tier hit rate over all demand accesses, in \[0,1\] (0 when the
     /// tier is disabled or saw no traffic).
     pub fn dram_hit_rate(&self) -> f64 {
         let total = self.dram_hits + self.dram_misses;
@@ -211,7 +211,7 @@ impl SimReport {
         }
     }
 
-    /// Escalated (R-M) read fraction over all demand reads, in [0,1] — the
+    /// Escalated (R-M) read fraction over all demand reads, in \[0,1\] — the
     /// LWT escalation rate the DRAM tier's drift-age resets shift down.
     /// DRAM hits stay in the denominator: they are demand reads the tier
     /// serviced without any chance of escalation.
@@ -223,7 +223,7 @@ impl SimReport {
         }
     }
 
-    /// Fraction of reads that were untracked (`P%` as a ratio in [0,1]).
+    /// Fraction of reads that were untracked (`P%` as a ratio in \[0,1\]).
     pub fn untracked_fraction(&self) -> f64 {
         if self.reads == 0 {
             0.0

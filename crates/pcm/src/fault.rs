@@ -7,7 +7,8 @@
 //! from the same Table I / Table II distributions and pushing them through
 //! the same power-law drift and sensing references. The two must agree —
 //! `tests/fault_validation.rs` and the `fault_mc` binary assert it — and
-//! because they share [`MetricConfig`], [`log_metric_at`] and
+//! because they share [`MetricConfig`],
+//! [`log_metric_at`](crate::log_metric_at) and
 //! [`sense_level`](MetricConfig::sense_level), any future parameter edit
 //! moves both together.
 //!
@@ -81,11 +82,6 @@ pub struct LineFaults {
 }
 
 impl LineFaults {
-    /// True when R-sensing reads the line back exactly.
-    pub fn r_clean(&self) -> bool {
-        self.r_bits.is_empty()
-    }
-
     /// Cell indices (bit position / 2) misread under the M-metric.
     pub fn m_cell_indices(&self) -> Vec<u16> {
         dedup_cells(&self.m_bits)

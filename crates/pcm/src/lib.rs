@@ -8,13 +8,10 @@
 //!   distributions and drift-coefficient statistics,
 //! * [`drift`] — the empirical power-law drift model `X(t) = X₀·(t/t₀)^α`
 //!   (Equations 1 and 2) in log₁₀ space,
-//! * [`cell`]/[`line`] — Monte-Carlo cell and 256-cell (64 B) line models
+//! * [`cell`]/[`line`](mod@line) — Monte-Carlo cell and 256-cell (64 B) line models
 //!   used by the trace-driven simulator,
 //! * [`sensing`] — R-sensing (current mode) and M-sensing (voltage mode)
 //!   with the two-round reference comparison and the paper's latencies,
-//! * [`iv`] — the low-field I-V characteristic and threshold-switching guard
-//!   that motivate why M-sensing has a higher signal-to-noise ratio,
-//! * [`slc`] — drift-free single-level cells used for the LWT flag bits,
 //! * [`tlc`] — the Tri-Level-Cell baseline (drops the most drift-prone
 //!   level, trading density for reliability).
 //!
@@ -41,11 +38,9 @@
 pub mod cell;
 pub mod drift;
 pub mod fault;
-pub mod iv;
 pub mod line;
 pub mod params;
 pub mod sensing;
-pub mod slc;
 pub mod state;
 pub mod tlc;
 pub mod wear;
@@ -53,11 +48,9 @@ pub mod wear;
 pub use cell::MlcCell;
 pub use drift::{drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, time_to_cross};
 pub use fault::{FaultModel, LineFaults};
-pub use iv::{IvCurve, ReadBias};
 pub use line::{MlcLine, SensedLine};
 pub use params::{LevelParams, MetricConfig, MetricKind, CELLS_PER_LINE, LINE_BYTES};
 pub use sensing::{DeviceParams, SenseTiming};
-pub use slc::SlcArray;
 pub use state::CellLevel;
 pub use tlc::TlcConfig;
 pub use wear::{WearModel, ENDURANCE_MEDIAN_DEFAULT, ENDURANCE_SIGMA_LN};

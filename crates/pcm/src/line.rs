@@ -45,11 +45,6 @@ impl MlcLine {
         self.bytes
     }
 
-    /// Number of cells in the line.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Programs the full line with `data` (a full-line write: every cell is
     /// RESET and re-programmed, re-sampling its physics).
     ///

@@ -116,7 +116,7 @@ impl MetricConfig {
     /// | 3     | 00   | 6       | 1/6  | 0.10  |
     ///
     /// (The scanned table interleaves the σ column; we follow the commonly
-    /// cited values from the paper's sources [2], [26]: σ = 1/6 per level so
+    /// cited values from the paper's sources \[2\], \[26\]: σ = 1/6 per level so
     /// that the four states tile `log10 R ∈ [2.5, 6.5]` with 0.254σ guard
     /// bands.)
     pub fn r_metric() -> Self {
@@ -137,7 +137,7 @@ impl MetricConfig {
     /// Per the prose: `μ_M = μ_R − 4` (the metric is four orders of
     /// magnitude smaller), the initial spread mirrors the R-metric
     /// (`σ_M = σ_R`), and the drift coefficient is `μ_α(R)/7` (M-metric
-    /// drift is 6–8× weaker; [1] suggests 7×).
+    /// drift is 6–8× weaker; \[1\] suggests 7×).
     pub fn m_metric() -> Self {
         let r = Self::r_metric();
         let mut levels = r.levels;

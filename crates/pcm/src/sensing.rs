@@ -1,7 +1,7 @@
 //! Sensing timings and energies for the three read modes.
 //!
 //! Latencies follow Section III-B / IV of the paper: R-read 150 ns, M-read
-//! 450 ns (the optimised voltage-sensing circuit of [16], [1], [14] — a
+//! 450 ns (the optimised voltage-sensing circuit of \[16\], \[1\], \[14\] — a
 //! naive implementation needs >1000 ns), R-M-read 600 ns (a failed R-read
 //! followed by an M-read), MLC iterative program-and-verify write 1000 ns.
 

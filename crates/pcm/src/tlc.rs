@@ -1,4 +1,4 @@
-//! The Tri-Level-Cell (TLC) baseline [26].
+//! The Tri-Level-Cell (TLC) baseline \[26\].
 //!
 //! TLC removes the most drift-prone of the four MLC levels, trading storage
 //! density for reliability: with the worst middle state gone, the remaining
@@ -6,7 +6,7 @@
 //! scrubbing at all, but each cell now stores only log₂3 ≈ 1.585 bits, and
 //! data must be (de)composed through base-3 group coding.
 
-use crate::params::{LevelParams, MetricConfig};
+use crate::params::MetricConfig;
 use crate::state::CellLevel;
 
 /// Configuration of the tri-level-cell scheme.
@@ -40,16 +40,6 @@ impl TlcConfig {
         &self.metric
     }
 
-    /// Parameters of the most drift-exposed *retained* level (used by the
-    /// reliability engine to show TLC meets the target without scrubbing).
-    ///
-    /// With L2 removed, the worst retained level that can still drift into
-    /// an upper neighbour is L1 — and its next occupied level is L3, two
-    /// state-widths away, doubling the effective guard band.
-    pub fn worst_retained(&self) -> &LevelParams {
-        self.metric.level(CellLevel::L1)
-    }
-
     /// The effective log10 gap a retained L1 cell must drift to be misread:
     /// from its programmed top to the *lower boundary of L3* (since L2 is
     /// unused, the reference between L1 and L3 moves to the middle of the
@@ -69,7 +59,7 @@ impl TlcConfig {
 
     /// Number of tri-level cells needed to store `bits` bits with base-3
     /// group coding: groups of 3 cells hold 27 symbols ≥ 2⁴, so practical
-    /// designs pack 4 bits per 3-cell group (paper [26] packing).
+    /// designs pack 4 bits per 3-cell group (paper \[26\] packing).
     ///
     /// ```
     /// use readduo_pcm::TlcConfig;

@@ -144,8 +144,8 @@ impl WearModel {
     ///
     /// Equal to scanning [`endurance_cycles`](Self::endurance_cycles) over
     /// every live cell, at the cost of the hashes plus the inversions of
-    /// the cells whose keys lie within [`tie_window`](Self::tie_window)
-    /// of the smallest key — usually that cell alone.
+    /// the cells whose keys lie within `tie_window` of the smallest key —
+    /// usually that cell alone.
     pub fn weakest_cell(&self, line: u64, generation: u32, cells: u32, dead: &[u16]) -> (u64, u32) {
         let live: Vec<(u32, u64)> = (0..cells)
             .filter(|&cell| dead.binary_search(&(cell as u16)).is_err())

@@ -212,24 +212,6 @@ impl CachedErrorCurve {
         (a + (b - a) * frac).exp()
     }
 
-    /// Evaluates [`prob`] for a batch of ages into `out`.
-    ///
-    /// Bit-identical to calling `prob` element-wise; the slice form exists
-    /// so hot loops evaluating a whole line's worth of ages keep the table
-    /// fields in registers and let the compiler unroll.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    ///
-    /// [`prob`]: CachedErrorCurve::prob
-    pub fn prob_slice(&self, ages_s: &[f64], out: &mut [f64]) {
-        assert_eq!(ages_s.len(), out.len(), "slice length mismatch");
-        for (o, &t) in out.iter_mut().zip(ages_s) {
-            *o = self.prob(t);
-        }
-    }
-
     /// The grid index ending the longest prefix of knots satisfying
     /// `pred`, or `None` if even the first knot fails.
     fn prefix_end(&self, pred: impl Fn(f64) -> bool) -> Option<usize> {

@@ -151,18 +151,17 @@ fn write_file(path: &Path, contents: &str) -> io::Result<()> {
 /// Drains the trace and metrics into their output files and returns the
 /// two paths written: `(trace, metrics)`.
 ///
-/// Paths come from `READDUO_TRACE_OUT` (default
-/// [`DEFAULT_TRACE_OUT`]) and `READDUO_METRICS_OUT` (default: the trace
-/// path with `.metrics.json` appended). Returns `None` without touching
-/// the filesystem while telemetry is disabled.
+/// The trace goes to `READDUO_TRACE_OUT` (default [`DEFAULT_TRACE_OUT`])
+/// and the metrics next to it, at the trace path with `.metrics.json`
+/// appended. Returns `None` without touching the filesystem while
+/// telemetry is disabled.
 pub fn finish_to_env() -> io::Result<Option<(String, String)>> {
     if !crate::enabled() {
         return Ok(None);
     }
     let trace_out =
         readduo_env::string("READDUO_TRACE_OUT").unwrap_or_else(|| DEFAULT_TRACE_OUT.to_string());
-    let metrics_out = readduo_env::string("READDUO_METRICS_OUT")
-        .unwrap_or_else(|| format!("{trace_out}.metrics.json"));
+    let metrics_out = format!("{trace_out}.metrics.json");
     write_file(Path::new(&trace_out), &render_trace())?;
     write_file(Path::new(&metrics_out), &render_metrics())?;
     Ok(Some((trace_out, metrics_out)))

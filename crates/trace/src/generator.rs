@@ -1,6 +1,6 @@
 //! The synthetic trace generator.
 //!
-//! Generation is *resumable*: the per-core loop lives in [`CoreGen`], which
+//! Generation is *resumable*: the per-core loop lives in `CoreGen`, which
 //! produces one [`MemOp`] per call, so the streaming API
 //! ([`crate::stream::TraceStream`]) and the materialising [`generate`]
 //! wrapper draw from literally the same code path and RNG stream — their
@@ -46,8 +46,8 @@ impl TraceGenerator {
         // Drain each core's resumable generator straight into the trace:
         // the records are by construction the ones a TraceStream would
         // yield (both sides call [`CoreGen::next_op`]), without the
-        // chunk-buffer/interner round trip a stream pays for bounded
-        // memory — materialisation wants throughput, not a memory bound.
+        // chunk-buffer round trip a stream pays for bounded memory —
+        // materialisation wants throughput, not a memory bound.
         assert!(cores > 0, "need at least one core");
         let mut trace = Trace::new(workload.name.to_string(), cores);
         for core in 0..cores {

@@ -35,16 +35,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod format;
 pub mod generator;
 pub mod record;
 pub mod stream;
 pub mod workload;
 pub mod zipf;
 
-pub use format::{read_trace, write_trace, ParseError};
 pub use generator::TraceGenerator;
 pub use record::{MemOp, OpKind, Trace};
-pub use stream::{LineInterner, OpSource, TraceCursor, TraceStream, DEFAULT_CHUNK};
+pub use stream::{OpSource, TraceCursor, TraceStream, DEFAULT_CHUNK};
 pub use workload::{Locality, Workload};
 pub use zipf::Zipf;

@@ -2,12 +2,12 @@
 //!
 //! A paper-scale replay (50–100M instructions/core) never needs the whole
 //! trace at once: the engine consumes each core's stream strictly in order.
-//! [`TraceStream`] therefore generates records lazily, `READDUO_CHUNK`
+//! [`TraceStream`] therefore generates records lazily, [`DEFAULT_CHUNK`]
 //! records per core per refill, so peak memory is bounded by
 //! `cores × chunk` records regardless of instruction count. Buffered
-//! records are stored compactly with line addresses interned to dense
-//! `u32` ids ([`LineInterner`]); the original 64-bit address is recovered
-//! on [`peek`], so consumers observe bit-for-bit the same [`MemOp`]s a
+//! records are stored compactly: a generated line address lies in
+//! `[0, footprint.max(16))`, so it is kept as a `u32` and widened back on
+//! [`peek`], and consumers observe bit-for-bit the same [`MemOp`]s a
 //! materialised [`Trace`] would hold.
 //!
 //! [`peek`]: OpSource::peek
@@ -15,10 +15,8 @@
 use crate::generator::{CoreGen, TraceGenerator};
 use crate::record::{MemOp, OpKind, Trace};
 use crate::workload::Workload;
-use std::collections::HashMap;
 
-/// Default records buffered per core between refills (overridable with the
-/// `READDUO_CHUNK` environment variable).
+/// Records buffered per core between refills.
 pub const DEFAULT_CHUNK: usize = 8192;
 
 /// An in-order, per-core supplier of memory operations.
@@ -84,83 +82,12 @@ impl OpSource for TraceCursor<'_> {
     }
 }
 
-/// Interns 64-bit line addresses to dense `u32` ids.
-///
-/// Generated traces already use dense addresses in `[0, footprint)`, so
-/// any line below the declared `identity_limit` is its own id — no hashing
-/// and no table growth on the hot path. Addresses at or above the limit
-/// (e.g. from externally recorded traces) fall back to a hash map, with a
-/// reverse table so the original address is always recoverable.
-#[derive(Debug, Clone, Default)]
-pub struct LineInterner {
-    identity_limit: u32,
-    map: HashMap<u64, u32>,
-    reverse: Vec<u64>,
-}
-
-impl LineInterner {
-    /// Creates an interner whose identity range covers `[0, identity_limit)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `identity_limit` exceeds `u32::MAX`.
-    pub fn new(identity_limit: u64) -> Self {
-        assert!(
-            identity_limit <= u32::MAX as u64,
-            "identity range {identity_limit} exceeds u32 id space"
-        );
-        Self {
-            identity_limit: identity_limit as u32,
-            map: HashMap::new(),
-            reverse: Vec::new(),
-        }
-    }
-
-    /// Dense id of `line`, allocating one on first sight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id space is exhausted (more than `u32::MAX` distinct
-    /// out-of-range lines).
-    pub fn intern(&mut self, line: u64) -> u32 {
-        if line < self.identity_limit as u64 {
-            return line as u32;
-        }
-        if let Some(&id) = self.map.get(&line) {
-            return id;
-        }
-        let id = (self.identity_limit as u64)
-            .checked_add(self.reverse.len() as u64)
-            .filter(|&id| id <= u32::MAX as u64)
-            .expect("line interner id space exhausted") as u32;
-        self.map.insert(line, id);
-        self.reverse.push(line);
-        id
-    }
-
-    /// The original line address of an interned id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never returned by [`intern`](Self::intern).
-    pub fn line_of(&self, id: u32) -> u64 {
-        if id < self.identity_limit {
-            return id as u64;
-        }
-        self.reverse[(id - self.identity_limit) as usize]
-    }
-
-    /// Number of out-of-range lines interned so far (the identity range is
-    /// implicit and free).
-    pub fn interned_outliers(&self) -> usize {
-        self.reverse.len()
-    }
-}
-
 /// A buffered record: 16 bytes instead of [`MemOp`]'s 24.
 #[derive(Debug, Clone, Copy)]
 struct CompactOp {
     icount: u64,
+    /// The generated line address; it lies below the workload's footprint,
+    /// which [`TraceStream::new`] checks fits a `u32`.
     line: u32,
     kind: OpKind,
 }
@@ -177,7 +104,7 @@ struct CoreState {
 /// [`TraceGenerator::generate`].
 ///
 /// Each core holds at most one chunk of compact records; when a chunk is
-/// drained the core's resumable [`CoreGen`] refills it in place. Because
+/// drained the core's resumable `CoreGen` refills it in place. Because
 /// the generator state is identical to the one `generate` drains, the
 /// sequence of [`MemOp`]s observed through [`OpSource`] is bit-for-bit the
 /// materialised trace — chunk size only changes buffering, never records.
@@ -185,18 +112,18 @@ struct CoreState {
 pub struct TraceStream {
     name: String,
     cores: Vec<CoreState>,
-    interner: LineInterner,
     chunk: usize,
 }
 
 impl TraceStream {
     /// Opens a stream over the trace `generator` would materialise for
-    /// `workload` (`READDUO_CHUNK` records per core per refill; default
-    /// [`DEFAULT_CHUNK`]).
+    /// `workload` ([`DEFAULT_CHUNK`] records per core per refill).
     ///
     /// # Panics
     ///
-    /// Panics if `cores == 0` or `instructions_per_core == 0`.
+    /// Panics if `cores == 0`, if `instructions_per_core == 0`, or if the
+    /// workload's line range `[0, footprint_lines.max(16))` does not fit a
+    /// `u32`.
     pub fn new(
         generator: TraceGenerator,
         workload: &Workload,
@@ -204,7 +131,8 @@ impl TraceStream {
         cores: usize,
     ) -> Self {
         assert!(cores > 0, "need at least one core");
-        let chunk = readduo_env::usize_at_least("READDUO_CHUNK", 1).unwrap_or(DEFAULT_CHUNK);
+        let lines = workload.footprint_lines.max(16);
+        assert!(lines <= u64::from(u32::MAX), "line range {lines} exceeds u32 line ids");
         let states = (0..cores)
             .map(|core| CoreState {
                 generator: CoreGen::new(&generator, workload, instructions_per_core, core),
@@ -216,8 +144,7 @@ impl TraceStream {
         Self {
             name: workload.name.to_string(),
             cores: states,
-            interner: LineInterner::new(workload.footprint_lines.max(16)),
-            chunk,
+            chunk: DEFAULT_CHUNK,
         }
     }
 
@@ -233,16 +160,6 @@ impl TraceStream {
         self
     }
 
-    /// Workload name the stream was opened for.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Records buffered per core between refills.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
     /// Refills `core`'s buffer if it is drained and the generator has more.
     fn ensure_buffered(&mut self, core: usize) {
         let chunk = self.chunk;
@@ -254,14 +171,12 @@ impl TraceStream {
         state.pos = 0;
         while state.buf.len() < chunk {
             match state.generator.next_op() {
-                Some(op) => {
-                    let line = self.interner.intern(op.line);
-                    state.buf.push(CompactOp {
-                        icount: op.icount,
-                        line,
-                        kind: op.kind,
-                    });
-                }
+                Some(op) => state.buf.push(CompactOp {
+                    icount: op.icount,
+                    // Lossless: `new` checked the line range fits a u32.
+                    line: op.line as u32,
+                    kind: op.kind,
+                }),
                 None => {
                     state.exhausted = true;
                     break;
@@ -293,7 +208,7 @@ impl OpSource for TraceStream {
         let state = &self.cores[core];
         state.buf.get(state.pos).map(|op| MemOp {
             icount: op.icount,
-            line: self.interner.line_of(op.line),
+            line: u64::from(op.line),
             kind: op.kind,
         })
     }
@@ -309,7 +224,7 @@ impl OpSource for TraceStream {
     fn peek_line_ahead(&self, core: usize, k: usize) -> Option<u64> {
         // Within the current chunk only: a hint may not trigger a refill.
         let state = &self.cores[core];
-        state.buf.get(state.pos + k).map(|op| self.interner.line_of(op.line))
+        state.buf.get(state.pos + k).map(|op| u64::from(op.line))
     }
 }
 
@@ -372,20 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn interner_identity_range_and_outliers() {
-        let mut it = LineInterner::new(100);
-        assert_eq!(it.intern(0), 0);
-        assert_eq!(it.intern(99), 99);
-        assert_eq!(it.interned_outliers(), 0, "identity hits never allocate");
-        let a = it.intern(1_000_000);
-        let b = it.intern(2_000_000);
-        assert_eq!(a, 100);
-        assert_eq!(b, 101);
-        assert_eq!(it.intern(1_000_000), a, "re-intern is stable");
-        assert_eq!(it.line_of(a), 1_000_000);
-        assert_eq!(it.line_of(b), 2_000_000);
-        assert_eq!(it.line_of(42), 42);
-        assert_eq!(it.interned_outliers(), 2);
+    #[should_panic(expected = "exceeds u32 line ids")]
+    fn line_range_beyond_u32_rejected() {
+        let w = Workload { footprint_lines: u64::from(u32::MAX) + 1, ..Workload::toy() };
+        let _ = TraceGenerator::new(1).stream(&w, 1_000, 1);
     }
 
     #[test]

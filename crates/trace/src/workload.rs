@@ -3,7 +3,7 @@
 //! The scanned Table X is OCR-garbled, so the RPKI/WPKI values below are
 //! representative post-LLC intensities for the named SPEC2006 benchmarks as
 //! characterised across the architecture literature (the paper's baseline
-//! config follows [26], 4-core with shared LLC). What the experiments need
+//! config follows \[26\], 4-core with shared LLC). What the experiments need
 //! is the *relative* character the paper leans on: `mcf` as the extreme
 //! memory-intensive outlier, `lbm` write-heavy, `sphinx3` read-dominant over
 //! a long-lived dataset (the in-memory-database-like pattern motivating

@@ -6,8 +6,8 @@
 //! and downstream users need a single dependency:
 //!
 //! * [`math`] — special functions, log-space probability, quadrature,
-//! * [`pcm`] — MLC/SLC/TLC cell physics and the drift model,
-//! * [`ecc`] — BCH, SECDED and parity codecs,
+//! * [`pcm`] — MLC and TLC cell physics and the drift model,
+//! * [`ecc`] — BCH and SECDED codecs,
 //! * [`trace`] — synthetic SPEC2006-like memory traces,
 //! * [`memsim`] — the event-driven multi-core memory-system simulator,
 //! * [`dram`] — the hybrid DRAM–PCM migration tier (hardware-managed

@@ -143,14 +143,9 @@ fn fig3_matches_golden() {
         assert_close(density, want_density, 2e-3, &format!("fig3 density {s}"));
     }
 
-    // Execution time: simulated at reduced volume (override with
-    // READDUO_GOLDEN_INSTR), compared loosely.
-    let instructions_per_core = std::env::var("READDUO_GOLDEN_INSTR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150_000);
+    // Execution time: simulated at reduced volume, compared loosely.
     let harness = Harness {
-        instructions_per_core,
+        instructions_per_core: 150_000,
         cores: 4,
         seed: 0x00D5_EAD0_2016,
         memory: MemoryConfig::paper(),

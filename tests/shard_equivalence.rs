@@ -13,6 +13,7 @@
 
 use readduo::core::{channel_seed, DeviceSpec, SchemeKind, SpecError, WearConfig};
 use readduo::dram::DramConfig;
+use readduo::memsim::oracle::run_sharded_reference;
 use readduo::memsim::{FixedLatencyDevice, MemoryConfig, SimReport, Simulator, Topology};
 use readduo::trace::{MemOp, OpKind, OpSource, Trace, TraceCursor, TraceGenerator, Workload};
 use readduo_bench::{Harness, Source};
@@ -70,8 +71,7 @@ fn sharded_engine_matches_sequential_reference() {
             for channels in [1usize, 2, 8] {
                 let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
                 let device = |ch: usize| scheme.build_for_channel(seed, ch, 0, 0);
-                let reference =
-                    sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+                let reference = run_sharded_reference(&sim, |_| TraceCursor::new(&trace), device);
                 assert!(reference.reads > 0, "{}/{scheme}: no reads simulated", w.name);
                 for &workers in &widths {
                     let sharded = sim.run_sharded(
@@ -108,7 +108,8 @@ fn single_channel_reproduces_the_pre_topology_engine() {
             |_| TraceCursor::new(&trace),
             |ch| scheme.build_for_channel(SEED, ch, 0, 0),
         );
-        let reference = sim.run_sharded_reference(
+        let reference = run_sharded_reference(
+            &sim,
             |_| TraceCursor::new(&trace),
             |ch| scheme.build_for_channel(SEED, ch, 0, 0),
         );
@@ -186,7 +187,7 @@ fn sharded_engine_matches_sequential_reference_under_wear() {
             let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
             let spec = DeviceSpec::from(scheme).with_fault(fault_seed).with_wear(wear);
             let device = |ch: usize| spec.build(seed, ch, channels, 0, 0).expect("injectable");
-            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+            let reference = run_sharded_reference(&sim, |_| TraceCursor::new(&trace), device);
             total_remaps += reference.lines_remapped;
             for &workers in &widths {
                 let sharded =
@@ -233,7 +234,7 @@ fn sharded_engine_matches_sequential_reference_with_dram_tier() {
             let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
             let spec = DeviceSpec::from(scheme).with_dram(dram);
             let device = |ch: usize| spec.build(seed, ch, channels, 0, 0).expect("tierable");
-            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+            let reference = run_sharded_reference(&sim, |_| TraceCursor::new(&trace), device);
             total_hits += reference.dram_hits;
             total_writebacks += reference.dram_writebacks;
             for &workers in &widths {
@@ -287,7 +288,7 @@ fn composed_tier_wear_fault_device_matches_reference_and_streams() {
                 spec.build(seed, ch, channels, warm, w.footprint_lines)
                     .expect("the layers compose")
             };
-            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+            let reference = run_sharded_reference(&sim, |_| TraceCursor::new(&trace), device);
             hits += reference.dram_hits;
             writebacks += reference.dram_writebacks;
             remaps += reference.lines_remapped;
@@ -420,7 +421,7 @@ fn per_channel_scrub_wraps_and_stays_sharded() {
     let device = |_ch: usize| {
         FixedLatencyDevice::with_latencies(20, 60).with_scrub(1e-6, true)
     };
-    let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+    let reference = run_sharded_reference(&sim, |_| TraceCursor::new(&trace), device);
     let sharded = sim.run_sharded(&Pool::new(2), |_| TraceCursor::new(&trace), device);
     assert_eq!(sharded, reference);
     let total_lines = sim.config().total_lines();
@@ -469,7 +470,8 @@ fn merged_report_is_consistent_with_its_parts() {
     let mut cfg = MemoryConfig::small_test();
     cfg.topology = topo;
     let sim = Simulator::new(cfg);
-    let merged = sim.run_sharded_reference(
+    let merged = run_sharded_reference(
+        &sim,
         |_| TraceCursor::new(&trace),
         |_| FixedLatencyDevice::ideal(),
     );
