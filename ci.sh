@@ -50,9 +50,9 @@ fi
 
 # Paper-scale streaming smoke: mcf through every headline scheme at 10M
 # instructions/core in streaming mode. The binary itself asserts peak RSS
-# stays under READDUO_RSS_CEILING_MB (default 512 MB) — the bounded-memory
-# claim of the streaming replay path — and the wall-clock budget catches
-# hot-path regressions at the volume the paper actually uses.
+# stays under 512 MB — the bounded-memory claim of the streaming replay
+# path — and the wall-clock budget catches hot-path regressions at the
+# volume the paper actually uses.
 echo "==> streaming fig9 smoke (READDUO_INSTR=10000000, budget 300 s)"
 start=$(date +%s)
 READDUO_INSTR=10000000 ./target/release/stream_smoke
@@ -129,8 +129,7 @@ fi
 # corrective-rewrite chain resolves every read with zero silent
 # corruptions. 4000 lines per point keeps it a few seconds in release.
 echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000)"
-READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 \
-    ./target/release/fault_mc >/dev/null
+READDUO_FAULT_MC_LINES=4000 ./target/release/fault_mc >/dev/null
 echo "    fault_mc assertions passed"
 
 # Endurance gate, two directions. (1) A seeded accelerated-wear sweep
@@ -144,11 +143,9 @@ echo "    fault_mc assertions passed"
 echo "==> wear gate (2-spare lifetime sweep, twice + byte-diff, budget 180 s)"
 wcsv="target/experiments/lifetime.csv"
 start=$(date +%s)
-READDUO_SPARE_LINES=2 READDUO_FAULT_SEED=16384023 \
-    ./target/release/lifetime >/dev/null
+READDUO_SPARE_LINES=2 ./target/release/lifetime >/dev/null
 cp "$wcsv" target/experiments/lifetime-wear-a.csv
-READDUO_SPARE_LINES=2 READDUO_FAULT_SEED=16384023 \
-    ./target/release/lifetime >/dev/null
+READDUO_SPARE_LINES=2 ./target/release/lifetime >/dev/null
 elapsed=$(( $(date +%s) - start ))
 echo "    wear sweeps took ${elapsed}s"
 if ! cmp -s target/experiments/lifetime-wear-a.csv "$wcsv"; then
@@ -168,24 +165,13 @@ if [ "$elapsed" -gt 180 ]; then
     exit 1
 fi
 
-# DRAM-tier gate, three directions. (1) Disabled identity: with every
-# DRAM organisation knob exported but no --dram-lines, a fig9 smoke must
-# be byte-identical to the plain run — the tier is strictly opt-in, like
-# wear and fault injection. (2) A seeded dram_sweep smoke run twice must
-# produce a byte-identical CSV (the tier owns no RNG; migration,
-# eviction and writeback order all replay), and the threshold-1 rows
-# must actually hit in DRAM — a cold tier would make the gate vacuous.
-# (3) Telemetry on a tiered run must emit the dram.hit/dram.miss/
-# dram.promote instants the migration path promises.
-echo "==> dram gate (disabled identity + seeded sweep twice + byte-diff, budget 180 s)"
-READDUO_INSTR=50000 ./target/release/fig9 >/dev/null
-cp target/experiments/fig9.csv target/experiments/fig9-dram-off.csv
-READDUO_DRAM_WAYS=4 READDUO_DRAM_THRESHOLD=1 READDUO_DRAM_POLICY=clock \
-    READDUO_INSTR=50000 ./target/release/fig9 >/dev/null
-if ! cmp -s target/experiments/fig9-dram-off.csv target/experiments/fig9.csv; then
-    echo "    FAIL: disabled DRAM tier perturbed the fig9 CSV" >&2
-    exit 1
-fi
+# DRAM-tier gate, two directions. (1) A seeded dram_sweep smoke run
+# twice must produce a byte-identical CSV (the tier owns no RNG;
+# migration, eviction and writeback order all replay), and the
+# threshold-1 rows must actually hit in DRAM — a cold tier would make the
+# gate vacuous. (2) Telemetry on a tiered run must emit the dram.hit/
+# dram.miss/dram.promote instants the migration path promises.
+echo "==> dram gate (seeded sweep twice + byte-diff, budget 180 s)"
 dcsv="target/experiments/dram_sweep.csv"
 start=$(date +%s)
 READDUO_INSTR=50000 ./target/release/dram_sweep >/dev/null

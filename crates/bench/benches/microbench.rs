@@ -115,9 +115,6 @@ fn bench_telemetry(m: &mut Micro) {
     m.bench("telemetry/counter_add_disabled", || {
         readduo_telemetry::metrics::counter_add(std::hint::black_box("micro.ctr"), 1)
     });
-    m.bench("telemetry/hist_record_disabled", || {
-        readduo_telemetry::metrics::hist_record(std::hint::black_box("micro.hist"), 158)
-    });
     m.bench("telemetry/phase_disabled", || {
         readduo_telemetry::trace::phase(std::hint::black_box("micro.phase"))
     });

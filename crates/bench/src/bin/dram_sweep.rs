@@ -15,9 +15,7 @@
 //!   hits never escalate at all), so the tier pulls the escalation rate
 //!   down.
 //!
-//! `READDUO_DRAM_WAYS` and `READDUO_DRAM_POLICY` are honoured; capacity
-//! and threshold are the swept dimensions, so `READDUO_DRAM_THRESHOLD` is
-//! ignored here.
+//! Every point uses [`DramConfig::new`]'s default associativity.
 
 use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
 use readduo_core::{DeviceSpec, SchemeKind};
@@ -80,7 +78,7 @@ fn main() {
     // then one tiered run per grid point, all against the same trace.
     let specs: Vec<DeviceSpec> = std::iter::once(scheme.into())
         .chain(points.iter().map(|&(cap, thr)| {
-            let dram = DramConfig::new(harness.seed, cap).tuned_from_env().with_threshold(thr);
+            let dram = DramConfig::new(harness.seed, cap).with_threshold(thr);
             DeviceSpec::from(scheme).with_dram(dram)
         }))
         .collect();

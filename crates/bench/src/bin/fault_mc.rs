@@ -16,10 +16,12 @@
 //!    escalation chain produces corrective traffic and retry latency while
 //!    never corrupting silently under the paper's policies.
 //!
-//! `READDUO_FAULT_SEED` seeds the fault streams; `READDUO_FAULT_MC_LINES`
-//! sets the Monte-Carlo sample size (default 20 000 lines per point).
+//! [`FAULT_SEED`] seeds the fault streams; `READDUO_FAULT_MC_LINES` sets
+//! the Monte-Carlo sample size (default 20 000 lines per point).
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness, Source};
+use readduo_bench::{
+    finish_telemetry, handle_help, render_table, write_csv, Harness, Source, FAULT_SEED,
+};
 use readduo_core::{DeviceSpec, FaultInjector, HybridScheme, SchemeKind};
 use readduo_memsim::{MemoryConfig, Simulator};
 use readduo_pcm::{FaultModel, MetricConfig};
@@ -64,10 +66,9 @@ fn main() {
         "fault_mc",
         "Monte-Carlo fault-injection cross-validation: LER vs analytic, escalation audit, end-to-end runs",
     );
-    let seed = readduo_env::seed_u64("READDUO_FAULT_SEED").unwrap_or(0x00FA_0017);
     let n = readduo_env::u64_at_least("READDUO_FAULT_MC_LINES", 100).unwrap_or(20_000);
     let model = FaultModel::paper();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(FAULT_SEED);
 
     // ---- Leg 1: Monte-Carlo vs analytic LER -------------------------
     let r_ler = LerAnalysis::new(CellErrorModel::new(MetricConfig::r_metric()));
@@ -113,7 +114,7 @@ fn main() {
     write_csv("fault_mc", &csv);
 
     // ---- Leg 2: escalation-band audit -------------------------------
-    let mut inj = FaultInjector::new(seed ^ 1, true);
+    let mut inj = FaultInjector::new(FAULT_SEED ^ 1, true);
     let (mut escalated, mut rewrites, mut detected, mut silent) = (0u64, 0u64, 0u64, 0u64);
     let band_age = 3.0e4;
     let band_n = n.min(20_000);
@@ -143,7 +144,7 @@ fn main() {
     let h = Harness {
         instructions_per_core: 200_000,
         cores: 2,
-        seed,
+        seed: FAULT_SEED,
         memory: MemoryConfig::small_test(),
     };
     let toy = Workload::toy();
@@ -151,7 +152,7 @@ fn main() {
     println!("\nend-to-end faulty runs (toy workload, {} instr/core):", h.instructions_per_core);
     for scheme in [SchemeKind::Scrubbing, SchemeKind::Hybrid, SchemeKind::Lwt { k: 4 }] {
         let r = h
-            .run(&toy, DeviceSpec::from(scheme).with_fault(seed ^ 2), Source::Trace(&trace))
+            .run(&toy, DeviceSpec::from(scheme).with_fault(FAULT_SEED ^ 2), Source::Trace(&trace))
             .expect("scheme supports fault injection");
         println!(
             "  {:<12} reads {:>7}  errored {:>5}  ecc bits {:>5}  rm {:>4}  corrective {:>3}  \
@@ -178,9 +179,9 @@ fn main() {
     // Stress leg: a cold Hybrid population exercises the full
     // R-fail → M-retry → ECC-correct → corrective-rewrite chain.
     let sim = Simulator::new(h.memory);
-    let mut cold = HybridScheme::paper(seed)
+    let mut cold = HybridScheme::paper(FAULT_SEED)
         .with_cold_age(band_age)
-        .with_fault_injection(seed ^ 3)
+        .with_fault_injection(FAULT_SEED ^ 3)
         .with_reserve(toy.footprint_lines);
     let rep = sim.run(&trace, &mut cold);
     println!(

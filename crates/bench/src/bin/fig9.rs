@@ -6,10 +6,10 @@
 //! the worker pool, and the table/CSV reflect the merged reports.
 //!
 //! `--dram-lines N` puts the hybrid DRAM–PCM migration tier (capacity
-//! `N` lines; `READDUO_DRAM_WAYS`, `READDUO_DRAM_THRESHOLD` and
-//! `READDUO_DRAM_POLICY` set its organisation) in front of every scheme
-//! and runs the same matrix through it. Without it the tier does not
-//! exist and the output is bit-for-bit the plain figure.
+//! `N` lines, [`DramConfig::new`](readduo_dram::DramConfig::new)'s default
+//! organisation) in front of every scheme and runs the same matrix through
+//! it. Without it the tier does not exist and the output is bit-for-bit
+//! the plain figure.
 
 use readduo_bench::{
     finish_telemetry, handle_help, normalized, render_table, result_for, write_csv, Harness,
@@ -66,12 +66,11 @@ fn main() {
         harness.instructions_per_core,
         harness.memory.topology.channels
     );
-    let tier =
-        dram_lines.map(|lines| readduo_dram::DramConfig::new(harness.seed, lines).tuned_from_env());
+    let tier = dram_lines.map(|lines| readduo_dram::DramConfig::new(harness.seed, lines));
     if let Some(dram) = tier {
         eprintln!(
-            "  DRAM tier: {} lines, {}-way, threshold {}, {:?}",
-            dram.lines, dram.ways, dram.threshold, dram.policy
+            "  DRAM tier: {} lines, {}-way, threshold {}",
+            dram.lines, dram.ways, dram.threshold
         );
     }
     let specs: Vec<DeviceSpec> = schemes

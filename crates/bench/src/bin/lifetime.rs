@@ -18,9 +18,11 @@
 //!
 //! The endurance model runs at its defaults (10⁷-cycle median, 3 verify
 //! retries); `READDUO_SPARE_LINES` sizes the spare pool and
-//! `READDUO_FAULT_SEED` seeds the fault and endurance streams.
+//! [`FAULT_SEED`] seeds the fault and endurance streams.
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness, Source};
+use readduo_bench::{
+    finish_telemetry, handle_help, render_table, write_csv, Harness, Source, FAULT_SEED,
+};
 use readduo_core::{DeviceSpec, SchemeKind, WearConfig};
 use readduo_trace::Workload;
 
@@ -34,8 +36,7 @@ fn main() {
         "Accelerated-wear sweep: write-verify retries, stuck-at reads, spare-line remapping and relative lifetime per scheme",
     );
     let harness = Harness::from_env();
-    let fault_seed = readduo_env::seed_u64("READDUO_FAULT_SEED").unwrap_or(0x00FA_0017);
-    let base = WearConfig::new(fault_seed).tuned_from_env();
+    let base = WearConfig::new(FAULT_SEED).tuned_from_env();
     let schemes = [
         SchemeKind::Scrubbing,
         SchemeKind::Hybrid,
@@ -77,7 +78,7 @@ fn main() {
         let mut baseline_cells = 0u64;
         for accel in ACCELS {
             let spec = DeviceSpec::from(scheme)
-                .with_fault(fault_seed)
+                .with_fault(FAULT_SEED)
                 .with_wear(base.with_accel(accel));
             let r = harness
                 .run(&workload, spec, Source::Trace(&trace))

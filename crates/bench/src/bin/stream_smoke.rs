@@ -10,8 +10,7 @@
 //! benchmark.
 //!
 //! `READDUO_INSTR` sets the volume (ci.sh runs this at 10M instructions
-//! per core); `READDUO_RSS_CEILING_MB` overrides the ceiling (default
-//! 512 MB).
+//! per core); the ceiling is [`RSS_CEILING_MB`].
 
 use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, Source};
 use readduo_core::SchemeKind;
@@ -19,13 +18,15 @@ use readduo_pool::Pool;
 use readduo_trace::Workload;
 use std::time::Instant;
 
+/// Peak-RSS ceiling of a streamed run, MB.
+const RSS_CEILING_MB: u64 = 512;
+
 fn main() {
     handle_help(
         "stream_smoke",
         "Paper-scale streaming smoke: mcf through every headline scheme under an RSS ceiling (--matrix: full fig9 matrix)",
     );
     let h = Harness::from_env();
-    let ceiling_mb = readduo_env::u64_at_least("READDUO_RSS_CEILING_MB", 1).unwrap_or(512);
     let schemes = SchemeKind::headline();
     let matrix = std::env::args().any(|a| a == "--matrix");
     let (label, wall_ms) = if matrix {
@@ -35,7 +36,7 @@ fn main() {
             schemes.len(),
             workloads.len(),
             h.instructions_per_core,
-            ceiling_mb
+            RSS_CEILING_MB
         );
         let t = Instant::now();
         let results = h
@@ -56,7 +57,7 @@ fn main() {
             "streaming mcf x {} schemes at {} instr/core (RSS ceiling {} MB) …",
             schemes.len(),
             h.instructions_per_core,
-            ceiling_mb
+            RSS_CEILING_MB
         );
         let t = Instant::now();
         for &scheme in &schemes {
@@ -82,12 +83,12 @@ fn main() {
     let rss = peak_rss_bytes().expect("VmHWM readable on Linux CI");
     let rss_mb = rss / (1024 * 1024);
     println!(
-        "stream_smoke: {label} @ {} instr/core in {wall_ms:.0} ms, peak RSS {rss_mb} MB (ceiling {ceiling_mb} MB)",
+        "stream_smoke: {label} @ {} instr/core in {wall_ms:.0} ms, peak RSS {rss_mb} MB (ceiling {RSS_CEILING_MB} MB)",
         h.instructions_per_core,
     );
     assert!(
-        rss_mb < ceiling_mb,
-        "peak RSS {rss_mb} MB breached the {ceiling_mb} MB ceiling — streaming is no longer bounded"
+        rss_mb < RSS_CEILING_MB,
+        "peak RSS {rss_mb} MB breached the {RSS_CEILING_MB} MB ceiling — streaming is no longer bounded"
     );
     finish_telemetry();
 }

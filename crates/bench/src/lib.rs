@@ -156,13 +156,11 @@ impl Harness {
             Source::Trace(trace) => sim.run(trace, device(0).as_mut()),
             Source::Stream => sim.run_source(&mut self.stream_for(workload), device(0).as_mut()),
         };
-        let result = RunResult {
+        Ok(RunResult {
             workload: workload.name,
             scheme: spec.scheme,
             report,
-        };
-        publish_run_metrics(&result);
-        Ok(result)
+        })
     }
 
     /// [`run`](Harness::run) of a bare scheme over an already-generated
@@ -310,6 +308,10 @@ impl Harness {
 /// RSS differ.
 pub const MATRIX_TRACE_BUDGET_BYTES: u64 = 128 << 20;
 
+/// Seed of the fault-injection and endurance streams of the `fault_mc`
+/// and `lifetime` sweeps.
+pub const FAULT_SEED: u64 = 0x00FA_0017;
+
 /// The specs of a matrix, each checked before any work starts.
 fn validated<S: Copy + Into<DeviceSpec>>(specs: &[S]) -> Result<Vec<DeviceSpec>, SpecError> {
     specs
@@ -325,31 +327,6 @@ impl Default for Harness {
     fn default() -> Self {
         Self::from_env()
     }
-}
-
-/// Publishes one run's report into the telemetry metrics registry:
-/// traffic counters plus the full read/retry latency distributions
-/// (merged histogram-to-histogram, not re-recorded). No-op while
-/// telemetry is disabled.
-fn publish_run_metrics(r: &RunResult) {
-    if !readduo_telemetry::enabled() {
-        return;
-    }
-    use readduo_telemetry::metrics::{counter_add, hist_merge};
-    counter_add("sim.runs", 1);
-    counter_add("sim.reads", r.report.reads);
-    counter_add("sim.writes", r.report.writes);
-    counter_add("sim.reads_rm", r.report.reads_rm);
-    counter_add("sim.conversions", r.report.conversions);
-    counter_add("sim.write_cancellations", r.report.write_cancellations);
-    counter_add("sim.scrubs", r.report.scrubs);
-    counter_add("sim.scrubs_skipped", r.report.scrubs_skipped);
-    counter_add("sim.corrective_rewrites", r.report.corrective_rewrites);
-    counter_add("sim.dram_hits", r.report.dram_hits);
-    counter_add("sim.dram_promotions", r.report.dram_promotions);
-    counter_add("sim.dram_writebacks", r.report.dram_writebacks);
-    hist_merge("sim.read_latency_ns", r.report.read_latency.histogram());
-    hist_merge("sim.retry_latency_ns", r.report.retry_latency.histogram());
 }
 
 /// Handles `--help`/`-h` for a bench binary: prints what the binary does,

@@ -11,7 +11,6 @@
 //!   analytic model here reproduces that breakdown.
 
 use crate::flags::LwtFlags;
-use readduo_ecc::Secded;
 use readduo_pcm::TlcConfig;
 
 /// Per-line storage cost of a scheme, split by cell type.
@@ -59,7 +58,8 @@ impl LineStorage {
     /// tri-level cells.
     pub fn tlc() -> Self {
         let data_bits = 512usize;
-        let check_bits = data_bits / Secded::DATA_BITS * Secded::CHECK_BITS;
+        // A (72,64) SECDED code adds 8 check bits per 64 data bits.
+        let check_bits = data_bits / 64 * 8;
         Self {
             mlc_cells: 0,
             tlc_cells: TlcConfig::paper().cells_for_bits(data_bits + check_bits) as u32,

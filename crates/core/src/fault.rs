@@ -131,22 +131,7 @@ impl FaultInjector {
         // A line readable only through escalation is rewritten so it
         // re-enters the fast R-readable population.
         out.needs_rewrite = out.escalated && !out.detected_uncorrectable && !out.silent_corruption;
-        self.publish(&out);
         out
-    }
-
-    /// Publishes the read's outcome into the telemetry metrics registry —
-    /// a branch-and-return no-op unless `READDUO_TELEMETRY` is on, and
-    /// never part of the injected result itself.
-    fn publish(&self, out: &InjectedRead) {
-        use readduo_telemetry::metrics::counter_add;
-        counter_add("fault.reads", 1);
-        counter_add("fault.escalations", u64::from(out.escalated));
-        counter_add("fault.corrected_bits", u64::from(out.corrected_bits));
-        counter_add("fault.rewrites_needed", u64::from(out.needs_rewrite));
-        counter_add("fault.uncorrectable", u64::from(out.detected_uncorrectable));
-        counter_add("fault.silent_corruptions", u64::from(out.silent_corruption));
-        counter_add("fault.stuck_bits", u64::from(out.stuck_bits));
     }
 }
 

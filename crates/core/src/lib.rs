@@ -63,7 +63,5 @@ pub use fault::{FaultInjector, InjectedRead};
 pub use flags::LwtFlags;
 pub use linestate::{LineState, LineTable};
 pub use scheme::{channel_seed, DeviceSpec, SchemeKind, SpecError};
-pub use schemes::{
-    HybridScheme, LwtScheme, MMetricScheme, SchemeCounters, ScrubbingScheme, TlcScheme,
-};
+pub use schemes::{HybridScheme, LwtScheme, MMetricScheme, ScrubbingScheme, TlcScheme};
 pub use wear::{WearConfig, WearTable};

@@ -292,7 +292,7 @@ impl DeviceSpec {
                     seed: channel_seed(dram.seed, channel),
                     ..dram.sliced(channels)
                 };
-                Box::new(TieredDevice::new(device, cfg).with_channel(channel))
+                Box::new(TieredDevice::new(device, cfg))
             }
             _ => device,
         })

@@ -13,7 +13,7 @@
 //!
 //! The four drifting-MLC schemes are one [`Scheme`] each: the state they
 //! share (drift sampler, line table, energy and device models, optional
-//! fault injector and wear table, side counters) plus a policy type that
+//! fault injector and wear table, the R-M-read count) plus a policy type that
 //! holds what differs. All schemes implement [`DeviceModel`]; the
 //! simulator calls them per read/write/scrub with the simulated time in
 //! seconds.
@@ -44,21 +44,6 @@ const COLD_AGE_LONG_S: f64 = 1.0e6;
 /// rounds — modelled as 6–12 s (the per-line jitter doubles the base).
 const COLD_AGE_SCRUBBED_S: f64 = 6.0;
 
-/// Side counters the report does not carry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchemeCounters {
-    /// Reads whose R-sensed error count exceeded even the detection
-    /// capability (returned uncorrected — the reliability budget's job is
-    /// to make this astronomically rare at scheme parameters).
-    pub uncorrectable_reads: u64,
-    /// R-M-reads issued.
-    pub rm_reads: u64,
-    /// Differential writes performed (Select only).
-    pub differential_writes: u64,
-    /// Full-line writes performed.
-    pub full_writes: u64,
-}
-
 /// A drifting-MLC readout scheme: the state every such scheme shares,
 /// around the policy `P` that decides how it reads, writes and scrubs.
 #[derive(Debug, Clone)]
@@ -72,7 +57,9 @@ pub struct Scheme<P> {
     escalate: bool,
     injector: Option<FaultInjector>,
     wear: Option<WearTable>,
-    counters: SchemeCounters,
+    /// R-M-reads issued so far: the index LWT's conversion controller
+    /// duty-cycles on.
+    rm_reads: u64,
     policy: P,
 }
 
@@ -99,14 +86,9 @@ impl<P> Scheme<P> {
             escalate,
             injector: None,
             wear: None,
-            counters: SchemeCounters::default(),
+            rm_reads: 0,
             policy,
         }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
     }
 
     /// Declares `[0, boundary)` the workload's warm region (see
@@ -238,20 +220,18 @@ impl<P> Scheme<P> {
         }
     }
 
-    /// The analytic three-band read path shared by Hybrid and LWT.
+    /// The analytic three-band read path shared by Hybrid and LWT: an
+    /// R-read, unless R-sensing's errors are detected but not correctable,
+    /// which retries with M-sensing. Beyond detection the data goes back
+    /// uncorrected, as an R-read.
     fn banded_read(&mut self, age: f64) -> ReadOutcome {
         let errors = self.sampler.bit_errors_r(age);
-        if errors <= CORRECT_MAX {
+        if errors <= CORRECT_MAX || errors > DETECT_MAX {
             self.r_read(errors)
-        } else if errors <= DETECT_MAX {
-            // Detected but uncorrectable under R: retry with M-sensing.
-            self.counters.rm_reads += 1;
+        } else {
+            self.rm_reads += 1;
             let m_errors = self.sampler.bit_errors_m(age);
             self.rm_read(m_errors)
-        } else {
-            // Beyond detection: the data goes back uncorrected.
-            self.counters.uncorrectable_reads += 1;
-            self.r_read(errors)
         }
     }
 
@@ -259,11 +239,8 @@ impl<P> Scheme<P> {
     /// it escalated or (`m_only`) skipped R-sensing outright. Corrective
     /// traffic is the caller's: it schedules that when `r.needs_rewrite`.
     fn injected_read(&mut self, r: InjectedRead, m_only: bool) -> ReadOutcome {
-        if r.detected_uncorrectable {
-            self.counters.uncorrectable_reads += 1;
-        }
         if r.escalated {
-            self.counters.rm_reads += 1;
+            self.rm_reads += 1;
         }
         let out = if r.escalated || m_only {
             self.rm_read(r.m_errors)
@@ -321,15 +298,11 @@ impl DeviceModel for ScrubbingScheme {
             return self.injected_read(r, false);
         }
         let errors = self.sampler.bit_errors_r(age);
-        if errors > DETECT_MAX {
-            self.counters.uncorrectable_reads += 1;
-        }
         self.r_read(errors)
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
         self.table.get_mut(line, now_s).last_full_write_s = now_s;
-        self.counters.full_writes += 1;
         self.full_write(line, 0)
     }
 
@@ -388,7 +361,6 @@ impl DeviceModel for MMetricScheme {
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
         self.table.get_mut(line, now_s).last_full_write_s = now_s;
-        self.counters.full_writes += 1;
         self.full_write(line, 0)
     }
 
@@ -441,7 +413,6 @@ impl DeviceModel for HybridScheme {
             // The line is only readable through escalation: rewrite it so
             // it re-enters the fast R-readable population.
             self.table.get_mut(line, now_s).last_full_write_s = now_s;
-            self.counters.full_writes += 1;
             out.corrective = Some(self.full_write(line, 0));
         }
         out
@@ -449,7 +420,6 @@ impl DeviceModel for HybridScheme {
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
         self.table.get_mut(line, now_s).last_full_write_s = now_s;
-        self.counters.full_writes += 1;
         self.full_write(line, 0)
     }
 
@@ -540,7 +510,6 @@ impl LwtScheme {
         if let Some(s) = sub {
             st.flags.on_write(s);
         }
-        self.counters.full_writes += 1;
         self.full_write(line, LwtFlags::storage_bits(self.policy.k))
     }
 }
@@ -564,7 +533,7 @@ impl DeviceModel for LwtScheme {
         }
         // Un-tracked: R-sensing aborted after the flag check, M-sensing
         // reissued — an R-M-read.
-        self.counters.rm_reads += 1;
+        self.rm_reads += 1;
         let mut out = match self.inject(line, age, true) {
             Some(r) => self.injected_read(r, true),
             None => {
@@ -573,8 +542,7 @@ impl DeviceModel for LwtScheme {
             }
         };
         let policy = &mut self.policy;
-        let convert =
-            policy.conversion_enabled && policy.controller.should_convert(self.counters.rm_reads);
+        let convert = policy.conversion_enabled && policy.controller.should_convert(self.rm_reads);
         // The redundant write re-tracks the line: the conversion is a
         // full-line write even under Select (it is the only write in the
         // window).
@@ -594,7 +562,6 @@ impl DeviceModel for LwtScheme {
             // Differential write: only modified cells; flags are NOT
             // updated (the R-sensing distance keeps measuring from the
             // last full write).
-            self.counters.differential_writes += 1;
             let cells = self.sampler.differential_write_cells();
             let mut out = differential_write(&self.energy, &self.params.timing, cells);
             self.charge_wear(line, &mut out);
@@ -641,7 +608,6 @@ impl DeviceModel for LwtScheme {
 pub struct TlcScheme {
     energy: EnergyModel,
     params: DeviceParams,
-    counters: SchemeCounters,
 }
 
 /// Tri-level cells written per 64 B line: 512 data + 64 SECDED bits packed
@@ -654,13 +620,7 @@ impl TlcScheme {
         Self {
             energy: EnergyModel::paper(),
             params: DeviceParams::paper(),
-            counters: SchemeCounters::default(),
         }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
     }
 }
 
@@ -676,7 +636,6 @@ impl DeviceModel for TlcScheme {
     }
 
     fn on_write(&mut self, _line: u64, _now_s: f64) -> WriteOutcome {
-        self.counters.full_writes += 1;
         WriteOutcome::basic(
             self.params.timing.write_ns,
             TLC_LINE_CELLS,
@@ -826,9 +785,6 @@ mod tests {
         // Write far outside the window: full again.
         let w3 = s.on_write(11, 1000.0 + 640.0);
         assert_eq!(w3.cells_written, 296);
-        let c = s.counters();
-        assert_eq!(c.differential_writes, 1);
-        assert_eq!(c.full_writes, 2);
     }
 
     #[test]

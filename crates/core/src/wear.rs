@@ -229,7 +229,6 @@ impl WearTable {
                 out.spares_exhausted = true;
             }
         }
-        self.publish(deaths, out);
     }
 
     /// The stuck-bit view a read of `line` sees *now*: codeword bit
@@ -254,16 +253,6 @@ impl WearTable {
             }
         }
         (&self.wrong, &self.erased)
-    }
-
-    /// Publishes wear events into the telemetry metrics registry — a
-    /// branch-and-return no-op unless `READDUO_TELEMETRY` is on.
-    fn publish(&self, deaths: u32, out: &WriteOutcome) {
-        use readduo_telemetry::metrics::counter_add;
-        counter_add("wear.cells_failed", u64::from(deaths));
-        counter_add("wear.verify_retries", u64::from(out.verify_retries));
-        counter_add("wear.remaps", u64::from(out.remapped));
-        counter_add("wear.spares_exhausted", u64::from(out.spares_exhausted));
     }
 }
 

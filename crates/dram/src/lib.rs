@@ -24,9 +24,8 @@
 //!   per row): row hits cost [`DramConfig::row_hit_ns`], row misses
 //!   [`DramConfig::row_miss_ns`]. The engine charges these through the
 //!   same bank/bus plumbing as PCM latencies.
-//! * **Pluggable eviction** — [`EvictPolicy::Lru`] (exact, stamp-based)
-//!   or [`EvictPolicy::Clock`] (second chance), selected by
-//!   `READDUO_DRAM_POLICY`.
+//! * **LRU eviction** — an empty way if the set has one, otherwise the
+//!   exact least-recently-used way (stamp-based).
 //!
 //! The tier is strictly opt-in — same discipline as the fault and wear
 //! subsystems. It exists only where a `DeviceSpec` carries a
@@ -39,11 +38,9 @@
 //!
 //! Everything the tier does is reported through the
 //! [`TierOutcome`] carried on each read/write outcome; the engine
-//! attributes hits/promotions/demotions/writebacks into `SimReport` and
-//! emits `dram.*` trace events. The device itself additionally publishes
-//! `dram.hit`/`dram.miss`/`dram.promote`/`dram.demote` metrics counters
-//! and a per-channel residency gauge (both branch-and-return no-ops while
-//! telemetry is disabled).
+//! attributes hits/misses/promotions/demotions/writebacks into
+//! `SimReport` (the tier keeps no tally of its own) and emits `dram.*`
+//! trace events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,35 +50,12 @@ use std::collections::HashMap;
 use readduo_memsim::device::{
     DeviceModel, ReadMode, ReadOutcome, ScrubOutcome, TierOutcome, WriteOutcome,
 };
-use readduo_telemetry::metrics;
 
 /// DRAM banks of the row-buffer model (per channel slice).
 pub const DRAM_BANKS: usize = 8;
 
 /// Consecutive lines sharing one DRAM row (a 4 KB row of 64 B lines).
 pub const ROW_LINES: u64 = 64;
-
-/// Eviction policy of the migration cache, selected by
-/// `READDUO_DRAM_POLICY`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictPolicy {
-    /// Exact least-recently-used within the set (stamp-based).
-    Lru,
-    /// Clock / second chance: a referenced bit per way, a sweeping hand
-    /// per set.
-    Clock,
-}
-
-impl EvictPolicy {
-    /// Parses the canonical keyword (`"lru"` / `"clock"`).
-    pub fn from_keyword(kw: &str) -> Option<Self> {
-        match kw {
-            "lru" => Some(EvictPolicy::Lru),
-            "clock" => Some(EvictPolicy::Clock),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration of one DRAM tier (one channel slice when sharded).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,8 +72,6 @@ pub struct DramConfig {
     /// Misses a line must accumulate before promotion (>= 1; the
     /// MigrantStore-style migration trigger).
     pub threshold: u32,
-    /// Eviction policy.
-    pub policy: EvictPolicy,
     /// DRAM access latency on an open-row hit, ns.
     pub row_hit_ns: u64,
     /// DRAM access latency on a row miss (precharge + activate), ns.
@@ -112,14 +84,13 @@ pub struct DramConfig {
 
 impl DramConfig {
     /// A tier of `lines` capacity with the default organisation: 8-way,
-    /// promotion after 2 misses, LRU, 15/45 ns row hit/miss.
+    /// promotion after 2 misses, 15/45 ns row hit/miss.
     pub fn new(seed: u64, lines: u64) -> Self {
         Self {
             seed,
             lines,
             ways: 8,
             threshold: 2,
-            policy: EvictPolicy::Lru,
             row_hit_ns: 15,
             row_miss_ns: 45,
             access_pj: 250.0,
@@ -136,28 +107,6 @@ impl DramConfig {
     /// Builder: migration threshold (clamped to >= 1).
     pub fn with_threshold(mut self, threshold: u32) -> Self {
         self.threshold = threshold.max(1);
-        self
-    }
-
-    /// Builder: eviction policy.
-    pub fn with_policy(mut self, policy: EvictPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Applies the `READDUO_DRAM_WAYS` / `READDUO_DRAM_THRESHOLD` /
-    /// `READDUO_DRAM_POLICY` overrides, leaving unset knobs at their
-    /// current values.
-    pub fn tuned_from_env(mut self) -> Self {
-        if let Some(w) = readduo_env::usize_at_least("READDUO_DRAM_WAYS", 1) {
-            self.ways = w;
-        }
-        if let Some(t) = readduo_env::u64_at_least("READDUO_DRAM_THRESHOLD", 1) {
-            self.threshold = t.min(u32::MAX as u64) as u32;
-        }
-        if let Some(kw) = readduo_env::choice("READDUO_DRAM_POLICY", &["lru", "clock"]) {
-            self.policy = EvictPolicy::from_keyword(kw).expect("validated keyword");
-        }
         self
     }
 
@@ -181,35 +130,14 @@ struct Slot {
     dirty: bool,
     /// LRU stamp (monotone access counter).
     stamp: u64,
-    /// Clock referenced bit.
-    referenced: bool,
 }
 
 const EMPTY: u64 = u64::MAX;
 
 impl Slot {
     fn empty() -> Self {
-        Slot { line: EMPTY, dirty: false, stamp: 0, referenced: false }
+        Slot { line: EMPTY, dirty: false, stamp: 0 }
     }
-}
-
-/// Counters the tier keeps for tests and occupancy gauges (the
-/// authoritative per-run numbers live in `SimReport`, attributed by the
-/// engine from [`TierOutcome`]s).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Accesses serviced from DRAM.
-    pub hits: u64,
-    /// Accesses that went to PCM.
-    pub misses: u64,
-    /// Lines promoted into DRAM.
-    pub promotions: u64,
-    /// Victims evicted back to PCM.
-    pub demotions: u64,
-    /// Dirty demotions that re-programmed the PCM line.
-    pub writebacks: u64,
-    /// Currently resident lines.
-    pub resident: u64,
 }
 
 /// A scheme device with a DRAM migration cache in front of it.
@@ -225,8 +153,6 @@ pub struct TieredDevice<D: DeviceModel> {
     ways: usize,
     /// `nsets * ways` slots, set-major.
     slots: Vec<Slot>,
-    /// Clock hand per set.
-    hands: Vec<usize>,
     /// Monotone access counter (LRU stamps).
     tick: u64,
     /// Miss counts of non-resident lines (cleared on promotion). Unused
@@ -234,9 +160,6 @@ pub struct TieredDevice<D: DeviceModel> {
     miss_counts: HashMap<u64, u32>,
     /// Open row per DRAM bank.
     open_rows: [u64; DRAM_BANKS],
-    stats: DramStats,
-    /// Pre-rendered per-channel gauge name ("dram.c0.resident", …).
-    gauge_name: String,
 }
 
 impl<D: DeviceModel> TieredDevice<D> {
@@ -257,31 +180,22 @@ impl<D: DeviceModel> TieredDevice<D> {
             nsets,
             ways,
             slots: vec![Slot::empty(); nsets * ways],
-            hands: vec![0; nsets],
             tick: 0,
             miss_counts: HashMap::new(),
             open_rows: [EMPTY; DRAM_BANKS],
-            stats: DramStats::default(),
-            gauge_name: "dram.c0.resident".into(),
         }
     }
 
-    /// Names this tier's occupancy gauge after its channel
-    /// (`dram.c{ch}.resident`).
-    pub fn with_channel(mut self, channel: usize) -> Self {
-        self.gauge_name = format!("dram.c{channel}.resident");
+    /// Returns the tier unchanged: the tier keeps no per-channel state.
+    /// Kept only for callers outside the workspace that still chain it.
+    #[doc(hidden)]
+    pub fn with_channel(self, _channel: usize) -> Self {
         self
     }
 
     /// Actual capacity in lines after set/way rounding.
     pub fn capacity_lines(&self) -> u64 {
         (self.nsets * self.ways) as u64
-    }
-
-    /// The tier's own counters (tests; the engine's `SimReport` is the
-    /// authoritative per-run record).
-    pub fn stats(&self) -> DramStats {
-        self.stats
     }
 
     /// Sorted addresses of the currently resident lines (test
@@ -326,35 +240,18 @@ impl<D: DeviceModel> TieredDevice<D> {
     fn touch(&mut self, slot: usize) {
         self.tick += 1;
         self.slots[slot].stamp = self.tick;
-        self.slots[slot].referenced = true;
     }
 
-    /// Picks the victim way of `set` per the configured policy. Empty
-    /// ways win outright (no demotion needed).
-    fn victim(&mut self, set: usize) -> usize {
+    /// Picks the victim way of `set`: an empty way if there is one (no
+    /// demotion needed), otherwise the least recently used.
+    fn victim(&self, set: usize) -> usize {
         let base = set * self.ways;
         if let Some(i) = (base..base + self.ways).find(|&i| self.slots[i].line == EMPTY) {
             return i;
         }
-        match self.cfg.policy {
-            EvictPolicy::Lru => (base..base + self.ways)
-                .min_by_key(|&i| self.slots[i].stamp)
-                .expect("non-zero ways"),
-            EvictPolicy::Clock => {
-                // Second chance: sweep the hand, clearing referenced bits,
-                // until an unreferenced way turns up. Bounded by 2×ways
-                // (after one full sweep every bit is clear).
-                loop {
-                    let i = base + self.hands[set];
-                    self.hands[set] = (self.hands[set] + 1) % self.ways;
-                    if self.slots[i].referenced {
-                        self.slots[i].referenced = false;
-                    } else {
-                        return i;
-                    }
-                }
-            }
-        }
+        (base..base + self.ways)
+            .min_by_key(|&i| self.slots[i].stamp)
+            .expect("non-zero ways")
     }
 
     /// Promotes `line` into its set (dirty or clean), demoting the victim
@@ -369,9 +266,6 @@ impl<D: DeviceModel> TieredDevice<D> {
         let victim = self.slots[slot];
         if victim.line != EMPTY {
             t.demotion = true;
-            self.stats.demotions += 1;
-            self.stats.resident -= 1;
-            metrics::counter_add("dram.demote", 1);
             if victim.dirty {
                 // The tier's raison d'être: the demoted line goes back
                 // through the scheme's normal write path, resetting its
@@ -386,19 +280,14 @@ impl<D: DeviceModel> TieredDevice<D> {
                 t.writeback_cells_failed = wb.cells_failed;
                 t.writeback_remapped = wb.remapped;
                 t.writeback_spares_exhausted = wb.spares_exhausted;
-                self.stats.writebacks += 1;
             }
         }
-        self.slots[slot] = Slot { line, dirty, stamp: 0, referenced: false };
+        self.slots[slot] = Slot { line, dirty, stamp: 0 };
         self.touch(slot);
         // Always empty at threshold 1: skip hashing the line there.
         if !self.miss_counts.is_empty() {
             self.miss_counts.remove(&line);
         }
-        self.stats.promotions += 1;
-        self.stats.resident += 1;
-        metrics::counter_add("dram.promote", 1);
-        metrics::gauge_set(&self.gauge_name, self.stats.resident as f64);
         t
     }
 
@@ -420,8 +309,6 @@ impl<D: DeviceModel> DeviceModel for TieredDevice<D> {
         let set = self.set_of(line);
         if let Some(slot) = self.find(set, line) {
             self.touch(slot);
-            self.stats.hits += 1;
-            metrics::counter_add("dram.hit", 1);
             let (lat, pj) = self.dram_access(line);
             // A DRAM hit is a demand read the PCM array never sees: no
             // drift, no escalation — reported as an R-read so it stays in
@@ -433,8 +320,6 @@ impl<D: DeviceModel> DeviceModel for TieredDevice<D> {
         // Miss: PCM services the read (this is also the migration's fill
         // read when the threshold trips).
         let mut out = self.inner.on_read(line, now_s);
-        self.stats.misses += 1;
-        metrics::counter_add("dram.miss", 1);
         if self.miss_crosses_threshold(line) {
             let mut t = self.promote(line, false, now_s);
             out.latency_ns += t.writeback_latency_ns;
@@ -451,8 +336,6 @@ impl<D: DeviceModel> DeviceModel for TieredDevice<D> {
         if let Some(slot) = self.find(set, line) {
             self.slots[slot].dirty = true;
             self.touch(slot);
-            self.stats.hits += 1;
-            metrics::counter_add("dram.hit", 1);
             let (lat, pj) = self.dram_access(line);
             // Absorbed in DRAM: zero PCM cells programmed — the tier's
             // write-traffic reduction is exactly these writes.
@@ -460,8 +343,6 @@ impl<D: DeviceModel> DeviceModel for TieredDevice<D> {
             out.tier = TierOutcome { tiered: true, hit: true, ..TierOutcome::none() };
             return out;
         }
-        self.stats.misses += 1;
-        metrics::counter_add("dram.miss", 1);
         if self.miss_crosses_threshold(line) {
             // Write-allocate without a fill: traces are line-granularity,
             // so this write supplies the whole line. PCM is not touched;
@@ -504,14 +385,14 @@ mod tests {
     use super::*;
     use readduo_memsim::FixedLatencyDevice;
 
-    fn tier(lines: u64, threshold: u32, policy: EvictPolicy) -> TieredDevice<FixedLatencyDevice> {
-        let cfg = DramConfig::new(7, lines).with_threshold(threshold).with_policy(policy);
+    fn tier(lines: u64, threshold: u32) -> TieredDevice<FixedLatencyDevice> {
+        let cfg = DramConfig::new(7, lines).with_threshold(threshold);
         TieredDevice::new(FixedLatencyDevice::with_latencies(150, 1000), cfg)
     }
 
     #[test]
     fn promotion_waits_for_the_threshold() {
-        let mut d = tier(64, 2, EvictPolicy::Lru);
+        let mut d = tier(64, 2);
         // First miss: PCM read, no promotion.
         let r1 = d.on_read(5, 0.0);
         assert!(r1.tier.tiered && !r1.tier.hit && !r1.tier.promotion);
@@ -523,13 +404,12 @@ mod tests {
         let r3 = d.on_read(5, 0.0);
         assert!(r3.tier.hit);
         assert!(r3.latency_ns <= 45);
-        assert_eq!(d.stats().hits, 1);
-        assert_eq!(d.stats().resident, 1);
+        assert_eq!(d.resident_lines(), vec![5]);
     }
 
     #[test]
     fn write_hits_program_zero_pcm_cells() {
-        let mut d = tier(64, 1, EvictPolicy::Lru);
+        let mut d = tier(64, 1);
         let w1 = d.on_write(9, 0.0);
         // Threshold 1: the first write miss promotes dirty, no PCM write.
         assert!(w1.tier.promotion);
@@ -537,7 +417,7 @@ mod tests {
         let w2 = d.on_write(9, 0.0);
         assert!(w2.tier.hit);
         assert_eq!(w2.cells_written, 0);
-        assert!(!w2.tier.writeback && d.stats().writebacks == 0);
+        assert!(!w2.tier.writeback);
     }
 
     #[test]
@@ -552,7 +432,6 @@ mod tests {
         assert!(w.tier.demotion && w.tier.writeback, "dirty victim must write back");
         assert_eq!(w.tier.writeback_cells, 256, "inner stub programs 256 cells");
         assert!(w.latency_ns >= 1000, "writeback latency folds into the access");
-        assert_eq!(d.stats().writebacks, 1);
         assert_eq!(d.resident_lines().len(), 2);
     }
 
@@ -561,32 +440,27 @@ mod tests {
         let cfg = DramConfig::new(0, 2).with_ways(2).with_threshold(1);
         let mut d = TieredDevice::new(FixedLatencyDevice::with_latencies(150, 1000), cfg);
         // Promote three lines clean (via read misses).
-        for line in [1, 2, 3] {
-            let r = d.on_read(line, 0.0);
-            assert!(r.tier.promotion);
-        }
-        let s = d.stats();
-        assert_eq!(s.demotions, 1);
-        assert_eq!(s.writebacks, 0, "clean victims are dropped, not written");
+        let tiers: Vec<TierOutcome> = [1, 2, 3].map(|line| d.on_read(line, 0.0).tier).to_vec();
+        assert!(tiers.iter().all(|t| t.promotion));
+        assert_eq!(tiers.iter().filter(|t| t.demotion).count(), 1);
+        assert!(tiers.iter().all(|t| !t.writeback), "clean victims are dropped, not written");
     }
 
     #[test]
     fn no_duplicate_residency_under_churn() {
-        let mut d = tier(32, 1, EvictPolicy::Clock);
+        let mut d = tier(32, 1);
+        let mut hits = 0;
         for i in 0..200u64 {
             let line = (i * 7) % 20;
-            if i % 3 == 0 {
-                d.on_write(line, 0.0);
-            } else {
-                d.on_read(line, 0.0);
-            }
+            let t = if i % 3 == 0 { d.on_write(line, 0.0).tier } else { d.on_read(line, 0.0).tier };
+            hits += u32::from(t.hit);
             let res = d.resident_lines();
             let mut dedup = res.clone();
             dedup.dedup();
             assert_eq!(res, dedup, "duplicate residency at step {i}");
             assert!(res.len() as u64 <= d.capacity_lines());
         }
-        assert!(d.stats().hits > 0);
+        assert!(hits > 0);
     }
 
     #[test]
@@ -603,22 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_grants_a_second_chance() {
-        let cfg =
-            DramConfig::new(0, 2).with_ways(2).with_threshold(1).with_policy(EvictPolicy::Clock);
-        let mut d = TieredDevice::new(FixedLatencyDevice::with_latencies(150, 1000), cfg);
-        d.on_read(1, 0.0);
-        d.on_read(2, 0.0);
-        // Both referenced; the sweep clears 1 then 2, wraps, evicts 1.
-        d.on_read(3, 0.0);
-        let res = d.resident_lines();
-        assert_eq!(res.len(), 2);
-        assert!(res.contains(&3));
-    }
-
-    #[test]
     fn row_buffer_hits_are_cheaper_than_row_misses() {
-        let mut d = tier(256, 1, EvictPolicy::Lru);
+        let mut d = tier(256, 1);
         d.on_read(10, 0.0);
         d.on_read(10, 0.0); // promote at threshold 1 happened on miss 1
         let hit1 = d.on_read(10, 0.0);

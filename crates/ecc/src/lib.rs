@@ -12,8 +12,7 @@
 //! * [`gf`] — arithmetic in GF(2^m) with log/antilog tables,
 //! * [`poly`] — binary polynomials (generator construction, LFSR division),
 //! * [`bch`] — the full codec: systematic encoding, syndrome computation,
-//!   Berlekamp–Massey, Chien search, and the detect/correct decoupling,
-//! * [`secded`] — Hamming (72,64) SECDED for the TLC baseline.
+//!   Berlekamp–Massey, Chien search, and the detect/correct decoupling.
 //!
 //! # Example
 //!
@@ -44,11 +43,9 @@ pub mod bitslice;
 pub mod bitvec;
 pub mod gf;
 pub mod poly;
-pub mod secded;
 
 pub use bch::{Bch, DecodeOutcome, PatternOutcome};
 pub use bitslice::{BchBitslice, LANES as BITSLICE_LANES};
 pub use bitvec::BitVec;
 pub use gf::GfField;
 pub use poly::BinPoly;
-pub use secded::Secded;

@@ -1,7 +1,7 @@
 //! Validated `READDUO_*` environment-variable overrides.
 //!
 //! Every tunable in the workspace (`READDUO_THREADS`, `READDUO_INSTR`,
-//! `READDUO_RSS_CEILING_MB`, `READDUO_FAULT_SEED`, …) goes through this
+//! `READDUO_SPARE_LINES`, `READDUO_TELEMETRY`, …) goes through this
 //! one helper. The old pattern —
 //! `var(..).ok().and_then(parse).filter(..).unwrap_or(default)` — silently
 //! fell back to the default on a typo, which is the worst possible
@@ -33,12 +33,6 @@ pub enum EnvKind {
     Flag,
     /// A filesystem path, taken verbatim.
     Path,
-    /// One of a fixed set of keywords (case-insensitive), `|`-separated
-    /// in `values` (e.g. `"lru|clock"`).
-    Choice {
-        /// Accepted spellings, `|`-separated.
-        values: &'static str,
-    },
 }
 
 impl EnvKind {
@@ -49,7 +43,6 @@ impl EnvKind {
             EnvKind::Seed => "u64 seed".into(),
             EnvKind::Flag => "flag (0/1)".into(),
             EnvKind::Path => "path".into(),
-            EnvKind::Choice { values } => format!("one of {values}"),
         }
     }
 }
@@ -92,18 +85,6 @@ pub fn recognized() -> &'static [EnvVar] {
             kind: EnvKind::Count { min: 1 },
             default: "1000000",
             doc: "Instructions simulated per core by the bench harness",
-        },
-        EnvVar {
-            name: "READDUO_RSS_CEILING_MB",
-            kind: EnvKind::Count { min: 1 },
-            default: "512",
-            doc: "Peak-RSS ceiling (MB) asserted by stream_smoke",
-        },
-        EnvVar {
-            name: "READDUO_FAULT_SEED",
-            kind: EnvKind::Seed,
-            default: "0x00FA0017",
-            doc: "Seed of the Monte-Carlo fault-injection streams",
         },
         EnvVar {
             name: "READDUO_FAULT_MC_LINES",
@@ -152,24 +133,6 @@ pub fn recognized() -> &'static [EnvVar] {
             kind: EnvKind::Count { min: 0 },
             default: "64",
             doc: "Spare lines available per device/channel for remapping over-margin worn lines",
-        },
-        EnvVar {
-            name: "READDUO_DRAM_WAYS",
-            kind: EnvKind::Count { min: 1 },
-            default: "8",
-            doc: "Set associativity of the DRAM migration cache",
-        },
-        EnvVar {
-            name: "READDUO_DRAM_THRESHOLD",
-            kind: EnvKind::Count { min: 1 },
-            default: "2",
-            doc: "Misses a line must accumulate before it is promoted into DRAM (MigrantStore-style trigger)",
-        },
-        EnvVar {
-            name: "READDUO_DRAM_POLICY",
-            kind: EnvKind::Choice { values: "lru|clock" },
-            default: "lru",
-            doc: "Eviction policy of the DRAM migration cache",
         },
     ];
     VARS
@@ -252,20 +215,6 @@ pub fn u64_at_least(name: &str, min: u64) -> Option<u64> {
     })
 }
 
-/// Reads `name` as an RNG seed: any `u64`, zero included (zero is a
-/// perfectly good seed — the in-tree splitmix expansion handles it).
-///
-/// # Panics
-///
-/// Panics with a diagnostic naming the variable when the value is set but
-/// not an unsigned integer.
-pub fn seed_u64(name: &str) -> Option<u64> {
-    raw(name).map(|v| match v.trim().parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => invalid(name, &v, "expected an unsigned 64-bit integer seed"),
-    })
-}
-
 /// Reads `name` as a boolean flag: `1`/`true`/`yes`/`on` enable,
 /// `0`/`false`/`no`/`off` disable (case-insensitive).
 ///
@@ -284,23 +233,6 @@ pub fn flag(name: &str) -> Option<bool> {
 /// Reads `name` as a verbatim string (paths); unset and empty are `None`.
 pub fn string(name: &str) -> Option<String> {
     raw(name)
-}
-
-/// Reads `name` as one of the `allowed` keywords, case-insensitively;
-/// returns the matching canonical (allowed-list) spelling.
-///
-/// # Panics
-///
-/// Panics with a diagnostic naming the variable and the accepted keywords
-/// when the value is set but matches none of them.
-pub fn choice(name: &str, allowed: &[&'static str]) -> Option<&'static str> {
-    raw(name).map(|v| {
-        let lower = v.trim().to_ascii_lowercase();
-        match allowed.iter().find(|a| a.eq_ignore_ascii_case(&lower)) {
-            Some(a) => *a,
-            None => invalid(name, &v, &format!("expected one of {}", allowed.join("|"))),
-        }
-    })
 }
 
 /// The raw value of `name`, with unset and empty both mapped to `None`.
@@ -350,9 +282,6 @@ mod tests {
         assert_eq!(usize_at_least("READDUO_ENVTEST_OK", 1), Some(42));
         assert_eq!(u64_at_least("READDUO_ENVTEST_OK", 42), Some(42));
         env::remove_var("READDUO_ENVTEST_OK");
-        env::set_var("READDUO_ENVTEST_SEED", "0");
-        assert_eq!(seed_u64("READDUO_ENVTEST_SEED"), Some(0));
-        env::remove_var("READDUO_ENVTEST_SEED");
     }
 
     #[test]
@@ -370,13 +299,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unsigned 64-bit integer seed")]
-    fn garbage_seed_rejected() {
-        env::set_var("READDUO_ENVTEST_BADSEED", "0xbeef");
-        let _ = seed_u64("READDUO_ENVTEST_BADSEED");
-    }
-
-    #[test]
     fn flags_parse_all_spellings() {
         for (val, want) in [("1", true), ("TRUE", true), ("on", true), ("0", false), ("No", false)] {
             env::set_var("READDUO_ENVTEST_FLAG", val);
@@ -391,21 +313,6 @@ mod tests {
     fn garbage_flag_rejected() {
         env::set_var("READDUO_ENVTEST_BADFLAG", "maybe");
         let _ = flag("READDUO_ENVTEST_BADFLAG");
-    }
-
-    #[test]
-    fn choices_match_case_insensitively_and_canonicalise() {
-        env::set_var("READDUO_ENVTEST_CHOICE", " Clock ");
-        assert_eq!(choice("READDUO_ENVTEST_CHOICE", &["lru", "clock"]), Some("clock"));
-        env::remove_var("READDUO_ENVTEST_CHOICE");
-        assert_eq!(choice("READDUO_ENVTEST_CHOICE", &["lru", "clock"]), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected one of lru|clock")]
-    fn garbage_choice_rejected() {
-        env::set_var("READDUO_ENVTEST_BADCHOICE", "fifo");
-        let _ = choice("READDUO_ENVTEST_BADCHOICE", &["lru", "clock"]);
     }
 
     #[test]

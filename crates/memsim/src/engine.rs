@@ -218,7 +218,8 @@ impl Simulator {
     }
 
     /// Runs any in-order op source (e.g. a bounded-memory
-    /// [`TraceStream`](readduo_trace::TraceStream)) against `device`.
+    /// [`TraceStream`](readduo_trace::TraceStream)) against `device`, and
+    /// [publishes](SimReport::publish) the report it returns.
     ///
     /// # Panics
     ///
@@ -235,8 +236,9 @@ impl Simulator {
             "run/run_source drive a single channel; use run_sharded for {} channels",
             self.config.topology.channels
         );
-        let run = self.channel_run(0, source, device);
-        run.execute()
+        let report = self.channel_run(0, source, device).execute();
+        report.publish();
+        report
     }
 
     /// Builds one channel's engine over a source already filtered to that

@@ -88,7 +88,7 @@ impl<S: OpSource> OpSource for ChannelFilter<S> {
 
 impl Simulator {
     /// Runs all channels of the topology in parallel on `pool` and returns
-    /// the merged report.
+    /// the merged report, [published](SimReport::publish) once per run.
     ///
     /// `source_for(ch)` must return a *fresh* replay of the whole op
     /// stream for every channel (each channel filters out the ops it does
@@ -111,7 +111,9 @@ impl Simulator {
             let mut device = device_for(ch);
             self.channel_run(ch, &mut source, &mut device).execute()
         });
-        SimReport::merged(&reports)
+        let report = SimReport::merged(&reports);
+        report.publish();
+        report
     }
 }
 

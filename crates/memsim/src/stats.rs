@@ -77,99 +77,142 @@ impl LatencySummary {
     }
 }
 
-/// Full report of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SimReport {
-    /// End-to-end execution time: the last core's completion, ns.
-    pub exec_ns: u64,
-    /// Demand reads serviced.
-    pub reads: u64,
-    /// Demand writes serviced.
-    pub writes: u64,
-    /// Reads serviced per mode (R-read / M-read / R-M-read).
-    pub reads_r: u64,
-    /// M-read count.
-    pub reads_m: u64,
-    /// R-M-read count.
-    pub reads_rm: u64,
-    /// Reads that hit untracked lines (LWT's `P%` numerator).
-    pub untracked_reads: u64,
-    /// R-M-read conversions performed (redundant writes after reads).
-    pub conversions: u64,
-    /// End-to-end read latency (queueing + device + bus).
-    pub read_latency: LatencySummary,
-    /// Demand writes cancelled by arriving reads.
-    pub write_cancellations: u64,
-    /// Scrub visits performed.
-    pub scrubs: u64,
-    /// Scrub visits skipped due to bank backlog.
-    pub scrubs_skipped: u64,
-    /// Scrub visits that rewrote the line.
-    pub scrub_rewrites: u64,
-    /// MLC cells programmed by demand writes.
-    pub cells_written_demand: u64,
-    /// MLC cells programmed by scrub rewrites.
-    pub cells_written_scrub: u64,
-    /// MLC cells programmed by R-M-read conversions.
-    pub cells_written_conversion: u64,
-    /// SLC flag bits programmed.
-    pub slc_bits_written: u64,
-    /// Read energy, pJ.
-    pub energy_read_pj: f64,
-    /// Demand-write energy, pJ.
-    pub energy_write_pj: f64,
-    /// Scrub energy (scan + rewrite), pJ.
-    pub energy_scrub_pj: f64,
-    /// Conversion-write energy, pJ.
-    pub energy_conversion_pj: f64,
-    /// Total drift errors observed at reads.
-    pub drift_errors_seen: u64,
-    /// Reads on which sensing returned at least one wrong bit (before
-    /// ECC); the numerator of the empirical line error rate.
-    pub reads_errored: u64,
-    /// Bits repaired by BCH decode across all reads.
-    pub ecc_corrected_bits: u64,
-    /// Reads that failed with an error indication even after escalation.
-    pub detected_uncorrectable: u64,
-    /// Reads that returned wrong data with no error indication.
-    pub silent_corruptions: u64,
-    /// Corrective rewrites scheduled by escalated reads.
-    pub corrective_rewrites: u64,
-    /// MLC cells programmed by corrective rewrites.
-    pub cells_written_corrective: u64,
-    /// Corrective-rewrite energy, pJ.
-    pub energy_corrective_pj: f64,
-    /// End-to-end latency of escalated (R-M) reads only — the retry-path
-    /// tail the paper's Figure 4 worries about.
-    pub retry_latency: LatencySummary,
-    /// Write-verify retry pulses issued for cells that failed to program
-    /// (wear subsystem; zero while wear is disabled).
-    pub verify_retries: u64,
-    /// Cells declared dead after exhausting their retry budget.
-    pub wear_cells_failed: u64,
-    /// Lines remapped to a spare after crossing the stuck-cell margin.
-    pub lines_remapped: u64,
-    /// Writes that wanted a remap but found the spare pool empty.
-    pub spares_exhausted_writes: u64,
-    /// Reads that saw at least one wrong stuck-at bit.
-    pub stuck_bit_reads: u64,
-    /// Total wrong stuck-at bits entering the erasure-aware decoder.
-    pub stuck_bits_seen: u64,
-    /// Accesses serviced from the DRAM migration tier (zero while the
-    /// tier is disabled, like every other `dram_*` field).
-    pub dram_hits: u64,
-    /// Accesses that missed the DRAM tier and went to PCM.
-    pub dram_misses: u64,
-    /// Lines promoted into DRAM after crossing the migration threshold.
-    pub dram_promotions: u64,
-    /// Resident lines evicted back to PCM to make room for a promotion.
-    pub dram_demotions: u64,
-    /// Dirty demotions that re-programmed the PCM line (drift-age reset).
-    pub dram_writebacks: u64,
-    /// MLC cells programmed by demotion writebacks.
-    pub cells_written_demotion: u64,
-    /// Demotion-writeback energy, pJ.
-    pub energy_demotion_pj: f64,
+/// Declares [`SimReport`] from one field list. Each field carries its doc
+/// comment, its type and how two channels' values fold into one: `max`,
+/// `sum` or `merge` (for a [`LatencySummary`]). The struct,
+/// [`SimReport::merge`] and [`SimReport::counters`] all come from this list,
+/// so adding a field is one line. The field order is the `Debug` order,
+/// which the benchmark's reference digests hash.
+macro_rules! sim_report {
+    ($(#[$meta:meta])* pub struct $report:ident {
+        $($(#[$fmeta:meta])* $field:ident: $ty:ident => $fold:ident,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct $report {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $report {
+            /// Folds another channel's report in: execution time is the max
+            /// (the run ends when the last channel's last core retires),
+            /// counters sum, energies sum, latency summaries merge exactly.
+            ///
+            /// Channel reports must be folded **in channel order** so the f64
+            /// energy additions associate identically on every host — this is
+            /// part of the sharded engine's bit-for-bit determinism contract.
+            pub fn merge(&mut self, other: &Self) {
+                $(sim_report!(@fold $fold self.$field, other.$field);)*
+            }
+
+            /// The `(name, value)` pairs of the `u64` counters (every summed
+            /// `u64` field, so not `exec_ns`), in field order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(sim_report!(@counter $ty $fold $field self.$field)),*].into_iter().flatten()
+            }
+        }
+    };
+    (@fold max $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@fold sum $a:expr, $b:expr) => { $a += $b };
+    (@fold merge $a:expr, $b:expr) => { $a.merge(&$b) };
+    (@counter u64 sum $field:ident $v:expr) => { Some((stringify!($field), $v)) };
+    (@counter $ty:ident $fold:ident $field:ident $v:expr) => { None };
+}
+
+sim_report! {
+    /// Full report of one simulation run.
+    pub struct SimReport {
+        /// End-to-end execution time: the last core's completion, ns.
+        exec_ns: u64 => max,
+        /// Demand reads serviced.
+        reads: u64 => sum,
+        /// Demand writes serviced.
+        writes: u64 => sum,
+        /// Reads serviced per mode (R-read / M-read / R-M-read).
+        reads_r: u64 => sum,
+        /// M-read count.
+        reads_m: u64 => sum,
+        /// R-M-read count.
+        reads_rm: u64 => sum,
+        /// Reads that hit untracked lines (LWT's `P%` numerator).
+        untracked_reads: u64 => sum,
+        /// R-M-read conversions performed (redundant writes after reads).
+        conversions: u64 => sum,
+        /// End-to-end read latency (queueing + device + bus).
+        read_latency: LatencySummary => merge,
+        /// Demand writes cancelled by arriving reads.
+        write_cancellations: u64 => sum,
+        /// Scrub visits performed.
+        scrubs: u64 => sum,
+        /// Scrub visits skipped due to bank backlog.
+        scrubs_skipped: u64 => sum,
+        /// Scrub visits that rewrote the line.
+        scrub_rewrites: u64 => sum,
+        /// MLC cells programmed by demand writes.
+        cells_written_demand: u64 => sum,
+        /// MLC cells programmed by scrub rewrites.
+        cells_written_scrub: u64 => sum,
+        /// MLC cells programmed by R-M-read conversions.
+        cells_written_conversion: u64 => sum,
+        /// SLC flag bits programmed.
+        slc_bits_written: u64 => sum,
+        /// Read energy, pJ.
+        energy_read_pj: f64 => sum,
+        /// Demand-write energy, pJ.
+        energy_write_pj: f64 => sum,
+        /// Scrub energy (scan + rewrite), pJ.
+        energy_scrub_pj: f64 => sum,
+        /// Conversion-write energy, pJ.
+        energy_conversion_pj: f64 => sum,
+        /// Total drift errors observed at reads.
+        drift_errors_seen: u64 => sum,
+        /// Reads on which sensing returned at least one wrong bit (before
+        /// ECC); the numerator of the empirical line error rate.
+        reads_errored: u64 => sum,
+        /// Bits repaired by BCH decode across all reads.
+        ecc_corrected_bits: u64 => sum,
+        /// Reads that failed with an error indication even after escalation.
+        detected_uncorrectable: u64 => sum,
+        /// Reads that returned wrong data with no error indication.
+        silent_corruptions: u64 => sum,
+        /// Corrective rewrites scheduled by escalated reads.
+        corrective_rewrites: u64 => sum,
+        /// MLC cells programmed by corrective rewrites.
+        cells_written_corrective: u64 => sum,
+        /// Corrective-rewrite energy, pJ.
+        energy_corrective_pj: f64 => sum,
+        /// End-to-end latency of escalated (R-M) reads only — the retry-path
+        /// tail the paper's Figure 4 worries about.
+        retry_latency: LatencySummary => merge,
+        /// Write-verify retry pulses issued for cells that failed to program
+        /// (wear subsystem; zero while wear is disabled).
+        verify_retries: u64 => sum,
+        /// Cells declared dead after exhausting their retry budget.
+        wear_cells_failed: u64 => sum,
+        /// Lines remapped to a spare after crossing the stuck-cell margin.
+        lines_remapped: u64 => sum,
+        /// Writes that wanted a remap but found the spare pool empty.
+        spares_exhausted_writes: u64 => sum,
+        /// Reads that saw at least one wrong stuck-at bit.
+        stuck_bit_reads: u64 => sum,
+        /// Total wrong stuck-at bits entering the erasure-aware decoder.
+        stuck_bits_seen: u64 => sum,
+        /// Accesses serviced from the DRAM migration tier (zero while the
+        /// tier is disabled, like every other `dram_*` field).
+        dram_hits: u64 => sum,
+        /// Accesses that missed the DRAM tier and went to PCM.
+        dram_misses: u64 => sum,
+        /// Lines promoted into DRAM after crossing the migration threshold.
+        dram_promotions: u64 => sum,
+        /// Resident lines evicted back to PCM to make room for a promotion.
+        dram_demotions: u64 => sum,
+        /// Dirty demotions that re-programmed the PCM line (drift-age reset).
+        dram_writebacks: u64 => sum,
+        /// MLC cells programmed by demotion writebacks.
+        cells_written_demotion: u64 => sum,
+        /// Demotion-writeback energy, pJ.
+        energy_demotion_pj: f64 => sum,
+    }
 }
 
 impl SimReport {
@@ -237,59 +280,6 @@ impl SimReport {
         self.exec_ns as f64 * 1e-9
     }
 
-    /// Folds another channel's report in: execution time is the max (the
-    /// run ends when the last channel's last core retires), counters sum,
-    /// energies sum, latency summaries merge exactly.
-    ///
-    /// Channel reports must be folded **in channel order** so the f64
-    /// energy additions associate identically on every host — this is part
-    /// of the sharded engine's bit-for-bit determinism contract.
-    pub fn merge(&mut self, other: &Self) {
-        self.exec_ns = self.exec_ns.max(other.exec_ns);
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.reads_r += other.reads_r;
-        self.reads_m += other.reads_m;
-        self.reads_rm += other.reads_rm;
-        self.untracked_reads += other.untracked_reads;
-        self.conversions += other.conversions;
-        self.read_latency.merge(&other.read_latency);
-        self.write_cancellations += other.write_cancellations;
-        self.scrubs += other.scrubs;
-        self.scrubs_skipped += other.scrubs_skipped;
-        self.scrub_rewrites += other.scrub_rewrites;
-        self.cells_written_demand += other.cells_written_demand;
-        self.cells_written_scrub += other.cells_written_scrub;
-        self.cells_written_conversion += other.cells_written_conversion;
-        self.slc_bits_written += other.slc_bits_written;
-        self.energy_read_pj += other.energy_read_pj;
-        self.energy_write_pj += other.energy_write_pj;
-        self.energy_scrub_pj += other.energy_scrub_pj;
-        self.energy_conversion_pj += other.energy_conversion_pj;
-        self.drift_errors_seen += other.drift_errors_seen;
-        self.reads_errored += other.reads_errored;
-        self.ecc_corrected_bits += other.ecc_corrected_bits;
-        self.detected_uncorrectable += other.detected_uncorrectable;
-        self.silent_corruptions += other.silent_corruptions;
-        self.corrective_rewrites += other.corrective_rewrites;
-        self.cells_written_corrective += other.cells_written_corrective;
-        self.energy_corrective_pj += other.energy_corrective_pj;
-        self.retry_latency.merge(&other.retry_latency);
-        self.verify_retries += other.verify_retries;
-        self.wear_cells_failed += other.wear_cells_failed;
-        self.lines_remapped += other.lines_remapped;
-        self.spares_exhausted_writes += other.spares_exhausted_writes;
-        self.stuck_bit_reads += other.stuck_bit_reads;
-        self.stuck_bits_seen += other.stuck_bits_seen;
-        self.dram_hits += other.dram_hits;
-        self.dram_misses += other.dram_misses;
-        self.dram_promotions += other.dram_promotions;
-        self.dram_demotions += other.dram_demotions;
-        self.dram_writebacks += other.dram_writebacks;
-        self.cells_written_demotion += other.cells_written_demotion;
-        self.energy_demotion_pj += other.energy_demotion_pj;
-    }
-
     /// Merges per-channel reports (in channel order) into one run report.
     /// A single-element slice returns that report unchanged.
     ///
@@ -303,6 +293,23 @@ impl SimReport {
             out.merge(r);
         }
         out
+    }
+
+    /// Publishes the report into the telemetry metrics registry: `sim.runs`,
+    /// every [`counter`](Self::counters) as `sim.<field>`, and the read and
+    /// retry latency histograms (merged whole, not re-recorded). A no-op
+    /// while telemetry is disabled.
+    pub fn publish(&self) {
+        if !readduo_telemetry::enabled() {
+            return;
+        }
+        use readduo_telemetry::metrics::{counter_add, hist_merge};
+        counter_add("sim.runs", 1);
+        for (name, value) in self.counters() {
+            counter_add(&format!("sim.{name}"), value);
+        }
+        hist_merge("sim.read_latency_ns", self.read_latency.histogram());
+        hist_merge("sim.retry_latency_ns", self.retry_latency.histogram());
     }
 }
 

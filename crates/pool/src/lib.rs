@@ -145,10 +145,6 @@ impl Pool {
                             break;
                         }
                     }
-                    // The scope unblocks when this closure returns, before
-                    // TLS destructors run — merge the metrics shard now so
-                    // a snapshot right after the scope can't miss it.
-                    readduo_telemetry::metrics::flush();
                 });
             }
             drop(tx);

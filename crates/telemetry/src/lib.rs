@@ -4,12 +4,11 @@
 //! this crate makes the *dynamics* between run start and number out
 //! visible, with three pieces:
 //!
-//! * **[`metrics`]** — a process-wide registry of counters, gauges, and
+//! * **[`metrics`]** — a process-wide registry of counters and
 //!   log2-bucketed histograms ([`Log2Histogram`], with p50/p95/p99/p999
-//!   accessors). Writes go to a per-thread shard (a plain thread-local
-//!   map) and merge into the global registry only when the thread exits
-//!   or a snapshot is taken, so the sweep pool's workers never contend on
-//!   a lock in their hot loops.
+//!   accessors) behind one mutex. Each simulation run publishes its whole
+//!   report into it once (`SimReport::publish` in `readduo-memsim`), so
+//!   no per-access code writes to it.
 //! * **[`trace`]** — typed event tracing into a bounded ring buffer:
 //!   sim-time events (per-bank busy spans, queue-depth counters, scrub
 //!   visits, write cancellations, R→M escalations, corrective rewrites)

@@ -1,41 +1,27 @@
-//! A sharded process-wide metrics registry.
+//! A process-wide metrics registry: one map behind one mutex.
 //!
-//! Writes land in a **per-thread shard** (a plain `thread_local!` map, no
-//! locking, no atomics), so the sweep pool's workers instrument their hot
-//! loops without ever contending. Shards merge into the global registry
-//! in exactly three places: when their thread exits (the thread-local's
-//! destructor), when the owning thread calls [`flush`], and when the
-//! owning thread takes a [`snapshot`]. The visibility contract follows
-//! from that: a snapshot sees the global registry — every flushed or
-//! finished thread plus the calling thread.
+//! Writers are per-run, not per-access: `SimReport::publish` adds a run's
+//! counters and latency histograms once when the run ends, and the sweep
+//! pool counts its tasks. So a lock per write costs nothing measurable,
+//! and a snapshot sees every write that returned before it, from any
+//! thread, with no flush.
 //!
-//! Scoped-thread caveat: `std::thread::scope` unblocks as soon as every
-//! closure *returns*, which is before the threads' TLS destructors run —
-//! so a worker that relies on the exit-time merge can lose a race against
-//! a snapshot taken right after the scope. Scoped workers must call
-//! [`flush`] as the last thing in their closure (the sweep pool does).
-//!
-//! All entry points are no-ops while telemetry is disabled, so the
-//! instrumented code paths cost a load-and-branch in the default
-//! configuration.
+//! All entry points are no-ops while telemetry is disabled.
 
 use crate::hist::Log2Histogram;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// One metric value.
 ///
 /// The histogram variant dominates the enum's size (its 65 buckets live
-/// inline), but registries hold tens of entries, not millions — inline
-/// beats boxing every `record` on the hot path.
+/// inline), but the registry holds tens of entries, not millions, so
+/// boxing would buy nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
     /// A monotonically increasing count.
     Counter(u64),
-    /// A last-write-wins instantaneous value.
-    Gauge(f64),
     /// A log2-bucketed distribution.
     Histogram(Log2Histogram),
 }
@@ -44,138 +30,53 @@ pub enum Metric {
 /// assertions are stable.
 pub type MetricsMap = BTreeMap<String, Metric>;
 
-fn global() -> &'static Mutex<MetricsMap> {
-    static GLOBAL: OnceLock<Mutex<MetricsMap>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(MetricsMap::new()))
+fn registry() -> MutexGuard<'static, MetricsMap> {
+    static REGISTRY: OnceLock<Mutex<MetricsMap>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| Mutex::new(MetricsMap::new()))
+        .lock()
+        .expect("metrics registry poisoned")
 }
 
-/// The thread-local shard; its destructor folds the thread's metrics into
-/// the global registry when the thread exits.
-struct Shard {
-    map: MetricsMap,
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        if !self.map.is_empty() {
-            merge_into_global(std::mem::take(&mut self.map));
-        }
-    }
-}
-
-thread_local! {
-    static SHARD: RefCell<Shard> = const { RefCell::new(Shard { map: MetricsMap::new() }) };
-}
-
-fn merge_into_global(map: MetricsMap) {
-    let mut g = global().lock().expect("metrics registry poisoned");
-    for (name, m) in map {
-        merge_one(&mut g, name, m);
-    }
-}
-
-/// Folds `m` into `dst[name]`: counters add, histograms merge, gauges (and
-/// any kind mismatch — a programming error, resolved predictably) take the
-/// newest value.
-fn merge_one(dst: &mut MetricsMap, name: String, m: Metric) {
-    match (dst.get_mut(&name), m) {
-        (Some(Metric::Counter(a)), Metric::Counter(b)) => *a += b,
-        (Some(Metric::Histogram(a)), Metric::Histogram(b)) => a.merge(&b),
-        (slot, m) => {
-            let _ = slot;
-            dst.insert(name, m);
-        }
-    }
-}
-
-/// Adds `n` to the counter `name`.
+/// Adds `n` to the counter `name`. A zero adds nothing and creates no
+/// entry.
 pub fn counter_add(name: &str, n: u64) {
     if !crate::enabled() || n == 0 {
         return;
     }
-    SHARD.with(|s| {
-        let map = &mut s.borrow_mut().map;
-        match map.get_mut(name) {
-            Some(Metric::Counter(c)) => *c += n,
-            _ => {
-                map.insert(name.to_string(), Metric::Counter(n));
-            }
+    let mut map = registry();
+    match map.get_mut(name) {
+        Some(Metric::Counter(c)) => *c += n,
+        _ => {
+            map.insert(name.to_string(), Metric::Counter(n));
         }
-    });
-}
-
-/// Sets the gauge `name` to `v` (last write wins across shards).
-pub fn gauge_set(name: &str, v: f64) {
-    if !crate::enabled() {
-        return;
     }
-    SHARD.with(|s| {
-        s.borrow_mut().map.insert(name.to_string(), Metric::Gauge(v));
-    });
 }
 
-/// Records `v` into the histogram `name`.
-pub fn hist_record(name: &str, v: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    SHARD.with(|s| {
-        let map = &mut s.borrow_mut().map;
-        match map.get_mut(name) {
-            Some(Metric::Histogram(h)) => h.record(v),
-            _ => {
-                let mut h = Log2Histogram::new();
-                h.record(v);
-                map.insert(name.to_string(), Metric::Histogram(h));
-            }
-        }
-    });
-}
-
-/// Merges an already-aggregated histogram into `name` — the cheap way to
+/// Merges an already-aggregated histogram into `name` — the way to
 /// publish a whole `SimReport` latency distribution in one call instead
 /// of re-recording every observation.
 pub fn hist_merge(name: &str, h: &Log2Histogram) {
     if !crate::enabled() || h.count() == 0 {
         return;
     }
-    SHARD.with(|s| {
-        let map = &mut s.borrow_mut().map;
-        match map.get_mut(name) {
-            Some(Metric::Histogram(dst)) => dst.merge(h),
-            _ => {
-                map.insert(name.to_string(), Metric::Histogram(*h));
-            }
+    let mut map = registry();
+    match map.get_mut(name) {
+        Some(Metric::Histogram(dst)) => dst.merge(h),
+        _ => {
+            map.insert(name.to_string(), Metric::Histogram(*h));
         }
-    });
+    }
 }
 
-/// Merges the calling thread's shard into the global registry now.
-///
-/// Scoped-thread workers call this as the last statement of their
-/// closure: the scope unblocks before TLS destructors run, so the
-/// exit-time merge alone is not ordered before a snapshot taken right
-/// after the scope joins.
-pub fn flush() {
-    SHARD.with(|s| {
-        let map = std::mem::take(&mut s.borrow_mut().map);
-        if !map.is_empty() {
-            merge_into_global(map);
-        }
-    });
-}
-
-/// Flushes the calling thread's shard and returns a copy of the global
-/// registry: every flushed or finished thread plus the caller.
+/// A copy of the registry.
 pub fn snapshot() -> MetricsMap {
-    flush();
-    global().lock().expect("metrics registry poisoned").clone()
+    registry().clone()
 }
 
-/// Clears the registry and the calling thread's shard (tests).
+/// Clears the registry (tests).
 pub fn reset() {
-    SHARD.with(|s| s.borrow_mut().map.clear());
-    global().lock().expect("metrics registry poisoned").clear();
+    registry().clear();
 }
 
 /// Serialises a snapshot as a JSON document (schema
@@ -187,7 +88,6 @@ pub fn to_json(map: &MetricsMap) -> String {
         let comma = if i + 1 < map.len() { "," } else { "" };
         let body = match m {
             Metric::Counter(c) => format!("{{\"type\": \"counter\", \"value\": {c}}}"),
-            Metric::Gauge(g) => format!("{{\"type\": \"gauge\", \"value\": {g:?}}}"),
             Metric::Histogram(h) => {
                 let buckets: Vec<String> = h
                     .bucket_counts()
@@ -230,76 +130,51 @@ mod tests {
         let _serial = enable_guard();
         crate::set_enabled(false);
         counter_add("t.disabled.counter", 5);
-        hist_record("t.disabled.hist", 42);
-        gauge_set("t.disabled.gauge", 1.0);
+        let mut h = Log2Histogram::new();
+        h.record(42);
+        hist_merge("t.disabled.hist", &h);
         let snap = snapshot();
         assert!(!snap.contains_key("t.disabled.counter"));
         assert!(!snap.contains_key("t.disabled.hist"));
-        assert!(!snap.contains_key("t.disabled.gauge"));
     }
 
     #[test]
-    fn counters_histograms_and_gauges_aggregate() {
+    fn counters_and_histograms_aggregate() {
         let _serial = enable_guard();
         crate::set_enabled(true);
         counter_add("t.agg.reads", 2);
         counter_add("t.agg.reads", 3);
+        counter_add("t.agg.zero", 0);
         let mut h = Log2Histogram::new();
         h.record(158);
         h.record(608);
         hist_merge("t.agg.lat", &h);
-        hist_record("t.agg.lat", 158);
-        gauge_set("t.agg.rss", 12.5);
+        h.record(158);
+        hist_merge("t.agg.lat", &h);
         let snap = snapshot();
         crate::set_enabled(false);
         assert_eq!(snap.get("t.agg.reads"), Some(&Metric::Counter(5)));
+        assert!(!snap.contains_key("t.agg.zero"), "a zero creates no entry");
         match snap.get("t.agg.lat") {
-            Some(Metric::Histogram(h)) => assert_eq!(h.count(), 3),
-            other => panic!("wrong metric: {other:?}"),
-        }
-        assert_eq!(snap.get("t.agg.rss"), Some(&Metric::Gauge(12.5)));
-    }
-
-    #[test]
-    fn worker_thread_shards_merge_on_exit() {
-        let _serial = enable_guard();
-        crate::set_enabled(true);
-        // Plain join() waits for full thread termination — including TLS
-        // destructors — unlike thread::scope, which unblocks when the
-        // closures return and therefore needs an explicit flush().
-        let handles: Vec<_> = (0..4)
-            .map(|_| std::thread::spawn(|| counter_add("t.shard.tasks", 1)))
-            .collect();
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-        let snap = snapshot();
-        crate::set_enabled(false);
-        match snap.get("t.shard.tasks") {
-            Some(Metric::Counter(n)) => assert!(*n >= 4, "lost shard updates: {n}"),
+            Some(Metric::Histogram(h)) => assert_eq!(h.count(), 5),
             other => panic!("wrong metric: {other:?}"),
         }
     }
 
+    /// Counts from scoped worker threads are in the registry once the
+    /// scope joins — no flush, no wait for thread-local destructors.
     #[test]
-    fn scoped_workers_flush_before_the_scope_joins() {
+    fn scoped_worker_counts_reach_the_snapshot() {
         let _serial = enable_guard();
         crate::set_enabled(true);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| {
-                    counter_add("t.shard.flushed", 1);
-                    flush();
-                });
+                s.spawn(|| counter_add("t.scoped.tasks", 1));
             }
         });
-        // No snapshot-side flush needed: the workers merged themselves.
-        let global = global().lock().expect("metrics registry poisoned").clone();
+        let snap = snapshot();
         crate::set_enabled(false);
-        match global.get("t.shard.flushed") {
-            Some(Metric::Counter(n)) => assert!(*n >= 4, "lost flushed updates: {n}"),
-            other => panic!("wrong metric: {other:?}"),
-        }
+        assert_eq!(snap.get("t.scoped.tasks"), Some(&Metric::Counter(4)));
     }
 
     #[test]
@@ -309,7 +184,6 @@ mod tests {
         let mut h = Log2Histogram::new();
         h.record(600);
         map.insert("b.lat_ns".into(), Metric::Histogram(h));
-        map.insert("c.gauge".into(), Metric::Gauge(0.5));
         let j = to_json(&map);
         assert!(j.contains("\"readduo-metrics-v1\""));
         assert!(j.contains("\"a.count\": {\"type\": \"counter\", \"value\": 7}"));

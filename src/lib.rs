@@ -7,7 +7,7 @@
 //!
 //! * [`math`] — special functions, log-space probability, quadrature,
 //! * [`pcm`] — MLC and TLC cell physics and the drift model,
-//! * [`ecc`] — BCH and SECDED codecs,
+//! * [`ecc`] — the BCH codec,
 //! * [`trace`] — synthetic SPEC2006-like memory traces,
 //! * [`memsim`] — the event-driven multi-core memory-system simulator,
 //! * [`dram`] — the hybrid DRAM–PCM migration tier (hardware-managed
@@ -48,7 +48,7 @@ pub use readduo_trace as trace;
 
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
-    pub use readduo_ecc::{Bch, Secded};
+    pub use readduo_ecc::Bch;
     pub use readduo_math::{LogProb, Normal, TruncatedNormal};
     pub use readduo_memsim::{MemoryConfig, SimReport, Simulator};
     pub use readduo_pcm::{CellLevel, MetricConfig, MlcLine, SenseTiming, TlcConfig};

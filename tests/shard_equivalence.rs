@@ -493,3 +493,59 @@ fn merged_report_is_consistent_with_its_parts() {
     assert_eq!(merged.reads, reads, "merged reads must cover the whole trace");
     assert_eq!(merged.writes, writes, "merged writes must cover the whole trace");
 }
+
+/// `SimReport::merged` folds every field by the rule its declaration
+/// names: each counter and energy adds, `exec_ns` takes the max, and each
+/// latency summary merges. The two reports come from real runs that leave
+/// most counters nonzero (a worn, fault-injected Select-4:2 and a tiered
+/// LWT-4), so a field folded the wrong way cannot hide behind zeros.
+#[test]
+fn merged_report_folds_every_field_by_its_declared_rule() {
+    let h = Harness {
+        instructions_per_core: 60_000,
+        cores: 2,
+        seed: SEED,
+        memory: MemoryConfig::small_test(),
+    };
+    let w = Workload::by_name("mcf").expect("mcf in the SPEC2006 set");
+    let fault_seed = 0x00FA_0017u64;
+    let worn = DeviceSpec::from(SchemeKind::Select { k: 4, s: 2 })
+        .with_fault(fault_seed)
+        .with_wear(WearConfig::new(fault_seed).with_accel(4_000_000));
+    let tiered = DeviceSpec::from(SchemeKind::Lwt { k: 4 })
+        .with_dram(DramConfig::new(SEED, 32).with_threshold(1));
+    let a = h.run(&w, worn, Source::Stream).expect("the layers compose").report;
+    let b = h.run(&w, tiered, Source::Stream).expect("the layers compose").report;
+    let m = SimReport::merged(&[a.clone(), b.clone()]);
+
+    let sums: Vec<(&str, u64)> =
+        a.counters().zip(b.counters()).map(|((name, x), (_, y))| (name, x + y)).collect();
+    assert_eq!(sums.len(), 34, "every u64 counter but exec_ns");
+    assert_eq!(m.counters().collect::<Vec<_>>(), sums);
+    let zero: Vec<&str> = sums.iter().filter(|(_, v)| *v == 0).map(|(n, _)| *n).collect();
+    assert!(34 - zero.len() >= 25, "too many counters stayed zero to test their fold: {zero:?}");
+
+    assert_eq!(m.exec_ns, a.exec_ns.max(b.exec_ns));
+    assert_ne!(a.exec_ns, b.exec_ns, "equal times cannot tell the max from either side");
+    let energies = |r: &SimReport| {
+        [
+            r.energy_read_pj,
+            r.energy_write_pj,
+            r.energy_scrub_pj,
+            r.energy_conversion_pj,
+            r.energy_corrective_pj,
+            r.energy_demotion_pj,
+        ]
+    };
+    for (i, ((x, y), merged)) in energies(&a).iter().zip(energies(&b)).zip(energies(&m)).enumerate()
+    {
+        assert_eq!(merged, x + y, "energy {i}");
+    }
+    let mut read_latency = a.read_latency;
+    read_latency.merge(&b.read_latency);
+    assert_eq!(m.read_latency, read_latency);
+    let mut retry_latency = a.retry_latency;
+    retry_latency.merge(&b.retry_latency);
+    assert_eq!(m.retry_latency, retry_latency);
+    assert!(a.retry_latency.count() > 0 && b.retry_latency.count() > 0);
+}

@@ -4,18 +4,28 @@
 //! queue-depth counter tracks, and (c) fill the metrics registry with a
 //! non-zero read-latency p99 — the three claims ISSUE 5 gates on.
 //!
+//! A second test pins what the registry holds: every run's report,
+//! published whole.
+//!
 //! The enabled/disabled toggle is flipped programmatically
-//! (`set_enabled`) so the test is independent of the environment it runs
-//! in. Everything happens in one `#[test]` because the toggle and the
-//! trace collector are process-global.
+//! (`set_enabled`) so the tests are independent of the environment they
+//! run in. The toggle, the trace collector and the metrics registry are
+//! process-global, so the tests hold one lock and never overlap.
 
-use readduo_bench::Harness;
-use readduo_core::SchemeKind;
-use readduo_memsim::MemoryConfig;
+use readduo_bench::{Harness, Source};
+use readduo_core::{DeviceSpec, SchemeKind, WearConfig};
+use readduo_dram::DramConfig;
+use readduo_memsim::{FixedLatencyDevice, MemoryConfig, SimReport, Simulator};
 use readduo_telemetry::check::validate_chrome_trace;
 use readduo_telemetry::metrics::{self, Metric};
 use readduo_telemetry::{export, set_enabled};
 use readduo_trace::Workload;
+use std::sync::{Mutex, MutexGuard};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tiny_harness() -> Harness {
     Harness {
@@ -28,6 +38,7 @@ fn tiny_harness() -> Harness {
 
 #[test]
 fn enabled_telemetry_changes_nothing_and_exports_a_valid_trace() {
+    let _serial = serial();
     let harness = tiny_harness();
     let workload = Workload::toy();
     let schemes = [SchemeKind::Ideal, SchemeKind::Hybrid];
@@ -107,4 +118,64 @@ fn enabled_telemetry_changes_nothing_and_exports_a_valid_trace() {
     let hybrid = &traced[1].report.read_latency;
     assert!(hybrid.p99_ns() >= hybrid.p50_ns());
     assert!(hybrid.p50_ns() > 0);
+}
+
+/// Every run publishes its own report: `sim.runs` counts the runs, each
+/// `sim.<counter>` is that counter summed over them (absent when the sum
+/// is zero, since `counter_add` skips zeros), and the latency histograms
+/// hold every read. The runs are a worn and a tiered `Harness::run`, whose
+/// devices once kept tallies of their own, plus a direct
+/// `Simulator::run` that never goes through the harness.
+#[test]
+fn the_registry_holds_every_published_report() {
+    let _serial = serial();
+    let harness = tiny_harness();
+    let w = Workload::by_name("mcf").expect("mcf in the SPEC2006 set");
+    let worn = DeviceSpec::from(SchemeKind::Select { k: 4, s: 2 })
+        .with_fault(0x00FA_0017)
+        .with_wear(WearConfig::new(0x00FA_0017).with_accel(4_000_000));
+    let tiered = DeviceSpec::from(SchemeKind::Lwt { k: 4 })
+        .with_dram(DramConfig::new(harness.seed, 32).with_threshold(1));
+    let trace = harness.trace_for(&w);
+
+    set_enabled(true);
+    metrics::reset();
+    let mut reports: Vec<SimReport> = [worn, tiered]
+        .into_iter()
+        .map(|spec| {
+            harness
+                .run(&w, spec, Source::Stream)
+                .expect("the layers compose")
+                .report
+        })
+        .collect();
+    reports.push(Simulator::new(harness.memory).run(&trace, &mut FixedLatencyDevice::ideal()));
+    let snap = metrics::snapshot();
+    set_enabled(false);
+    metrics::reset();
+    let _ = export::render_trace();
+
+    assert_eq!(snap.get("sim.runs"), Some(&Metric::Counter(3)));
+    let total = SimReport::merged(&reports);
+    assert!(
+        total.lines_remapped > 0 && total.dram_hits > 0,
+        "a layer stayed idle"
+    );
+    for (name, value) in total.counters() {
+        let published = match snap.get(&format!("sim.{name}")) {
+            Some(Metric::Counter(n)) => *n,
+            None => 0,
+            other => panic!("sim.{name} mistyped: {other:?}"),
+        };
+        assert_eq!(published, value, "sim.{name}");
+    }
+    for (name, summary) in [
+        ("sim.read_latency_ns", total.read_latency),
+        ("sim.retry_latency_ns", total.retry_latency),
+    ] {
+        match snap.get(name) {
+            Some(Metric::Histogram(h)) => assert_eq!(h, summary.histogram(), "{name}"),
+            other => panic!("{name} missing or mistyped: {other:?}"),
+        }
+    }
 }
