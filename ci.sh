@@ -102,8 +102,7 @@ if [ "$elapsed" -gt 180 ]; then
 fi
 strace="target/experiments/ci-shard-trace.json"
 READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=20000 \
-    READDUO_CHANNELS=2 READDUO_TRACE_OUT="$strace" \
-    ./target/release/fig9 >/dev/null
+    READDUO_TRACE_OUT="$strace" ./target/release/fig9 --channels 2 >/dev/null
 ./target/release/trace_check "$strace" \
     --require-track "c0.bank 0" --require-track "c1.bank 0"
 

@@ -1,9 +1,9 @@
 //! Figure 9 — normalised execution time of the six headline schemes over
 //! the 14 SPEC2006 workloads, plus the read-latency p99 tail per cell.
 //!
-//! `--channels N` overrides the memory topology (equivalent to setting
-//! `READDUO_CHANNELS=N`): with `N > 1` each run shards per channel onto
-//! the worker pool, and the table/CSV reflect the merged reports.
+//! `--channels N` re-stripes the paper machine over `N` memory channels:
+//! with `N > 1` each run shards per channel onto the worker pool, and the
+//! table/CSV reflect the merged reports.
 //!
 //! `--dram-lines N` puts the hybrid DRAM–PCM migration tier (capacity
 //! `N` lines, [`DramConfig::new`](readduo_dram::DramConfig::new)'s default

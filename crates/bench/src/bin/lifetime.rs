@@ -23,7 +23,7 @@
 use readduo_bench::{
     finish_telemetry, handle_help, render_table, write_csv, Harness, Source, FAULT_SEED,
 };
-use readduo_core::{DeviceSpec, SchemeKind, WearConfig};
+use readduo_core::{DeviceSpec, SchemeKind, WearConfig, VERIFY_RETRIES};
 use readduo_trace::Workload;
 
 /// Accelerated-aging factors swept: real time, onset of verify retries,
@@ -52,7 +52,7 @@ fn main() {
         workload.name,
         harness.instructions_per_core,
         base.median_cycles,
-        base.verify_retries,
+        VERIFY_RETRIES,
         base.spare_lines,
     );
 

@@ -3,10 +3,12 @@
 
 use readduo_bench::{fmt_prob, render_table, write_csv};
 use readduo_pcm::MetricConfig;
+use readduo_reliability::search::max_interval_for_code;
 use readduo_reliability::{target, CellErrorModel, LerAnalysis};
 
 fn main() {
-    let analysis = LerAnalysis::new(CellErrorModel::new(MetricConfig::r_metric()));
+    let model = CellErrorModel::new(MetricConfig::r_metric());
+    let analysis = LerAnalysis::new(model.clone());
     let es: Vec<u64> = vec![0, 1, 7, 8, 9, 16, 17, 18];
     // The paper's S column: powers of two from 2² to 2¹⁰ plus 640.
     let intervals: Vec<f64> = vec![
@@ -31,10 +33,7 @@ fn main() {
     println!("{}", render_table(&header, &rows));
     println!(
         "Operating point: the strongest S at which BCH-8 meets the target is S = {} s",
-        intervals
-            .iter()
-            .filter(|&&s| analysis.ler_exceeding(8, s).to_prob() < target::ler_target(s))
-            .fold(0.0f64, |a, &b| a.max(b))
+        max_interval_for_code(&model, 8, 10).unwrap_or(0.0)
     );
 
     let mut csv = vec![header];

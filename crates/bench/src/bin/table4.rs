@@ -3,10 +3,11 @@
 
 use readduo_bench::{fmt_prob, render_table, write_csv};
 use readduo_pcm::MetricConfig;
-use readduo_reliability::{target, CellErrorModel, LerAnalysis};
+use readduo_reliability::{find_min_code, target, CellErrorModel, LerAnalysis};
 
 fn main() {
-    let analysis = LerAnalysis::new(CellErrorModel::new(MetricConfig::m_metric()));
+    let model = CellErrorModel::new(MetricConfig::m_metric());
+    let analysis = LerAnalysis::new(model.clone());
     let es: Vec<u64> = vec![0, 1, 7, 8, 9, 16, 17, 18];
     // M-sensing stays clean for small S; the interesting region is large S
     // (the paper reports 2⁹..2¹⁴ plus the chosen 640).
@@ -36,7 +37,7 @@ fn main() {
 
     println!("Table IV: LER under different ECC code and scrub interval (M-metric sensing)\n");
     println!("{}", render_table(&header, &rows));
-    let ok640 = analysis.ler_exceeding(8, 640.0).to_prob() < target::ler_target(640.0);
+    let ok640 = find_min_code(&model, 640.0, 8).is_some();
     println!("M(BCH=8, S=640) meets LER_DRAM: {ok640}");
 
     let mut csv = vec![header];

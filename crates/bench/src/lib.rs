@@ -72,18 +72,16 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Builds the default harness; `READDUO_INSTR` overrides the volume
-    /// and `READDUO_CHANNELS` re-stripes the paper machine over that many
-    /// memory channels (default 1 — the paper's single-channel device).
+    /// Builds the default harness over the paper's single-channel machine;
+    /// `READDUO_INSTR` overrides the volume.
     pub fn from_env() -> Self {
         let instructions_per_core =
             readduo_env::u64_at_least("READDUO_INSTR", 1).unwrap_or(1_000_000);
-        let channels = readduo_env::usize_at_least("READDUO_CHANNELS", 1).unwrap_or(1);
         Self {
             instructions_per_core,
             cores: 4,
             seed: 0x00D5_EAD0_2016,
-            memory: MemoryConfig::paper().with_channels(channels),
+            memory: MemoryConfig::paper(),
         }
     }
 

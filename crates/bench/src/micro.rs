@@ -1,18 +1,15 @@
 //! A zero-dependency microbenchmark harness (std `Instant` only).
 //!
-//! Replaces criterion for the offline workspace: same shape of API
-//! ([`Micro::bench`] for pure routines, [`Micro::bench_batched`] for
-//! routines that consume a fresh input per call), robust statistics
-//! (median / p95 over timed samples), and auto-calibrated inner batching so
-//! nanosecond-scale routines are not swamped by timer overhead.
+//! [`Micro::bench`] times a routine with robust statistics (median / p95
+//! over timed samples) and auto-calibrated inner batching, so
+//! nanosecond-scale routines are not swamped by timer overhead. The
+//! repository benchmark's `micro_ns` ledger rows come from it.
 //!
 //! Methodology: after a warm-up, the inner batch size `k` is doubled until
-//! one batch runs ≥ 200 µs; each *sample* then times `k` back-to-back calls
-//! and records the mean per-call latency. The per-call medians across
-//! samples are what the report prints — the median is insensitive to the
-//! occasional preempted sample, and p95 exposes tail noise.
-//!
-//! Sample count defaults to 20; override with `READDUO_BENCH_SAMPLES`.
+//! one batch runs ≥ 200 µs; each of 20 *samples* then times `k`
+//! back-to-back calls and records the mean per-call latency. The median
+//! across samples is insensitive to the occasional preempted sample, and
+//! p95 exposes tail noise.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -23,6 +20,9 @@ const TARGET_BATCH_NS: u128 = 200_000;
 
 /// Hard cap on the inner batch size during calibration.
 const MAX_BATCH: u64 = 1 << 22;
+
+/// Timed samples per benchmark.
+const SAMPLES: usize = 20;
 
 /// Timing samples of one benchmark: mean per-call nanoseconds of each
 /// timed batch.
@@ -75,23 +75,17 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// The microbenchmark runner: collects [`Samples`] per case and prints one
-/// aligned median/p95 table at the end.
-#[derive(Debug)]
+/// The microbenchmark runner: collects [`Samples`] per case, printing
+/// each case's median and p95 to stderr as it finishes.
+#[derive(Debug, Default)]
 pub struct Micro {
-    samples_per_bench: usize,
     results: Vec<Samples>,
 }
 
 impl Micro {
-    /// Creates a runner; `READDUO_BENCH_SAMPLES` overrides the sample count.
+    /// Creates a runner.
     pub fn new() -> Self {
-        let samples_per_bench =
-            readduo_env::usize_at_least("READDUO_BENCH_SAMPLES", 3).unwrap_or(20);
-        Self {
-            samples_per_bench,
-            results: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Benchmarks a routine that needs no per-call input.
@@ -109,51 +103,14 @@ impl Micro {
             }
             batch *= 2;
         }
-        let mut per_call_ns = Vec::with_capacity(self.samples_per_bench);
-        for _ in 0..self.samples_per_bench {
+        let mut per_call_ns = Vec::with_capacity(SAMPLES);
+        for _ in 0..SAMPLES {
             let t = Instant::now();
             for _ in 0..batch {
                 black_box(routine());
             }
             per_call_ns.push(t.elapsed().as_nanos() as f64 / batch as f64);
         }
-        self.push(name, per_call_ns, batch);
-    }
-
-    /// Benchmarks a routine that consumes a fresh input per call (the
-    /// criterion `iter_batched` pattern): `setup` runs untimed, only the
-    /// consuming loop is inside the timed region.
-    pub fn bench_batched<S, T, G: FnMut() -> S, F: FnMut(S) -> T>(
-        &mut self,
-        name: &str,
-        mut setup: G,
-        mut routine: F,
-    ) {
-        let mut batch = 1u64;
-        loop {
-            let inputs: Vec<S> = (0..batch).map(|_| setup()).collect();
-            let t = Instant::now();
-            for input in inputs {
-                black_box(routine(input));
-            }
-            if t.elapsed().as_nanos() >= TARGET_BATCH_NS || batch >= MAX_BATCH {
-                break;
-            }
-            batch *= 2;
-        }
-        let mut per_call_ns = Vec::with_capacity(self.samples_per_bench);
-        for _ in 0..self.samples_per_bench {
-            let inputs: Vec<S> = (0..batch).map(|_| setup()).collect();
-            let t = Instant::now();
-            for input in inputs {
-                black_box(routine(input));
-            }
-            per_call_ns.push(t.elapsed().as_nanos() as f64 / batch as f64);
-        }
-        self.push(name, per_call_ns, batch);
-    }
-
-    fn push(&mut self, name: &str, per_call_ns: Vec<f64>, batch: u64) {
         let s = Samples {
             name: name.to_string(),
             per_call_ns,
@@ -173,52 +130,21 @@ impl Micro {
     pub fn results(&self) -> &[Samples] {
         &self.results
     }
-
-    /// Serialises the collected results as a JSON document (schema
-    /// `readduo-micro-v1`). Hand-rolled emitter — the only value types are
-    /// strings, finite floats, and integers, so no serde is needed.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"readduo-micro-v1\",\n  \"results\": [\n");
-        for (i, s) in self.results.iter().enumerate() {
-            let comma = if i + 1 < self.results.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": {:?}, \"median_ns\": {:.1}, \"p95_ns\": {:.1}, \"batch\": {}, \"samples\": {}}}{}\n",
-                s.name,
-                s.median_ns(),
-                s.p95_ns(),
-                s.batch,
-                s.per_call_ns.len(),
-                comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Prints the final median/p95 table to stdout.
-    pub fn finish(self) {
-        println!("\n{:<30} {:>12} {:>12}", "benchmark", "median", "p95");
-        println!("{}", "-".repeat(56));
-        for s in &self.results {
-            println!(
-                "{:<30} {:>12} {:>12}",
-                s.name,
-                fmt_ns(s.median_ns()).trim(),
-                fmt_ns(s.p95_ns()).trim()
-            );
-        }
-    }
-}
-
-impl Default for Micro {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn harness_times_a_trivial_routine() {
+        let mut m = Micro::new();
+        m.bench("noop_add", || black_box(1u64) + 1);
+        let [s] = m.results() else { panic!("one case benched") };
+        assert_eq!(s.per_call_ns.len(), SAMPLES);
+        assert!(s.median_ns() >= 0.0);
+        assert!(s.p95_ns() >= s.median_ns());
+    }
 
     #[test]
     fn median_and_p95_of_known_samples() {
@@ -229,37 +155,6 @@ mod tests {
         };
         assert_eq!(s.median_ns(), 10.5);
         assert_eq!(s.p95_ns(), 19.0);
-    }
-
-    #[test]
-    fn harness_times_a_trivial_routine() {
-        std::env::set_var("READDUO_BENCH_SAMPLES", "3");
-        let mut m = Micro::new();
-        m.bench("noop_add", || black_box(1u64) + 1);
-        m.bench_batched("vec_drain", || vec![1u8; 64], |v| v.len());
-        assert_eq!(m.results().len(), 2);
-        for s in m.results() {
-            assert!(s.median_ns() >= 0.0);
-            assert!(s.p95_ns() >= s.median_ns());
-        }
-    }
-
-    #[test]
-    fn json_output_is_well_formed() {
-        let mut m = Micro {
-            samples_per_bench: 3,
-            results: Vec::new(),
-        };
-        m.results.push(Samples {
-            name: "g/case".into(),
-            per_call_ns: vec![1.0, 2.0, 3.0],
-            batch: 8,
-        });
-        let j = m.to_json();
-        assert!(j.contains("\"readduo-micro-v1\""));
-        assert!(j.contains("\"g/case\""));
-        assert!(j.contains("\"median_ns\": 2.0"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   analytic model here reproduces that breakdown.
 
 use crate::flags::LwtFlags;
-use readduo_pcm::TlcConfig;
+use crate::schemes::TLC_LINE_CELLS;
 
 /// Per-line storage cost of a scheme, split by cell type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,16 +55,9 @@ impl LineStorage {
     }
 
     /// TLC: 512 data bits + (72,64) SECDED check bits, packed 4 bits per 3
-    /// tri-level cells.
+    /// tri-level cells ([`TLC_LINE_CELLS`]).
     pub fn tlc() -> Self {
-        let data_bits = 512usize;
-        // A (72,64) SECDED code adds 8 check bits per 64 data bits.
-        let check_bits = data_bits / 64 * 8;
-        Self {
-            mlc_cells: 0,
-            tlc_cells: TlcConfig::paper().cells_for_bits(data_bits + check_bits) as u32,
-            slc_bits: 0,
-        }
+        Self { mlc_cells: 0, tlc_cells: TLC_LINE_CELLS, slc_bits: 0 }
     }
 }
 

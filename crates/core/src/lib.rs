@@ -64,4 +64,4 @@ pub use flags::LwtFlags;
 pub use linestate::{LineState, LineTable};
 pub use scheme::{channel_seed, DeviceSpec, SchemeKind, SpecError};
 pub use schemes::{HybridScheme, LwtScheme, MMetricScheme, ScrubbingScheme, TlcScheme};
-pub use wear::{WearConfig, WearTable};
+pub use wear::{WearConfig, WearTable, VERIFY_RETRIES};

@@ -610,9 +610,10 @@ pub struct TlcScheme {
     params: DeviceParams,
 }
 
-/// Tri-level cells written per 64 B line: 512 data + 64 SECDED bits packed
-/// 4 bits per 3 cells.
-pub const TLC_LINE_CELLS: u32 = 432;
+/// Tri-level cells per 64 B line: 512 data bits plus (72,64) SECDED's 8
+/// check bits per 64, packed 4 bits per 3 cells (3 trits hold 27 ≥ 2⁴
+/// symbols, the \[26\] packing).
+pub const TLC_LINE_CELLS: u32 = (512 + 64u32).div_ceil(4) * 3;
 
 impl TlcScheme {
     /// The paper's TLC configuration.
@@ -836,6 +837,22 @@ mod tests {
         let w = s.on_write(1, 0.0);
         assert_eq!(w.cells_written, TLC_LINE_CELLS);
         assert_eq!(s.scrub_interval_s(), None);
+    }
+
+    /// Why TLC can skip drift altogether: with L2 unused, the reference
+    /// between L1 and L3 moves to the middle of the vacated range, so a
+    /// programmed L1 cell must drift more than ten MLC guard bands to be
+    /// misread.
+    #[test]
+    fn tlc_l1_to_l3_gap_exceeds_ten_mlc_guard_bands() {
+        use readduo_pcm::params::PROGRAM_WIDTH_SIGMAS;
+        use readduo_pcm::{CellLevel, MetricConfig};
+        let cfg = MetricConfig::r_metric();
+        let (l1, l3) = (cfg.level(CellLevel::L1), cfg.level(CellLevel::L3));
+        let reference = 0.5 * (l1.upper_boundary() + l3.lower_boundary());
+        let tlc_guard = reference - (l1.mu + PROGRAM_WIDTH_SIGMAS * l1.sigma);
+        let mlc_guard = cfg.guard_band(CellLevel::L1);
+        assert!(tlc_guard > 10.0 * mlc_guard, "tlc {tlc_guard} vs mlc {mlc_guard}");
     }
 
     #[test]

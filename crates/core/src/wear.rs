@@ -7,7 +7,7 @@
 //!
 //! * each program of a line charges wear cycles; when a cell's endurance
 //!   runs out mid-write, the write-verify pass catches it, re-pulses the
-//!   cell up to [`WearConfig::verify_retries`] times (latency and energy
+//!   cell [`VERIFY_RETRIES`] times (latency and energy
 //!   folded into the [`WriteOutcome`]), and then declares the cell dead;
 //! * dead cells read back stuck at an extreme level — the wrong bits flow
 //!   into the fault injector's decode as persistent errors, with their
@@ -31,6 +31,9 @@ use readduo_memsim::{EnergyModel, WriteOutcome};
 use readduo_pcm::{DeviceParams, WearModel, ENDURANCE_MEDIAN_DEFAULT};
 use std::collections::HashMap;
 
+/// Write-verify retries a dying cell gets before it is declared dead.
+pub const VERIFY_RETRIES: u32 = 3;
+
 /// Tunables of the wear subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WearConfig {
@@ -42,9 +45,6 @@ pub struct WearConfig {
     /// lifetime sweep varies. 1 is real time; 10⁵ compresses a 10⁷-cycle
     /// median into ~100 writes.
     pub accel: u64,
-    /// Write-verify retry budget per failed cell before it is declared
-    /// dead.
-    pub verify_retries: u32,
     /// Spare lines available for remapping, per device/channel
     /// (`READDUO_SPARE_LINES`).
     pub spare_lines: u32,
@@ -56,14 +56,13 @@ pub struct WearConfig {
 }
 
 impl WearConfig {
-    /// Defaults: the conservative literature endurance, a 3-retry budget,
-    /// 64 spares and a 2-dead-cell margin, at real-time wear.
+    /// Defaults: the conservative literature endurance, 64 spares and a
+    /// 2-dead-cell margin, at real-time wear.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             median_cycles: ENDURANCE_MEDIAN_DEFAULT,
             accel: 1,
-            verify_retries: 3,
             spare_lines: 64,
             margin_cells: 2,
         }
@@ -187,7 +186,7 @@ impl WearTable {
         let mut deaths = 0u32;
         while lw.next_fail_wear <= lw.wear {
             // The verify pass after the program pulse reads this cell back
-            // wrong; the controller re-pulses it `verify_retries` times
+            // wrong; the controller re-pulses it `VERIFY_RETRIES` times
             // (each a full program-and-verify round) before giving up.
             let cell = lw.next_fail_cell as u16;
             let at = lw.stuck.partition_point(|&c| c < cell);
@@ -201,7 +200,7 @@ impl WearTable {
         if deaths == 0 {
             return;
         }
-        let retries = deaths * self.cfg.verify_retries;
+        let retries = deaths * VERIFY_RETRIES;
         out.verify_retries += retries;
         out.cells_failed += deaths;
         out.latency_ns += u64::from(retries) * params.retry_pulse_ns;
@@ -299,7 +298,7 @@ mod tests {
             t.apply_program(5, &params, &energy, &mut out);
             if out.verify_retries > 0 {
                 saw_retry = true;
-                assert_eq!(out.verify_retries, out.cells_failed * 3);
+                assert_eq!(out.verify_retries, out.cells_failed * VERIFY_RETRIES);
                 assert!(
                     out.latency_ns
                         >= 1000 + u64::from(out.verify_retries) * params.retry_pulse_ns

@@ -21,9 +21,9 @@
 //!   the program pulses. Clean demotions cost nothing at PCM.
 //! * **DRAM timing** — hits pay a deterministic row-buffer model
 //!   (open-row tracking over [`DRAM_BANKS`] banks, [`ROW_LINES`] lines
-//!   per row): row hits cost [`DramConfig::row_hit_ns`], row misses
-//!   [`DramConfig::row_miss_ns`]. The engine charges these through the
-//!   same bank/bus plumbing as PCM latencies.
+//!   per row): row hits cost [`ROW_HIT_NS`] and [`ACCESS_PJ`], row misses
+//!   [`ROW_MISS_NS`] and an extra [`ACTIVATE_PJ`]. The engine charges
+//!   these through the same bank/bus plumbing as PCM latencies.
 //! * **LRU eviction** — an empty way if the set has one, otherwise the
 //!   exact least-recently-used way (stamp-based).
 //!
@@ -57,6 +57,18 @@ pub const DRAM_BANKS: usize = 8;
 /// Consecutive lines sharing one DRAM row (a 4 KB row of 64 B lines).
 pub const ROW_LINES: u64 = 64;
 
+/// DRAM access latency on an open-row hit, ns.
+pub const ROW_HIT_NS: u64 = 15;
+
+/// DRAM access latency on a row miss (precharge + activate), ns.
+pub const ROW_MISS_NS: u64 = 45;
+
+/// DRAM dynamic energy per access, pJ.
+pub const ACCESS_PJ: f64 = 250.0;
+
+/// Extra energy of a row activation, pJ.
+pub const ACTIVATE_PJ: f64 = 400.0;
+
 /// Configuration of one DRAM tier (one channel slice when sharded).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
@@ -72,30 +84,13 @@ pub struct DramConfig {
     /// Misses a line must accumulate before promotion (>= 1; the
     /// MigrantStore-style migration trigger).
     pub threshold: u32,
-    /// DRAM access latency on an open-row hit, ns.
-    pub row_hit_ns: u64,
-    /// DRAM access latency on a row miss (precharge + activate), ns.
-    pub row_miss_ns: u64,
-    /// DRAM dynamic energy per row-hit access, pJ.
-    pub access_pj: f64,
-    /// Extra energy of a row activation, pJ.
-    pub activate_pj: f64,
 }
 
 impl DramConfig {
     /// A tier of `lines` capacity with the default organisation: 8-way,
-    /// promotion after 2 misses, 15/45 ns row hit/miss.
+    /// promotion after 2 misses.
     pub fn new(seed: u64, lines: u64) -> Self {
-        Self {
-            seed,
-            lines,
-            ways: 8,
-            threshold: 2,
-            row_hit_ns: 15,
-            row_miss_ns: 45,
-            access_pj: 250.0,
-            activate_pj: 400.0,
-        }
+        Self { seed, lines, ways: 8, threshold: 2 }
     }
 
     /// Builder: set associativity.
@@ -230,10 +225,10 @@ impl<D: DeviceModel> TieredDevice<D> {
         let row = line / ROW_LINES;
         let bank = (row % DRAM_BANKS as u64) as usize;
         if self.open_rows[bank] == row {
-            (self.cfg.row_hit_ns, self.cfg.access_pj)
+            (ROW_HIT_NS, ACCESS_PJ)
         } else {
             self.open_rows[bank] = row;
-            (self.cfg.row_miss_ns, self.cfg.access_pj + self.cfg.activate_pj)
+            (ROW_MISS_NS, ACCESS_PJ + ACTIVATE_PJ)
         }
     }
 
@@ -403,7 +398,7 @@ mod tests {
         // Third access hits in DRAM at row-buffer latency.
         let r3 = d.on_read(5, 0.0);
         assert!(r3.tier.hit);
-        assert!(r3.latency_ns <= 45);
+        assert!(r3.latency_ns <= ROW_MISS_NS);
         assert_eq!(d.resident_lines(), vec![5]);
     }
 
@@ -484,7 +479,7 @@ mod tests {
         let hit1 = d.on_read(10, 0.0);
         let hit2 = d.on_read(10, 0.0);
         // Same row twice in a row: the second access is an open-row hit.
-        assert_eq!(hit2.latency_ns, 15);
+        assert_eq!(hit2.latency_ns, ROW_HIT_NS);
         assert!(hit1.latency_ns >= hit2.latency_ns);
     }
 }

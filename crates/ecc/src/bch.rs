@@ -72,7 +72,6 @@ impl Bch {
     /// assert_eq!(code.parity_bits(), 80);
     /// assert_eq!(code.codeword_bits(), 592);
     /// assert_eq!(code.correction_capability(), 8);
-    /// assert_eq!(code.guaranteed_detection(), 16);
     /// ```
     pub fn new(m: u32, t: u32, data_bits: usize) -> Self {
         let field = GfField::new(m);
@@ -111,12 +110,6 @@ impl Bch {
     /// Maximum number of errors corrected (`t`).
     pub fn correction_capability(&self) -> usize {
         self.t as usize
-    }
-
-    /// Maximum number of errors *guaranteed detected* (`2t`, from designed
-    /// distance `2t + 1`).
-    pub fn guaranteed_detection(&self) -> usize {
-        2 * self.t as usize
     }
 
     /// Systematically encodes `data` (MSB-first bytes; `data.len()·8` must

@@ -124,21 +124,6 @@ impl BitVec {
         }
         out
     }
-
-    /// XOR with another vector of the same length; returns the Hamming
-    /// distance.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn hamming_distance(&self, other: &BitVec) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a ^ b).count_ones() as usize)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +158,6 @@ mod tests {
         let v = BitVec::from_bytes(&[0x80]);
         assert!(v.get(0));
         assert_eq!(v.count_ones(), 1);
-    }
-
-    #[test]
-    fn hamming_distance_counts_flips() {
-        let a = BitVec::from_bytes(&[0xFF, 0x00]);
-        let b = BitVec::from_bytes(&[0xFE, 0x01]);
-        assert_eq!(a.hamming_distance(&b), 2);
     }
 
     #[test]

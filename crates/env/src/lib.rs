@@ -75,12 +75,6 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Worker threads of the sweep pool; 1 forces the sequential path",
         },
         EnvVar {
-            name: "READDUO_CHANNELS",
-            kind: EnvKind::Count { min: 1 },
-            default: "1",
-            doc: "Memory channels of the topology; >1 shards the engine per channel",
-        },
-        EnvVar {
             name: "READDUO_INSTR",
             kind: EnvKind::Count { min: 1 },
             default: "1000000",
@@ -93,22 +87,10 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Monte-Carlo sample size (lines per point) in fault_mc",
         },
         EnvVar {
-            name: "READDUO_BENCH_SAMPLES",
-            kind: EnvKind::Count { min: 3 },
-            default: "20",
-            doc: "Timed samples per microbenchmark case",
-        },
-        EnvVar {
             name: "READDUO_PROP_SEED",
             kind: EnvKind::Seed,
             default: "unset (run all cases)",
             doc: "Replay exactly one property-test case by its printed seed",
-        },
-        EnvVar {
-            name: "READDUO_PROP_CASES",
-            kind: EnvKind::Count { min: 1 },
-            default: "64",
-            doc: "Cases per property in the in-repo property harness",
         },
         EnvVar {
             name: "READDUO_TELEMETRY",
@@ -329,7 +311,7 @@ mod tests {
     #[test]
     fn registry_is_well_formed_and_help_renders_every_var() {
         let vars = recognized();
-        assert!(vars.len() >= 10);
+        assert_eq!(vars.len(), 8);
         let help = help_table();
         let mut seen = std::collections::HashSet::new();
         for v in vars {

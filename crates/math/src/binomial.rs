@@ -127,11 +127,6 @@ impl BinomialSampler {
         Self { n, step: step.into() }
     }
 
-    /// Number of trials.
-    pub fn trials(&self) -> u64 {
-        self.n
-    }
-
     /// Draws one sample with success probability `p`.
     ///
     /// # Panics
@@ -358,6 +353,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         assert_eq!(s.sample(&mut rng, 0.0), 0);
         assert_eq!(s.sample(&mut rng, 1.0), 100);
-        assert_eq!(s.trials(), 100);
     }
 }

@@ -4,8 +4,11 @@
 //! OCR-garbled in the source scan; the values here follow the prose where
 //! it is explicit (4 in-order cores, 2 GB-class banks, 150/450/1000 ns
 //! device timings) and standard MLC PCM energy figures from the cited
-//! literature otherwise. Every constant is a plain field so the sensitivity
-//! benches can sweep it.
+//! literature otherwise. Runs vary the channel count (`fig9 --channels`),
+//! the scaled-down test machine's core count, capacity and queue depth,
+//! and the write-cancellation and scrub-backlog switches the engine tests
+//! ablate. The energies are not configuration: every device builds its
+//! own [`EnergyModel::paper`].
 
 /// Per-operation dynamic energy model (picojoules).
 ///
@@ -47,11 +50,6 @@ impl EnergyModel {
             slc_bit_pj: 1.0,
         }
     }
-
-    /// Energy of a full-line (256-cell) write, pJ.
-    pub fn full_line_write_pj(&self) -> f64 {
-        self.write_cell_pj * 256.0
-    }
 }
 
 impl Default for EnergyModel {
@@ -67,18 +65,14 @@ impl Default for EnergyModel {
 pub struct LineAddr {
     /// Channel servicing the line.
     pub channel: usize,
-    /// Rank within the channel.
-    pub rank: usize,
-    /// Bank within the rank.
-    pub bank: usize,
-    /// Flat bank index within the channel: `rank * banks_per_rank + bank`.
-    /// This is the index the per-channel controller actually dispatches on.
+    /// Bank within the channel: the index the per-channel controller
+    /// dispatches on.
     pub bank_in_channel: usize,
     /// Line index within the bank (the scrub pointer walks this space).
     pub local_line: u64,
 }
 
-/// Memory topology: `channels × ranks × banks`, line-interleaved.
+/// Memory topology: `channels × banks_per_channel`, line-interleaved.
 ///
 /// Consecutive lines stripe across channels first (so sequential streams
 /// spread over every independent bus), then across the banks of a channel,
@@ -102,27 +96,19 @@ pub struct Topology {
     /// Independent channels, each with its own bus, controller, write
     /// queues, scrub engine and event queue.
     pub channels: usize,
-    /// Ranks per channel (timing-transparent grouping of banks; the
-    /// controller dispatches on the flat `bank_in_channel` index).
-    pub ranks: usize,
-    /// Banks per rank.
-    pub banks_per_rank: usize,
+    /// Banks inside one channel.
+    pub banks_per_channel: usize,
 }
 
 impl Topology {
-    /// One channel of `ranks × banks_per_rank` banks.
-    pub fn single_channel(ranks: usize, banks_per_rank: usize) -> Self {
-        Self { channels: 1, ranks, banks_per_rank }
-    }
-
-    /// Banks inside one channel.
-    pub fn banks_per_channel(&self) -> usize {
-        self.ranks * self.banks_per_rank
+    /// One channel of `banks_per_channel` banks.
+    pub fn single_channel(banks_per_channel: usize) -> Self {
+        Self { channels: 1, banks_per_channel }
     }
 
     /// Banks across all channels.
     pub fn total_banks(&self) -> usize {
-        self.channels * self.banks_per_channel()
+        self.channels * self.banks_per_channel
     }
 
     /// Channel servicing `line`. Equals `decompose(line).channel` — the
@@ -158,13 +144,7 @@ impl Topology {
         let stripe = line % cb;
         let channel = (stripe % self.channels as u64) as usize;
         let bank_in_channel = (stripe / self.channels as u64) as usize;
-        LineAddr {
-            channel,
-            rank: bank_in_channel / self.banks_per_rank,
-            bank: bank_in_channel % self.banks_per_rank,
-            bank_in_channel,
-            local_line: line / cb,
-        }
+        LineAddr { channel, bank_in_channel, local_line: line / cb }
     }
 
     /// Inverse of [`decompose`]: the global line for a placement.
@@ -179,11 +159,10 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics on a zero channel, rank or bank count.
+    /// Panics on a zero channel or bank count.
     pub fn validate(&self) {
         assert!(self.channels > 0, "need at least one channel");
-        assert!(self.ranks > 0, "need at least one rank");
-        assert!(self.banks_per_rank > 0, "need at least one bank per rank");
+        assert!(self.banks_per_channel > 0, "need at least one bank per channel");
     }
 }
 
@@ -194,7 +173,7 @@ pub struct MemoryConfig {
     pub cores: usize,
     /// Core clock in GHz (non-memory instructions retire at IPC 1).
     pub core_ghz: f64,
-    /// Memory topology: channels × ranks × banks, line-interleaved.
+    /// Memory topology: channels × banks, line-interleaved.
     pub topology: Topology,
     /// 64 B lines per bank. The scrub cadence per bank is
     /// `lines_per_bank / S` per second.
@@ -211,8 +190,6 @@ pub struct MemoryConfig {
     /// backlogged more than this many ns — the scrub engine yields to
     /// demand traffic rather than growing the queue without bound.
     pub scrub_backlog_limit_ns: u64,
-    /// Dynamic energy model.
-    pub energy: EnergyModel,
 }
 
 impl MemoryConfig {
@@ -228,14 +205,13 @@ impl MemoryConfig {
         Self {
             cores: 4,
             core_ghz: 2.0,
-            topology: Topology::single_channel(2, 8),
+            topology: Topology::single_channel(16),
             lines_per_bank: (128u64 << 20) / 64,
             bus_ns: 8,
             write_queue_cap: 16,
             write_cancellation: true,
             cancel_penalty_ns: 10,
             scrub_backlog_limit_ns: 20_000,
-            energy: EnergyModel::paper(),
         }
     }
 
@@ -245,14 +221,13 @@ impl MemoryConfig {
         Self {
             cores: 2,
             core_ghz: 2.0,
-            topology: Topology::single_channel(1, 2),
+            topology: Topology::single_channel(2),
             lines_per_bank: 1 << 14,
             bus_ns: 8,
             write_queue_cap: 4,
             write_cancellation: true,
             cancel_penalty_ns: 10,
             scrub_backlog_limit_ns: 20_000,
-            energy: EnergyModel::paper(),
         }
     }
 
@@ -312,11 +287,10 @@ mod tests {
         // decomposition on power-of-two topologies (where the shift/mask
         // branch runs) and on odd ones (where it falls back to division).
         let topos = [
-            Topology::single_channel(1, 8),
-            Topology::single_channel(2, 4),
-            Topology { channels: 4, ranks: 1, banks_per_rank: 8 },
-            Topology { channels: 3, ranks: 1, banks_per_rank: 5 },
-            Topology { channels: 2, ranks: 3, banks_per_rank: 1 },
+            Topology::single_channel(8),
+            Topology { channels: 4, banks_per_channel: 8 },
+            Topology { channels: 3, banks_per_channel: 5 },
+            Topology { channels: 2, banks_per_channel: 3 },
         ];
         for t in topos {
             for line in (0u64..4096).chain([u64::MAX - 7, u64::MAX]) {
@@ -357,14 +331,12 @@ mod tests {
     /// `bank = line % banks`, `local = line / banks`.
     #[test]
     fn single_channel_reduces_to_legacy_mapping() {
-        let t = Topology::single_channel(2, 8);
+        let t = Topology::single_channel(16);
         for line in 0..200u64 {
             let a = t.decompose(line);
             assert_eq!(a.channel, 0);
             assert_eq!(a.bank_in_channel, (line % 16) as usize);
             assert_eq!(a.local_line, line / 16);
-            assert_eq!(a.rank, a.bank_in_channel / 8);
-            assert_eq!(a.bank, a.bank_in_channel % 8);
             assert_eq!(t.recompose(a.channel, a.bank_in_channel, a.local_line), line);
         }
     }
@@ -373,14 +345,13 @@ mod tests {
     /// round-trip over a multi-channel topology.
     #[test]
     fn multi_channel_stripes_channels_first() {
-        let t = Topology { channels: 4, ranks: 2, banks_per_rank: 2 };
-        assert_eq!(t.banks_per_channel(), 4);
+        let t = Topology { channels: 4, banks_per_channel: 4 };
         assert_eq!(t.total_banks(), 16);
         for line in 0..160u64 {
             let a = t.decompose(line);
             assert_eq!(a.channel, (line % 4) as usize, "channel-first striping");
             assert_eq!(a.channel, t.channel_of(line));
-            assert!(a.bank_in_channel < t.banks_per_channel());
+            assert!(a.bank_in_channel < t.banks_per_channel);
             assert_eq!(t.recompose(a.channel, a.bank_in_channel, a.local_line), line);
         }
         // Lines 0..16 hit all 16 (channel, bank) pairs exactly once.
@@ -395,7 +366,6 @@ mod tests {
     #[test]
     fn energy_model_scales() {
         let e = EnergyModel::paper();
-        assert!((e.full_line_write_pj() - 2560.0).abs() < 1e-9);
         assert!(e.m_read_pj > e.r_read_pj);
         assert!(e.scrub_scan_pj < e.r_read_pj);
         assert!(e.slc_bit_pj < e.write_cell_pj);

@@ -119,7 +119,7 @@ impl Tel {
     /// trace separates the channels (`memsim.c{C}`, `c{C}.bank {b}`,
     /// `queue.c{C}.b{N}`).
     fn begin(cfg: &MemoryConfig, channel: usize, cores: usize) -> Option<Tel> {
-        let banks = cfg.topology.banks_per_channel();
+        let banks = cfg.topology.banks_per_channel;
         let multi = cfg.topology.channels > 1;
         let label =
             if multi { format!("memsim.c{channel}") } else { "memsim".to_string() };
@@ -167,7 +167,7 @@ pub(crate) struct Run<'a, D: DeviceModel + ?Sized, S: OpSource> {
     cfg: MemoryConfig,
     /// This channel's index within the topology.
     channel: usize,
-    /// Banks in this channel (`topology.banks_per_channel()`).
+    /// Banks in this channel (`topology.banks_per_channel`).
     nbanks: usize,
     device: &'a mut D,
     source: &'a mut S,
@@ -255,7 +255,7 @@ impl Simulator {
             source.cores(),
             self.config.cores
         );
-        let nbanks = self.config.topology.banks_per_channel();
+        let nbanks = self.config.topology.banks_per_channel;
         let tel = Tel::begin(&self.config, channel, source.cores());
         Run {
             cfg: self.config,
@@ -1040,7 +1040,7 @@ mod tests {
         }
         let mut dev = ScrubRecorder { visits: Vec::new() };
         let rep = Simulator::new(c).run(&t, &mut dev);
-        let nb = c.topology.banks_per_channel() as u64;
+        let nb = c.topology.banks_per_channel as u64;
         assert!(rep.scrubs >= 2 * 4 * nb, "need multiple wraps");
         for b in 0..nb {
             let locals: Vec<u64> = dev

@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn channel_filter_partitions_streams() {
         let t = trace();
-        let topo = Topology { channels: 4, ranks: 1, banks_per_rank: 2 };
+        let topo = Topology { channels: 4, banks_per_channel: 2 };
         for core in 0..t.cores() {
             let mut seen: Vec<(u64, MemOp)> = Vec::new();
             for ch in 0..topo.channels {

@@ -20,8 +20,6 @@ pub struct MlcCell {
     log_x0: f64,
     /// Drift coefficient sampled at program time.
     alpha: f64,
-    /// Cumulative number of times this cell has been programmed (endurance).
-    writes: u64,
 }
 
 impl MlcCell {
@@ -47,25 +45,7 @@ impl MlcCell {
         // Negative α samples (possible in the normal tail) are clamped to 0:
         // resistance does not fall over time in the paper's model.
         let alpha = lp.alpha_distribution().sample(rng).max(0.0);
-        Self {
-            level,
-            log_x0,
-            alpha,
-            writes: 1,
-        }
-    }
-
-    /// Reprograms the cell in place (a new write), preserving the endurance
-    /// counter.
-    pub fn reprogram<R: readduo_rng::Rng + ?Sized>(
-        &mut self,
-        level: CellLevel,
-        cfg: &MetricConfig,
-        rng: &mut R,
-    ) {
-        let writes = self.writes;
-        *self = Self::program(level, cfg, rng);
-        self.writes = writes + 1;
+        Self { level, log_x0, alpha }
     }
 
     /// The level this cell was programmed to.
@@ -81,11 +61,6 @@ impl MlcCell {
     /// Sampled drift coefficient.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Lifetime program count (endurance accounting).
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 
     /// `log10(metric)` at `elapsed` seconds after the last write.
@@ -106,12 +81,7 @@ impl MlcCell {
     /// Constructs a cell with explicit physics (for tests and the analytic
     /// cross-checks).
     pub fn with_physics(level: CellLevel, log_x0: f64, alpha: f64) -> Self {
-        Self {
-            level,
-            log_x0,
-            alpha,
-            writes: 1,
-        }
+        Self { level, log_x0, alpha }
     }
 }
 
@@ -187,17 +157,5 @@ mod tests {
             let c = MlcCell::program(CellLevel::L3, &cfg, &mut rng);
             assert!(!c.has_drift_error_at(1e9, &cfg));
         }
-    }
-
-    #[test]
-    fn reprogram_counts_writes() {
-        let cfg = MetricConfig::r_metric();
-        let mut rng = StdRng::seed_from_u64(14);
-        let mut c = MlcCell::program(CellLevel::L0, &cfg, &mut rng);
-        assert_eq!(c.writes(), 1);
-        c.reprogram(CellLevel::L2, &cfg, &mut rng);
-        c.reprogram(CellLevel::L1, &cfg, &mut rng);
-        assert_eq!(c.writes(), 3);
-        assert_eq!(c.level(), CellLevel::L1);
     }
 }

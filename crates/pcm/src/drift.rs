@@ -33,35 +33,6 @@ pub fn log_metric_at(log_x0: f64, alpha: f64, t: f64, t0: f64) -> f64 {
     log_x0 + alpha * u
 }
 
-/// Time (seconds since write) at which a cell starting at `log_x0` with
-/// coefficient `alpha` crosses the log10 threshold `boundary`.
-///
-/// Returns `None` if the cell never crosses (already above is reported as
-/// `Some(t0)`; `alpha <= 0` and below the boundary never crosses).
-///
-/// ```
-/// use readduo_pcm::time_to_cross;
-/// // Needs 0.5 log-decades at alpha = 0.1: t = t0 * 10^5.
-/// let t = time_to_cross(3.0, 0.1, 3.5, 1.0).unwrap();
-/// assert!((t - 1e5).abs() / 1e5 < 1e-12);
-/// ```
-pub fn time_to_cross(log_x0: f64, alpha: f64, boundary: f64, t0: f64) -> Option<f64> {
-    assert!(t0 > 0.0, "t0 must be positive, got {t0}");
-    if log_x0 >= boundary {
-        return Some(t0);
-    }
-    if alpha <= 0.0 {
-        return None;
-    }
-    let decades = (boundary - log_x0) / alpha;
-    // 10^decades can overflow f64 for glacial drifts; report as "never"
-    // beyond ~1e300 s (the universe is 4e17 s old).
-    if decades > 300.0 {
-        return None;
-    }
-    Some(t0 * 10f64.powf(decades))
-}
-
 /// The drift exponent `u = log10(t/t0)` used throughout the reliability
 /// engine (clamped to 0 for `t < t0`).
 pub fn drift_exponent(t: f64, t0: f64) -> f64 {
@@ -135,24 +106,9 @@ mod tests {
         // needs ~2.1 decades, i.e. ~128 s — which is why R-sensing needs
         // S = 8 s scrubbing once the distribution tails are accounted for.
         let guard = 0.254 / 6.0;
-        let t = time_to_cross(4.0 + 2.746 / 6.0, 0.02, 4.0 + 2.746 / 6.0 + guard, 1.0).unwrap();
-        assert!(t > 50.0 && t < 300.0, "t = {t}");
-    }
-
-    #[test]
-    fn cross_time_round_trips_with_metric() {
-        let t = time_to_cross(3.2, 0.05, 3.9, 1.0).unwrap();
-        let x = log_metric_at(3.2, 0.05, t, 1.0);
-        assert!((x - 3.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn already_crossed_and_never_crossed() {
-        assert_eq!(time_to_cross(4.0, 0.1, 3.5, 1.0), Some(1.0));
-        assert_eq!(time_to_cross(3.0, 0.0, 3.5, 1.0), None);
-        assert_eq!(time_to_cross(3.0, -0.1, 3.5, 1.0), None);
-        // Glacial drift: crossing time beyond representable range.
-        assert_eq!(time_to_cross(3.0, 1e-6, 3.5, 1.0), None);
+        let top = 4.0 + 2.746 / 6.0;
+        assert!(log_metric_at(top, 0.02, 50.0, 1.0) < top + guard);
+        assert!(log_metric_at(top, 0.02, 300.0, 1.0) > top + guard);
     }
 
     #[test]

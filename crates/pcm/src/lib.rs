@@ -8,12 +8,14 @@
 //!   distributions and drift-coefficient statistics,
 //! * [`drift`] — the empirical power-law drift model `X(t) = X₀·(t/t₀)^α`
 //!   (Equations 1 and 2) in log₁₀ space,
-//! * [`cell`]/[`line`](mod@line) — Monte-Carlo cell and 256-cell (64 B) line models
-//!   used by the trace-driven simulator,
+//! * [`cell`]/[`line`](mod@line) — Monte-Carlo cell and 256-cell (64 B) line
+//!   models: the ground truth the analytic reliability model is checked
+//!   against (the simulator's schemes draw drift from the analytic curves,
+//!   not from these),
 //! * [`sensing`] — R-sensing (current mode) and M-sensing (voltage mode)
 //!   with the two-round reference comparison and the paper's latencies,
-//! * [`tlc`] — the Tri-Level-Cell baseline (drops the most drift-prone
-//!   level, trading density for reliability).
+//! * [`fault`] and [`wear`] — per-read drift-fault sampling and per-cell
+//!   endurance for the fault-injected and worn read paths.
 //!
 //! # Example
 //!
@@ -42,15 +44,13 @@ pub mod line;
 pub mod params;
 pub mod sensing;
 pub mod state;
-pub mod tlc;
 pub mod wear;
 
 pub use cell::MlcCell;
-pub use drift::{drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, time_to_cross};
+pub use drift::{drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u};
 pub use fault::{FaultModel, LineFaults};
 pub use line::{MlcLine, SensedLine};
 pub use params::{LevelParams, MetricConfig, MetricKind, CELLS_PER_LINE, LINE_BYTES};
 pub use sensing::{DeviceParams, SenseTiming};
 pub use state::CellLevel;
-pub use tlc::TlcConfig;
 pub use wear::{WearModel, ENDURANCE_MEDIAN_DEFAULT, ENDURANCE_SIGMA_LN};

@@ -60,51 +60,9 @@ impl MlcLine {
         assert_eq!(data.len(), self.bytes, "data length must match line size");
         let cell_data = bytes_to_cell_data(data);
         for (slot, bits) in self.cells.iter_mut().zip(cell_data) {
-            let level = CellLevel::from_data(bits);
-            match slot {
-                Some(c) => c.reprogram(level, cfg, rng),
-                None => *slot = Some(MlcCell::program(level, cfg, rng)),
-            }
+            *slot = Some(MlcCell::program(CellLevel::from_data(bits), cfg, rng));
         }
         self.cells.len() as u32
-    }
-
-    /// Differential write: programs only the cells whose *stored level*
-    /// differs from the new data (plus unprogrammed cells). Returns the
-    /// number of cells actually written.
-    ///
-    /// Note the hazard the paper's Figure 6 describes: cells that are *not*
-    /// rewritten keep their old (partially drifted) physics, so the line's
-    /// resistance distribution is no longer fresh — exactly why plain
-    /// differential write is unsafe without ReadDuo-Select's bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the line size.
-    pub fn program_differential<R: readduo_rng::Rng + ?Sized>(
-        &mut self,
-        data: &[u8],
-        cfg: &MetricConfig,
-        rng: &mut R,
-    ) -> u32 {
-        assert_eq!(data.len(), self.bytes, "data length must match line size");
-        let cell_data = bytes_to_cell_data(data);
-        let mut written = 0u32;
-        for (slot, bits) in self.cells.iter_mut().zip(cell_data) {
-            let level = CellLevel::from_data(bits);
-            match slot {
-                Some(c) if c.level() == level => {}
-                Some(c) => {
-                    c.reprogram(level, cfg, rng);
-                    written += 1;
-                }
-                None => {
-                    *slot = Some(MlcCell::program(level, cfg, rng));
-                    written += 1;
-                }
-            }
-        }
-        written
     }
 
     /// Senses every cell `elapsed` seconds after its last write under `cfg`
@@ -173,21 +131,6 @@ impl MlcLine {
             .count() as u32
     }
 
-    /// The data the line *should* hold (ground truth from programmed levels).
-    pub fn stored_data(&self) -> Vec<u8> {
-        let bits: Vec<u8> = self
-            .cells
-            .iter()
-            .map(|slot| slot.map_or(0, |c| c.level().data()))
-            .collect();
-        cell_data_to_bytes(&bits)
-    }
-
-    /// Total programs across all cells (endurance accounting).
-    pub fn total_cell_writes(&self) -> u64 {
-        self.cells.iter().flatten().map(|c| c.writes()).sum()
-    }
-
     /// Iterates over programmed cells.
     pub fn iter(&self) -> impl Iterator<Item = &MlcCell> {
         self.cells.iter().flatten()
@@ -214,7 +157,6 @@ mod tests {
         assert_eq!(s.data, data);
         assert_eq!(s.drift_errors, 0);
         assert_eq!(s.bit_errors, 0);
-        assert_eq!(line.stored_data(), data);
     }
 
     #[test]
@@ -224,23 +166,6 @@ mod tests {
         let s = line.sense(100.0, &cfg);
         assert_eq!(s.data, vec![0u8; 8]);
         assert_eq!(s.drift_errors, 0);
-    }
-
-    #[test]
-    fn differential_write_touches_only_changed_cells() {
-        let cfg = MetricConfig::r_metric();
-        let mut rng = rng();
-        let mut line = MlcLine::new(4);
-        let a = vec![0b_01_01_01_01u8; 4]; // all cells level L0
-        line.program(&a, &cfg, &mut rng);
-        // Flip the first cell of the first byte to L3 ('00').
-        let mut b = a.clone();
-        b[0] = 0b_00_01_01_01;
-        let written = line.program_differential(&b, &cfg, &mut rng);
-        assert_eq!(written, 1);
-        assert_eq!(line.stored_data(), b);
-        // Full write rewrites all 16 cells.
-        assert_eq!(line.program(&b, &cfg, &mut rng), 16);
     }
 
     #[test]
@@ -295,17 +220,6 @@ mod tests {
         let s = line.sense(1e6, &cfg);
         assert!(s.bit_errors >= s.drift_errors);
         assert!(s.bit_errors <= 2 * s.drift_errors);
-    }
-
-    #[test]
-    fn total_cell_writes_tracks_programs() {
-        let cfg = MetricConfig::r_metric();
-        let mut rng = rng();
-        let mut line = MlcLine::new(2);
-        let d = vec![0xFFu8; 2];
-        line.program(&d, &cfg, &mut rng);
-        line.program(&d, &cfg, &mut rng);
-        assert_eq!(line.total_cell_writes(), 16);
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl LerAnalysis {
         LogProb::new(binomial::ln_tail_ge(self.bits, p, e + 1).min(0.0))
     }
 
-    /// Probability of **at least one** drifted cell at age `s` (the `E=0`
-    /// column).
-    pub fn any_error(&self, s: f64) -> LogProb {
-        self.ler_exceeding(0, s)
-    }
-
     /// Generates one row of Table III/IV: LER for each `E` in `es` at scrub
     /// interval `s`.
     pub fn table_row(&self, s: f64, es: &[u64]) -> Vec<LogProb> {
@@ -100,7 +94,7 @@ mod tests {
         let p = a.ler_exceeding(8, 8.0).to_prob();
         assert!(p < t, "R(BCH=8,S=8): {p:e} should be below target {t:e}");
         // …and no protection at 8 s fails spectacularly (paper: 7.1e-2).
-        let p0 = a.any_error(8.0).to_prob();
+        let p0 = a.ler_exceeding(0, 8.0).to_prob();
         assert!(p0 > 1e-3, "E=0 at 8 s: {p0:e}");
     }
 
@@ -167,9 +161,9 @@ mod tests {
         // Table III, E=0: S=8 → 7.09e-2; S=2^9 (512 s) → 8.18e-1. These
         // columns are tail-insensitive, so they pin the calibration.
         let a = r();
-        let p8 = a.any_error(8.0).to_prob();
+        let p8 = a.ler_exceeding(0, 8.0).to_prob();
         assert!((p8 - 7.09e-2).abs() / 7.09e-2 < 0.10, "E=0,S=8: {p8:e}");
-        let p512 = a.any_error(512.0).to_prob();
+        let p512 = a.ler_exceeding(0, 512.0).to_prob();
         assert!((p512 - 8.18e-1).abs() / 8.18e-1 < 0.10, "E=0,S=512: {p512:e}");
     }
 }

@@ -44,4 +44,4 @@ pub mod target;
 pub use cellprob::{CachedErrorCurve, CellErrorModel};
 pub use conditions::{condition_ii, condition_iii};
 pub use ler::LerAnalysis;
-pub use search::{find_min_code, ScrubPolicy};
+pub use search::find_min_code;

@@ -1,4 +1,4 @@
-//! `(E, S, W)` operating-point search.
+//! `(E, S)` operating-point search.
 //!
 //! Re-derives the paper's chosen scrub policies from the model instead of
 //! hard-coding them: R-sensing needs `(BCH=8, S=8 s)`; M-sensing meets the
@@ -8,36 +8,6 @@
 use crate::cellprob::CellErrorModel;
 use crate::ler::LerAnalysis;
 use crate::target::ler_target;
-
-/// A complete scrub policy: code strength, interval, rewrite threshold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScrubPolicy {
-    /// BCH correction capability `E` attached to each line.
-    pub code_e: u64,
-    /// Scrub interval `S` in seconds.
-    pub interval_s: f64,
-    /// Rewrite threshold `W`: rewrite a line at scrub time when it shows at
-    /// least `W` errors (`W = 0` means always rewrite).
-    pub rewrite_w: u32,
-}
-
-impl ScrubPolicy {
-    /// The paper's R-metric scrubbing baseline: `(BCH=8, S=8, W=1)`.
-    pub fn r_paper() -> Self {
-        Self { code_e: 8, interval_s: 8.0, rewrite_w: 1 }
-    }
-
-    /// The paper's M-metric policy: `(BCH=8, S=640, W=1)`.
-    pub fn m_paper() -> Self {
-        Self { code_e: 8, interval_s: 640.0, rewrite_w: 1 }
-    }
-
-    /// ReadDuo-Hybrid's policy: `(BCH=8, S=640, W=0)` — every line is
-    /// rewritten at scrub time so R-sensing always sees a young line.
-    pub fn hybrid_paper() -> Self {
-        Self { code_e: 8, interval_s: 640.0, rewrite_w: 0 }
-    }
-}
 
 /// Finds the smallest code strength `E ≤ e_max` whose LER at interval `s`
 /// meets the DRAM target, or `None` if even `e_max` fails.
@@ -89,12 +59,5 @@ mod tests {
         // And stretches to large power-of-two intervals (paper: 2^14).
         let max_s = max_interval_for_code(&model, 8, 14).expect("should reach 2^14");
         assert!(max_s >= 2f64.powi(10), "M max interval = {max_s}");
-    }
-
-    #[test]
-    fn policies_expose_paper_constants() {
-        assert_eq!(ScrubPolicy::r_paper().interval_s, 8.0);
-        assert_eq!(ScrubPolicy::m_paper().interval_s, 640.0);
-        assert_eq!(ScrubPolicy::hybrid_paper().rewrite_w, 0);
     }
 }

@@ -95,16 +95,6 @@ impl Trace {
         self.total_ops() - self.total_reads()
     }
 
-    /// Highest instruction count across all streams (trace "length").
-    pub fn max_icount(&self) -> u64 {
-        self.streams
-            .iter()
-            .filter_map(|s| s.last())
-            .map(|o| o.icount)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Number of distinct lines touched.
     pub fn footprint_lines(&self) -> usize {
         let mut lines: Vec<u64> = self.streams.iter().flatten().map(|o| o.line).collect();
@@ -128,7 +118,6 @@ mod tests {
         assert_eq!(t.total_ops(), 3);
         assert_eq!(t.total_reads(), 2);
         assert_eq!(t.total_writes(), 1);
-        assert_eq!(t.max_icount(), 20);
         assert_eq!(t.footprint_lines(), 2);
         assert_eq!(t.stream(0).len(), 2);
     }
@@ -151,7 +140,6 @@ mod tests {
     fn empty_trace_is_sane() {
         let t = Trace::new("empty", 4);
         assert_eq!(t.total_ops(), 0);
-        assert_eq!(t.max_icount(), 0);
         assert_eq!(t.footprint_lines(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //! and downstream users need a single dependency:
 //!
 //! * [`math`] — special functions, log-space probability, quadrature,
-//! * [`pcm`] — MLC and TLC cell physics and the drift model,
+//! * [`pcm`] — MLC cell physics and the drift model,
 //! * [`ecc`] — the BCH codec,
 //! * [`trace`] — synthetic SPEC2006-like memory traces,
 //! * [`memsim`] — the event-driven multi-core memory-system simulator,
@@ -51,7 +51,7 @@ pub mod prelude {
     pub use readduo_ecc::Bch;
     pub use readduo_math::{LogProb, Normal, TruncatedNormal};
     pub use readduo_memsim::{MemoryConfig, SimReport, Simulator};
-    pub use readduo_pcm::{CellLevel, MetricConfig, MlcLine, SenseTiming, TlcConfig};
-    pub use readduo_reliability::{CellErrorModel, LerAnalysis, ScrubPolicy};
+    pub use readduo_pcm::{CellLevel, MetricConfig, MlcLine, SenseTiming};
+    pub use readduo_reliability::{CellErrorModel, LerAnalysis};
     pub use readduo_trace::{Trace, TraceGenerator, Workload};
 }

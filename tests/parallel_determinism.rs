@@ -2,12 +2,9 @@
 //! bit-for-bit the same `SimReport`s as the sequential one.
 //!
 //! Both runs happen inside a single `#[test]` so the `READDUO_THREADS`
-//! environment flips cannot race another test in this binary.
-//!
-//! `READDUO_CHANNELS` widens the topology (default 1), so the same gate
-//! covers the sharded engine: with N channels every matrix cell fans its
-//! channels out on the ambient pool, and the merged reports must still be
-//! identical across thread counts.
+//! environment flips cannot race another test in this binary. Sharded
+//! multi-channel runs are pinned across pool widths by
+//! `tests/shard_equivalence.rs`.
 
 use readduo::core::{DeviceSpec, SchemeKind};
 use readduo::memsim::MemoryConfig;
@@ -16,12 +13,11 @@ use readduo_bench::{Harness, Source};
 
 #[test]
 fn run_matrix_is_identical_across_thread_counts() {
-    let channels = readduo_env::usize_at_least("READDUO_CHANNELS", 1).unwrap_or(1);
     let harness = Harness {
         instructions_per_core: 40_000,
         cores: 2,
         seed: 0x00D5_EAD0_2016,
-        memory: MemoryConfig::small_test().with_channels(channels),
+        memory: MemoryConfig::small_test(),
     };
     let schemes = [
         SchemeKind::Scrubbing,
@@ -30,9 +26,12 @@ fn run_matrix_is_identical_across_thread_counts() {
     ];
     let workloads = [Workload::toy(), Workload::by_name("gcc").expect("gcc")];
 
-    // Worn runs ride the same env flips: with hard faults and remapping
-    // enabled the merged report must still be independent of the pool
-    // width (the wear table is per-channel state like everything else).
+    // The worn and tiered legs run on two channels: a 1-channel run never
+    // touches the pool, so only a sharded run lets the env flips reach
+    // them. With hard faults and remapping enabled the merged report must
+    // still be independent of the pool width (the wear table is
+    // per-channel state like everything else).
+    let sharded = Harness { memory: harness.memory.with_channels(2), ..harness };
     let wear = readduo::core::WearConfig::new(0x00FA_0017).with_accel(4_000_000);
     let worn_spec = DeviceSpec::from(SchemeKind::Select { k: 4, s: 2 })
         .with_fault(0x00FA_0017)
@@ -52,10 +51,10 @@ fn run_matrix_is_identical_across_thread_counts() {
         let streamed = harness
             .run_matrix_streamed(&schemes, &workloads)
             .expect("bare schemes");
-        let worn = harness
+        let worn = sharded
             .run(&worn_workload, worn_spec, Source::Stream)
             .expect("Select is injectable");
-        let tiered = harness
+        let tiered = sharded
             .run(&tiered_workload, tiered_spec, Source::Stream)
             .expect("LWT-4 is tierable");
         (matrix, streamed, worn, tiered)

@@ -2,8 +2,8 @@
 //!
 //! Shape of a property: a *generator* draws a random input from a seeded
 //! [`StdRng`], and a *property function* returns `Ok(())` or a description
-//! of the violation. [`check`] runs `READDUO_PROP_CASES` cases (default
-//! 64), each from its own deterministic per-case seed, so
+//! of the violation. [`check`] runs [`DEFAULT_CASES`] cases, each from
+//! its own deterministic per-case seed, so
 //!
 //! * a failure prints a single `READDUO_PROP_SEED=<seed>` line that
 //!   replays exactly that input, on any machine, forever;
@@ -141,15 +141,6 @@ impl_shrink_tuple!(
     (A: 0, B: 1, C: 2, D: 3)
 );
 
-/// Returns the per-property case count (`READDUO_PROP_CASES`, default 64).
-pub fn case_count() -> usize {
-    std::env::var("READDUO_PROP_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CASES)
-}
-
 /// Stable per-case seed: a splitmix64 stream keyed by the property name,
 /// advanced to case `i`. Independent of the process, platform, and of any
 /// other property's stream.
@@ -253,7 +244,7 @@ where
     G: Fn(&mut StdRng) -> T,
     P: Fn(&T) -> Result<(), String>,
 {
-    check_n(name, case_count(), gen, prop)
+    check_n(name, DEFAULT_CASES, gen, prop)
 }
 
 /// Draws a `Vec<u8>` with a length drawn from `len` (inclusive bounds).

@@ -320,7 +320,7 @@ fn trace_stream_chunk_invariant() {
 }
 
 /// The address interleave of an arbitrary topology is bijective — every
-/// line decomposes to a valid `(channel, rank, bank, local)` placement,
+/// line decomposes to a valid `(channel, bank, local)` placement,
 /// recomposes to itself, and no two lines share a placement — and balanced:
 /// enumerating any prefix `[0, L)` of the line space (uniform addresses)
 /// loads every `(channel, bank)` pair within one line of every other.
@@ -331,31 +331,33 @@ fn topology_interleave_bijective_and_balanced() {
         |rng| {
             (
                 rng.gen_range(1usize..=8),
-                rng.gen_range(1usize..=4),
-                rng.gen_range(1usize..=8),
+                rng.gen_range(1usize..=32),
                 rng.gen_range(1u64..=4000),
             )
         },
-        |&(channels, ranks, banks_per_rank, lines)| {
-            if channels == 0 || ranks == 0 || banks_per_rank == 0 || lines == 0 {
+        |&(channels, banks_per_channel, lines)| {
+            if channels == 0 || banks_per_channel == 0 || lines == 0 {
                 return Ok(());
             }
-            let t = Topology { channels, ranks, banks_per_rank };
+            let t = Topology { channels, banks_per_channel };
             let mut counts = vec![0u64; t.total_banks()];
             let mut seen = std::collections::HashSet::new();
             for line in 0..lines {
                 let a = t.decompose(line);
                 ensure!(a.channel < channels, "channel {} out of range", a.channel);
-                ensure!(a.rank < ranks, "rank {} out of range", a.rank);
-                ensure!(a.bank < banks_per_rank, "bank {} out of range", a.bank);
-                ensure_eq!(a.bank_in_channel, a.rank * banks_per_rank + a.bank);
+                ensure!(
+                    a.bank_in_channel < banks_per_channel,
+                    "bank {} out of range",
+                    a.bank_in_channel
+                );
                 ensure_eq!(t.channel_of(line), a.channel);
+                ensure_eq!(t.bank_in_channel_of(line), a.bank_in_channel);
                 ensure_eq!(t.recompose(a.channel, a.bank_in_channel, a.local_line), line);
                 ensure!(
                     seen.insert((a.channel, a.bank_in_channel, a.local_line)),
                     "two lines share placement {a:?}"
                 );
-                counts[a.channel * t.banks_per_channel() + a.bank_in_channel] += 1;
+                counts[a.channel * banks_per_channel + a.bank_in_channel] += 1;
             }
             // Exactly balanced: the stripe cycles through all banks, so any
             // prefix loads banks within one line of each other (far inside

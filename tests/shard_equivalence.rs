@@ -1,7 +1,7 @@
 //! Differential-testing harness for the sharded multi-channel engine.
 //!
 //! The tentpole claim of the topology work is that sharding is *pure
-//! parallelism*: a `channels × ranks × banks` machine run channel-by-
+//! parallelism*: a `channels × banks` machine run channel-by-
 //! channel on a worker pool produces bit-for-bit the report of the
 //! sequential reference, which steps the same per-channel engines one
 //! event at a time in exact `(at, channel, seq)` order. This
@@ -466,7 +466,7 @@ fn multi_channel_routing_is_stream_order_invariant() {
 fn merged_report_is_consistent_with_its_parts() {
     let w = Workload::toy();
     let trace = trace_for(&w);
-    let topo = Topology { channels: 2, ranks: 1, banks_per_rank: 2 };
+    let topo = Topology { channels: 2, banks_per_channel: 2 };
     let mut cfg = MemoryConfig::small_test();
     cfg.topology = topo;
     let sim = Simulator::new(cfg);

@@ -11,14 +11,11 @@ use readduo::trace::{TraceGenerator, Workload};
 use readduo_bench::{Harness, Source};
 
 fn harness() -> Harness {
-    // `READDUO_CHANNELS` widens the topology (default 1): the streamed and
-    // materialised paths must agree bit-for-bit on sharded runs too.
-    let channels = readduo_env::usize_at_least("READDUO_CHANNELS", 1).unwrap_or(1);
     Harness {
         instructions_per_core: 30_000,
         cores: 2,
         seed: 0x00D5_EAD0_2016,
-        memory: MemoryConfig::small_test().with_channels(channels),
+        memory: MemoryConfig::small_test(),
     }
 }
 
