@@ -81,21 +81,26 @@ READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=50000 \
 
 # Sharding gate, two directions. (1) Determinism across pool widths: the
 # 8-channel fig9 smoke run with the channel fan-out pinned to one worker
-# and then to four must write byte-identical CSV artifacts — the pool
+# and then to four must write byte-identical CSV artifacts (fig9.csv and
+# the fig10.csv and fig15.csv it writes from the same runs) — the pool
 # width may only choose the wall clock, never the physics. (2) Telemetry
 # on a multi-channel run must emit the per-channel tracks (c0.bank 0,
 # c1.bank 0, …) the sharded engine promises.
 echo "==> sharding gate (8-channel fig9 smoke, READDUO_THREADS=1 vs =4, budget 180 s)"
 start=$(date +%s)
 READDUO_INSTR=50000 READDUO_THREADS=1 ./target/release/fig9 --channels 8 >/dev/null
-cp target/experiments/fig9.csv target/experiments/fig9-8ch-t1.csv
+for fig in fig9 fig10 fig15; do
+    cp "target/experiments/$fig.csv" "target/experiments/$fig-8ch-t1.csv"
+done
 READDUO_INSTR=50000 READDUO_THREADS=4 ./target/release/fig9 --channels 8 >/dev/null
 elapsed=$(( $(date +%s) - start ))
 echo "    sharded smokes took ${elapsed}s"
-if ! cmp -s target/experiments/fig9-8ch-t1.csv target/experiments/fig9.csv; then
-    echo "    FAIL: 8-channel fig9 CSV differs across thread counts" >&2
-    exit 1
-fi
+for fig in fig9 fig10 fig15; do
+    if ! cmp -s "target/experiments/$fig-8ch-t1.csv" "target/experiments/$fig.csv"; then
+        echo "    FAIL: 8-channel $fig CSV differs across thread counts" >&2
+        exit 1
+    fi
+done
 if [ "$elapsed" -gt 180 ]; then
     echo "    FAIL: sharded smokes exceeded the 180 s budget" >&2
     exit 1
@@ -107,14 +112,14 @@ READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=20000 \
     --require-track "c0.bank 0" --require-track "c1.bank 0"
 
 # Perf gate: the exact fig9@10M acceptance configuration (full headline
-# matrix, streamed, one worker) under a wall-clock budget. The budget is
+# matrix, one worker) under a wall-clock budget. The budget is
 # generous — several times the post-PR-8 time, and still below the PR 6
 # baseline region — so it trips on hot-path catastrophes (accidental
 # debug-path work, serialisation, allocation storms), not on container
 # noise.
-echo "==> perf gate: fig9@10M streamed matrix (budget 60 s)"
+echo "==> perf gate: fig9@10M matrix on one worker (budget 60 s)"
 start=$(date +%s)
-READDUO_INSTR=10000000 ./target/release/stream_smoke --matrix >/dev/null
+READDUO_INSTR=10000000 READDUO_THREADS=1 ./target/release/stream_smoke --matrix >/dev/null
 elapsed=$(( $(date +%s) - start ))
 echo "    fig9@10M matrix took ${elapsed}s"
 if [ "$elapsed" -gt 60 ]; then

@@ -7,34 +7,37 @@
 //! execution overhead — at naive latency, M-metric-only is worse than the
 //! W=0 scrubbing it was meant to replace.
 
-use readduo_bench::{render_table, write_csv, Harness};
-use readduo_core::MMetricScheme;
-use readduo_memsim::{DeviceModel, Simulator};
+use readduo_bench::{render_table, write_csv, Harness, Source};
+use readduo_core::SchemeKind;
+use readduo_memsim::{DeviceModel, ReadOutcome, ScrubOutcome, Simulator, WriteOutcome};
 use readduo_pcm::SenseTiming;
-use readduo_trace::{TraceGenerator, Workload};
+use readduo_trace::Workload;
 
 /// An M-metric device with an overridden sensing latency.
 struct SlowM {
-    inner: MMetricScheme,
+    inner: Box<dyn DeviceModel>,
     m_read_ns: u64,
 }
 
 impl DeviceModel for SlowM {
-    fn on_read(&mut self, line: u64, now_s: f64) -> readduo_memsim::ReadOutcome {
+    fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
         let mut out = self.inner.on_read(line, now_s);
         out.latency_ns = self.m_read_ns;
         out
     }
-    fn on_write(&mut self, line: u64, now_s: f64) -> readduo_memsim::WriteOutcome {
+    fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
         self.inner.on_write(line, now_s)
     }
-    fn on_scrub(&mut self, line: u64, now_s: f64) -> readduo_memsim::ScrubOutcome {
+    fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
         let mut out = self.inner.on_scrub(line, now_s);
         out.read_latency_ns = self.m_read_ns;
         out
     }
     fn scrub_interval_s(&self) -> Option<f64> {
         self.inner.scrub_interval_s()
+    }
+    fn prefetch_line(&mut self, line: u64) {
+        self.inner.prefetch_line(line);
     }
 }
 
@@ -50,27 +53,44 @@ fn main() {
         ("naive M, slow corner", 1500),
     ];
 
+    // One column per workload: its trace and its Ideal run serve every
+    // latency row, and the M-metric device is the one `Harness::run`
+    // builds (same seed and warm region), so the 450 ns row is fig9's
+    // M-metric column.
+    let columns: Vec<Vec<String>> = workloads
+        .iter()
+        .map(|name| {
+            let w = Workload::by_name(name).expect("known workload");
+            let trace = harness.trace_for(&w);
+            let base = harness
+                .run(&w, SchemeKind::Ideal, Source::Trace(&trace))
+                .expect("a bare scheme always builds")
+                .report
+                .exec_ns as f64;
+            latencies
+                .iter()
+                .map(|&(_, m_read_ns)| {
+                    let inner = harness
+                        .device(&w, SchemeKind::MMetric.into(), 0)
+                        .expect("a bare scheme always builds");
+                    let rep = sim.run(&trace, &mut SlowM { inner, m_read_ns });
+                    format!("{:.3}", rep.exec_ns as f64 / base)
+                })
+                .collect()
+        })
+        .collect();
+
     let mut header: Vec<String> = vec!["M-read latency".into()];
     header.extend(workloads.iter().map(|w| w.to_string()));
-    let mut rows = Vec::new();
-    for (label, lat) in latencies {
-        let mut row = vec![format!("{label} ({lat} ns)")];
-        for name in workloads {
-            let w = Workload::by_name(name).expect("known workload");
-            let trace =
-                TraceGenerator::new(harness.seed).generate(&w, harness.instructions_per_core, 4);
-            let mut ideal = readduo_core::SchemeKind::Ideal.build(harness.seed);
-            let base = sim.run(&trace, ideal.as_mut());
-            let mut dev = SlowM {
-                inner: MMetricScheme::paper(harness.seed),
-                m_read_ns: lat,
-            };
-            let rep = sim.run(&trace, &mut dev);
-            row.push(format!("{:.3}", rep.exec_ns as f64 / base.exec_ns as f64));
-        }
-        rows.push(row);
-    }
-
+    let rows: Vec<Vec<String>> = latencies
+        .iter()
+        .enumerate()
+        .map(|(i, (label, lat))| {
+            std::iter::once(format!("{label} ({lat} ns)"))
+                .chain(columns.iter().map(|c| c[i].clone()))
+                .collect()
+        })
+        .collect();
     println!("Ablation: M-sensing circuit latency vs execution time (Ideal = 1.0)\n");
     println!("{}", render_table(&header, &rows));
     println!(

@@ -1,6 +1,6 @@
 //! Figure 12 — sensitivity to the sub-interval count k (LWT-2 vs LWT-4).
 
-use readduo_bench::{normalized, render_table, write_csv, Harness};
+use readduo_bench::{normalized, ratio_table, render_table, write_csv, Harness};
 use readduo_core::SchemeKind;
 use readduo_trace::Workload;
 
@@ -22,19 +22,10 @@ fn main() {
         .expect("bare schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
-    let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(w, cols)| {
-            let mut row = vec![w.clone()];
-            row.extend(cols.iter().map(|(_, v)| format!("{v:.3}")));
-            row
-        })
-        .collect();
+    let table = ratio_table(&rows, |v| v);
 
     println!("Figure 12: impact of sub-interval number k on execution time\n");
-    println!("{}", render_table(&header, &table));
+    println!("{}", render_table(&table[0], &table[1..]));
     let (_, geo) = rows.last().unwrap();
     let k2 = geo.iter().find(|(s, _)| *s == SchemeKind::Lwt { k: 2 }).unwrap().1;
     let k4 = geo.iter().find(|(s, _)| *s == SchemeKind::Lwt { k: 4 }).unwrap().1;
@@ -46,7 +37,5 @@ fn main() {
         "flag storage cost: k=2: 3 bits, k=4: 6 bits, k=8: 11 bits per line"
     );
 
-    let mut csv = vec![header];
-    csv.extend(table);
-    write_csv("fig12", &csv);
+    write_csv("fig12", &table);
 }

@@ -1,7 +1,7 @@
 //! Figure 13 — sensitivity to the Select rewrite window s
 //! (Select-4:1 vs Select-4:2).
 
-use readduo_bench::{normalized, render_table, write_csv, Harness};
+use readduo_bench::{normalized, ratio_table, render_table, write_csv, Harness};
 use readduo_core::SchemeKind;
 use readduo_trace::Workload;
 
@@ -23,19 +23,10 @@ fn main() {
         .expect("bare schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.energy_total_pj());
 
-    let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(w, cols)| {
-            let mut row = vec![w.clone()];
-            row.extend(cols.iter().map(|(_, v)| format!("{v:.3}")));
-            row
-        })
-        .collect();
+    let table = ratio_table(&rows, |v| v);
 
     println!("Figure 13: impact of Select rewrite window s on dynamic energy\n");
-    println!("{}", render_table(&header, &table));
+    println!("{}", render_table(&table[0], &table[1..]));
     let (_, geo) = rows.last().unwrap();
     let s1 = geo.iter().find(|(s, _)| *s == SchemeKind::Select { k: 4, s: 1 }).unwrap().1;
     let s2 = geo.iter().find(|(s, _)| *s == SchemeKind::Select { k: 4, s: 2 }).unwrap().1;
@@ -44,7 +35,5 @@ fn main() {
         (s1 / s2 - 1.0) * 100.0
     );
 
-    let mut csv = vec![header];
-    csv.extend(table);
-    write_csv("fig13", &csv);
+    write_csv("fig13", &table);
 }

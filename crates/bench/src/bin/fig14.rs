@@ -1,7 +1,7 @@
 //! Figure 14 — the R-M-read conversion ablation: LWT-4 with and without
 //! converting untracked reads into redundant writes.
 
-use readduo_bench::{normalized, render_table, write_csv, Harness};
+use readduo_bench::{normalized, ratio_table, render_table, write_csv, Harness};
 use readduo_core::SchemeKind;
 use readduo_trace::Workload;
 
@@ -24,19 +24,10 @@ fn main() {
         .expect("bare schemes always build");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
-    let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(w, cols)| {
-            let mut row = vec![w.clone()];
-            row.extend(cols.iter().map(|(_, v)| format!("{v:.3}")));
-            row
-        })
-        .collect();
+    let table = ratio_table(&rows, |v| v);
 
     println!("Figure 14: impact of R-M-read conversion on execution time\n");
-    println!("{}", render_table(&header, &table));
+    println!("{}", render_table(&table[0], &table[1..]));
     let sphinx = rows.iter().find(|(w, _)| w == "sphinx3").expect("sphinx3 row");
     let no = sphinx.1.iter().find(|(s, _)| *s == SchemeKind::LwtNoConversion { k: 4 }).unwrap().1;
     let yes = sphinx.1.iter().find(|(s, _)| *s == SchemeKind::Lwt { k: 4 }).unwrap().1;
@@ -52,7 +43,5 @@ fn main() {
         (no_g / yes_g - 1.0) * 100.0
     );
 
-    let mut csv = vec![header];
-    csv.extend(table);
-    write_csv("fig14", &csv);
+    write_csv("fig14", &table);
 }

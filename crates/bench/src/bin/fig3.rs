@@ -26,7 +26,6 @@ fn main() {
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
     let (_, geo) = rows.last().unwrap();
 
-    let tlc_cells = SchemeKind::Tlc.storage().area_cells();
     let header: Vec<String> = vec![
         "scheme".into(),
         "normalized exec time".into(),
@@ -42,7 +41,6 @@ fn main() {
             format!("{exec:.3}"),
             format!("{density:.3}"),
         ]);
-        let _ = tlc_cells;
     }
 
     println!("Figure 3: the state-of-the-art trade-off (geomean over 14 workloads)\n");

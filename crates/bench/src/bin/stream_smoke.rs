@@ -3,18 +3,18 @@
 //! peak RSS stays under a fixed ceiling — the bounded-memory claim of the
 //! streaming replay path, checked rather than assumed.
 //!
-//! With `--matrix` it instead streams the **full** Figure-9 headline
-//! matrix (every scheme × every SPEC2006 workload) — the configuration
-//! the repository benchmark times as `fig9_10m` — so ci.sh can put a
-//! wall-clock budget on the acceptance leg without running the whole
-//! benchmark.
+//! With `--matrix` it instead runs the **full** Figure-9 headline matrix
+//! (every scheme × every SPEC2006 workload) through
+//! [`Harness::run_matrix`] on the ambient pool (ci.sh pins it to one
+//! worker with `READDUO_THREADS=1`, the configuration the repository
+//! benchmark times as `fig9_10m`), so ci.sh can put a wall-clock budget
+//! on the acceptance leg without running the whole benchmark.
 //!
 //! `READDUO_INSTR` sets the volume (ci.sh runs this at 10M instructions
 //! per core); the ceiling is [`RSS_CEILING_MB`].
 
 use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, Source};
 use readduo_core::SchemeKind;
-use readduo_pool::Pool;
 use readduo_trace::Workload;
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ fn main() {
     let (label, wall_ms) = if matrix {
         let workloads = Workload::spec2006();
         eprintln!(
-            "streaming fig9 matrix: {} schemes x {} workloads at {} instr/core (RSS ceiling {} MB) …",
+            "fig9 matrix: {} schemes x {} workloads at {} instr/core (RSS ceiling {} MB) …",
             schemes.len(),
             workloads.len(),
             h.instructions_per_core,
@@ -40,12 +40,12 @@ fn main() {
         );
         let t = Instant::now();
         let results = h
-            .run_matrix_streamed_on(&Pool::new(1), &schemes, &workloads)
+            .run_matrix(&schemes, &workloads)
             .expect("bare schemes always build");
         assert_eq!(results.len(), schemes.len() * workloads.len());
         assert!(
             results.iter().all(|r| r.report.reads + r.report.writes > 0),
-            "empty run in the streamed matrix"
+            "empty run in the matrix"
         );
         (
             format!("{} schemes x {} workloads", schemes.len(), workloads.len()),

@@ -9,13 +9,11 @@
 //! | `table5` | Table V — conditions (ii)/(iii) under W=1 |
 //! | `table7` | Table VII — subarray area occupancy |
 //! | `fig3`   | Figure 3 — motivation: perf & density of prior schemes |
-//! | `fig9`   | Figure 9 — normalised execution time |
-//! | `fig10`  | Figure 10 — normalised dynamic energy |
+//! | `fig9`   | Figures 9, 10 and 15 — normalised execution time, dynamic energy and PCM lifetime, from one matrix |
 //! | `fig11`  | Figure 11 — cells/line and EDAP |
 //! | `fig12`  | Figure 12 — sensitivity to sub-interval count k |
 //! | `fig13`  | Figure 13 — sensitivity to Select window s |
 //! | `fig14`  | Figure 14 — R-M-read conversion ablation |
-//! | `fig15`  | Figure 15 — PCM lifetime impact |
 //!
 //! Every binary prints the series to stdout and writes a CSV under
 //! `target/experiments/`. Simulation volume is controlled by the
@@ -29,12 +27,11 @@ pub mod micro;
 
 use readduo_core::{DeviceSpec, EdapInputs, SchemeKind, SpecError};
 use readduo_dram::DramConfig;
-use readduo_memsim::{MemoryConfig, SimReport, Simulator};
+use readduo_memsim::{DeviceModel, MemoryConfig, SimReport, Simulator};
 use readduo_pool::Pool;
 use readduo_trace::{Trace, TraceCursor, TraceGenerator, TraceStream, Workload};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// One (workload, scheme) simulation result.
 #[derive(Debug, Clone)]
@@ -86,17 +83,9 @@ impl Harness {
     }
 
     /// Generates the trace for one workload (deterministic in the seed).
-    ///
-    /// Traces are the matrix's shared input: `run_matrix` builds each
-    /// workload's trace exactly once and every scheme simulates against
-    /// the same `Arc`.
-    pub fn trace_for(&self, workload: &Workload) -> Arc<Trace> {
+    pub fn trace_for(&self, workload: &Workload) -> Trace {
         let _phase = readduo_telemetry::trace::phase(format!("trace-gen/{}", workload.name));
-        Arc::new(TraceGenerator::new(self.seed).generate(
-            workload,
-            self.instructions_per_core,
-            self.cores,
-        ))
+        TraceGenerator::new(self.seed).generate(workload, self.instructions_per_core, self.cores)
     }
 
     /// Opens a bounded-memory stream over the same trace [`trace_for`]
@@ -130,14 +119,9 @@ impl Harness {
         let label = format!("{}/{spec}", workload.name);
         let _phase = readduo_telemetry::trace::phase(format!("sim/{label}"));
         readduo_telemetry::trace::set_run_label(&label);
-        // Lines below the warm boundary are in write steady state; the
-        // schemes treat them as recently written (pre-window).
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
-        let seed = self.seed ^ workload.name.len() as u64;
         let channels = self.memory.topology.channels;
         let device = |ch: usize| {
-            spec.build(seed, ch, channels, warm_boundary, workload.footprint_lines)
+            self.device(workload, spec, ch)
                 .expect("spec validated above")
         };
         let sim = Simulator::new(self.memory);
@@ -161,6 +145,28 @@ impl Harness {
         })
     }
 
+    /// The device [`run`](Harness::run) simulates for `spec` on
+    /// `workload`'s channel `channel`: seeded from the harness seed and the
+    /// workload, with the workload's warm region and footprint.
+    pub fn device(
+        &self,
+        workload: &Workload,
+        spec: DeviceSpec,
+        channel: usize,
+    ) -> Result<Box<dyn DeviceModel>, SpecError> {
+        // Lines below the warm boundary are in write steady state; the
+        // schemes treat them as recently written (pre-window).
+        let warm_boundary =
+            (workload.footprint_lines.max(16) as f64 * workload.locality.written_fraction) as u64;
+        spec.build(
+            self.seed ^ workload.name.len() as u64,
+            channel,
+            self.memory.topology.channels,
+            warm_boundary,
+            workload.footprint_lines,
+        )
+    }
+
     /// [`run`](Harness::run) of a bare scheme over an already-generated
     /// trace.
     pub fn run_on_trace(&self, workload: &Workload, trace: &Trace, scheme: SchemeKind) -> RunResult {
@@ -181,110 +187,54 @@ impl Harness {
             .expect("a tiered bare scheme always builds")
     }
 
-    /// Runs the full `specs × workloads` matrix on the ambient pool
-    /// ([`Pool::from_env`]; `READDUO_THREADS=1` forces sequential).
+    /// Runs every spec on every workload on the ambient pool
+    /// ([`Pool::from_env`]; `READDUO_THREADS=1` forces sequential) and
+    /// returns the results in workload-major order: every spec of the
+    /// first workload, in spec order, then the next workload.
+    ///
+    /// Every spec is checked before any trace is generated. Each workload
+    /// is one pool task: it generates the workload's trace once, or
+    /// streams it chunk by chunk per spec when the trace would exceed
+    /// [`MATRIX_TRACE_BUDGET_BYTES`], and runs the specs on it in order.
+    /// [`Pool::map`] positions results by input index and every run seeds
+    /// its RNG streams from `(seed, workload)`, so the matrix is bit for
+    /// bit a sequential nested loop over [`run`](Harness::run) at any pool
+    /// width (pinned by `tests/parallel_determinism.rs`).
     pub fn run_matrix<S: Copy + Into<DeviceSpec>>(
         &self,
         specs: &[S],
         workloads: &[Workload],
     ) -> Result<Vec<RunResult>, SpecError> {
-        self.run_matrix_on(&Pool::from_env(), specs, workloads)
+        self.run_matrix_within(
+            MATRIX_TRACE_BUDGET_BYTES,
+            &Pool::from_env(),
+            specs,
+            workloads,
+        )
     }
 
-    /// Runs the matrix on an explicit pool.
-    ///
-    /// Every spec is checked before any trace is generated. Trace
-    /// generation is itself fanned out (one task per workload); each trace
-    /// is then shared across specs via `Arc`, and the (workload, spec)
-    /// pairs go to the pool in workload-major order. Because [`Pool::map`]
-    /// positions results by input index, the returned vector is in
-    /// exactly the order a sequential nested loop produces — regardless of
-    /// which worker finished first — and, since every task seeds its own
-    /// RNG streams from `(seed, workload)`, bit-for-bit identical to a
-    /// sequential run.
-    pub fn run_matrix_on<S: Copy + Into<DeviceSpec>>(
-        &self,
-        pool: &Pool,
-        specs: &[S],
-        workloads: &[Workload],
-    ) -> Result<Vec<RunResult>, SpecError> {
-        let specs = validated(specs)?;
-        let seq = Pool::new(1);
-        let pool = if matrix_uses_pool(pool, specs.len() * workloads.len()) {
-            pool
-        } else {
-            &seq
-        };
-        let traces: Vec<Arc<Trace>> =
-            pool.map(workloads.to_vec(), |_, w| self.trace_for(&w));
-        let tasks: Vec<(Workload, Arc<Trace>, DeviceSpec)> = workloads
-            .iter()
-            .zip(&traces)
-            .flat_map(|(w, trace)| specs.iter().map(move |&s| (w.clone(), Arc::clone(trace), s)))
-            .collect();
-        pool.map(tasks, |_, (w, trace, s)| self.run(&w, s, Source::Trace(&trace)))
-            .into_iter()
-            .collect()
-    }
-
-    /// Runs the full matrix in streaming mode on the ambient pool.
-    ///
-    /// See [`run_matrix_streamed_on`](Harness::run_matrix_streamed_on).
-    pub fn run_matrix_streamed<S: Copy + Into<DeviceSpec>>(
-        &self,
-        specs: &[S],
-        workloads: &[Workload],
-    ) -> Result<Vec<RunResult>, SpecError> {
-        self.run_matrix_streamed_on(&Pool::from_env(), specs, workloads)
-    }
-
-    /// Runs the matrix in streaming mode on an explicit pool.
-    ///
-    /// Peak memory stays bounded regardless of `instructions_per_core`:
-    /// workloads are processed one at a time, and a workload whose
-    /// materialised trace fits under [`MATRIX_TRACE_BUDGET_BYTES`] is
-    /// generated **once** and shared across all specs (the per-op hot
-    /// path's single biggest redundancy was re-generating the same stream
-    /// once per scheme). Above the budget the workload falls back to true
-    /// chunk-by-chunk streaming per spec, which is what makes paper-scale
-    /// volumes (100M–1B instructions/core) runnable at all. Either way at
-    /// most one workload's trace is live at a time, and results are
-    /// returned in workload-major order, bit-for-bit identical to the
-    /// materialised matrix (pinned by `tests/stream_equivalence.rs` and
-    /// `tests/parallel_determinism.rs`).
-    pub fn run_matrix_streamed_on<S: Copy + Into<DeviceSpec>>(
-        &self,
-        pool: &Pool,
-        specs: &[S],
-        workloads: &[Workload],
-    ) -> Result<Vec<RunResult>, SpecError> {
-        self.run_matrix_streamed_within(MATRIX_TRACE_BUDGET_BYTES, pool, specs, workloads)
-    }
-
-    /// [`run_matrix_streamed_on`](Harness::run_matrix_streamed_on) with
-    /// the per-workload materialisation budget as a parameter, so a test
-    /// can force the chunk-by-chunk branch with a budget of 0.
-    fn run_matrix_streamed_within<S: Copy + Into<DeviceSpec>>(
+    /// [`run_matrix`](Harness::run_matrix) on an explicit pool and trace
+    /// budget, so a test can force the streaming branch with a budget of 0.
+    fn run_matrix_within<S: Copy + Into<DeviceSpec>>(
         &self,
         budget: u64,
         pool: &Pool,
         specs: &[S],
         workloads: &[Workload],
     ) -> Result<Vec<RunResult>, SpecError> {
-        let specs = validated(specs)?;
-        let seq = Pool::new(1);
-        let pool = if matrix_uses_pool(pool, specs.len() * workloads.len()) {
-            pool
-        } else {
-            &seq
-        };
-        let mut out = Vec::with_capacity(specs.len() * workloads.len());
-        for w in workloads {
-            let trace = (self.trace_estimate_bytes(w) <= budget).then(|| self.trace_for(w));
-            let source = trace.as_deref().map_or(Source::Stream, Source::Trace);
-            out.extend(pool.map(specs.clone(), |_, s| self.run(w, s, source)));
-        }
-        out.into_iter().collect()
+        let specs = specs
+            .iter()
+            .map(|&s| {
+                let spec: DeviceSpec = s.into();
+                spec.validate().map(|()| spec)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let per_workload = pool.map(workloads.to_vec(), |_, w| {
+            let trace = (self.trace_estimate_bytes(&w) <= budget).then(|| self.trace_for(&w));
+            let source = trace.as_ref().map_or(Source::Stream, Source::Trace);
+            specs.iter().map(|&s| self.run(&w, s, source)).collect::<Vec<_>>()
+        });
+        per_workload.into_iter().flatten().collect()
     }
 
     /// Estimated bytes a workload's materialised trace occupies: expected
@@ -299,27 +249,17 @@ impl Harness {
     }
 }
 
-/// Per-workload trace-materialisation budget of the streamed matrix, in
-/// bytes (128 MiB). A workload whose estimated trace fits the budget is
-/// generated once and shared across schemes instead of being re-generated
-/// per scheme — same reports either way, only the wall clock and the peak
-/// RSS differ.
+/// Per-workload trace-materialisation budget of [`Harness::run_matrix`],
+/// in bytes (128 MiB). A workload whose estimated trace fits the budget is
+/// generated once and shared across specs; a larger one is streamed chunk
+/// by chunk per spec, which keeps paper-scale volumes (100M–1B
+/// instructions/core) runnable. Same reports either way, only the wall
+/// clock and the peak RSS differ.
 pub const MATRIX_TRACE_BUDGET_BYTES: u64 = 128 << 20;
 
 /// Seed of the fault-injection and endurance streams of the `fault_mc`
 /// and `lifetime` sweeps.
 pub const FAULT_SEED: u64 = 0x00FA_0017;
-
-/// The specs of a matrix, each checked before any work starts.
-fn validated<S: Copy + Into<DeviceSpec>>(specs: &[S]) -> Result<Vec<DeviceSpec>, SpecError> {
-    specs
-        .iter()
-        .map(|&s| {
-            let spec: DeviceSpec = s.into();
-            spec.validate().map(|()| spec)
-        })
-        .collect()
-}
 
 impl Default for Harness {
     fn default() -> Self {
@@ -353,18 +293,6 @@ pub fn finish_telemetry() {
         Ok(None) => {}
         Err(e) => eprintln!("[telemetry] export failed: {e}"),
     }
-}
-
-/// Whether a matrix of `tasks` (workload, spec) pairs should fan out to
-/// `pool` at all.
-///
-/// Spinning up workers, cloning task inputs and funnelling results through
-/// a channel costs more than it saves when there are fewer tasks than
-/// workers (the `sweep/matrix_1w3s_pool` microbench measured the pooled
-/// 1×3 matrix *slower* than sequential), so small matrices take the
-/// in-place sequential path.
-pub fn matrix_uses_pool(pool: &Pool, tasks: usize) -> bool {
-    !pool.is_sequential() && tasks >= pool.workers()
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -434,6 +362,25 @@ pub fn normalized<F: Fn(&SimReport) -> f64>(
         .collect();
     rows.push(("geomean".into(), geo));
     rows
+}
+
+/// The table of [`normalized`] rows, header first: `workload`, then one
+/// column per scheme holding each ratio passed through `shown`, to three
+/// decimals. It is both the printed figure
+/// (`render_table(&table[0], &table[1..])`) and its [`write_csv`] rows.
+pub fn ratio_table(
+    rows: &[(String, Vec<(SchemeKind, f64)>)],
+    shown: impl Fn(f64) -> f64,
+) -> Vec<Vec<String>> {
+    let header = std::iter::once("workload".to_string())
+        .chain(rows[0].1.iter().map(|(s, _)| s.label()))
+        .collect();
+    let body = rows.iter().map(|(w, cols)| {
+        std::iter::once(w.clone())
+            .chain(cols.iter().map(|&(_, v)| format!("{:.3}", shown(v))))
+            .collect()
+    });
+    std::iter::once(header).chain(body).collect()
 }
 
 /// EDAP inputs for a result (report + the scheme's storage cost).
@@ -538,6 +485,11 @@ mod tests {
         let m = geo.iter().find(|(s, _)| *s == SchemeKind::MMetric).unwrap().1;
         assert!((ideal - 1.0).abs() < 1e-12);
         assert!(m >= 1.0, "M-metric cannot be faster than Ideal: {m}");
+        let table = ratio_table(&rows, |v| 1.0 / v);
+        assert_eq!(table[0], ["workload", "Ideal", "M-metric"]);
+        assert_eq!(table[2][0], "geomean");
+        assert_eq!(table[2][1], "1.000");
+        assert_eq!(table[2][2], format!("{:.3}", 1.0 / m));
     }
 
     #[test]
@@ -578,40 +530,35 @@ mod tests {
         assert_eq!(lines[1].len(), 2 + 5 + 4 + 2 * 2);
     }
 
+    /// The one matrix runner is a nested loop over `run`: at the default
+    /// budget (each trace generated once and shared across specs) and at a
+    /// budget of 0 (every spec streams chunk by chunk, the branch the
+    /// 128 MiB budget reserves for volumes no test can afford), on one
+    /// worker and on two, every (workload, spec) result equals its own
+    /// `run`, in workload-major order.
     #[test]
-    fn small_matrices_skip_the_pool() {
-        use readduo_pool::Pool;
-        // Fewer tasks than workers: pooling costs more than it saves.
-        assert!(!matrix_uses_pool(&Pool::new(4), 3));
-        assert!(matrix_uses_pool(&Pool::new(4), 4));
-        assert!(matrix_uses_pool(&Pool::new(4), 100));
-        // A sequential pool never fans out, whatever the size.
-        assert!(!matrix_uses_pool(&Pool::new(1), 100));
-        assert!(!matrix_uses_pool(&Pool::new(4), 0));
-    }
-
-    /// Both branches of the streamed matrix match the materialised one:
-    /// a workload under the budget is generated once and shared, and one
-    /// above it streams chunk by chunk per spec. A budget of 0 forces the
-    /// second branch, which the 128 MiB budget reserves for volumes no
-    /// test can afford.
-    #[test]
-    fn streamed_matrix_matches_materialised_matrix() {
+    fn matrix_equals_per_spec_runs_in_workload_major_order() {
         let h = tiny_harness();
         let schemes = [SchemeKind::Ideal, SchemeKind::Scrubbing, SchemeKind::MMetric];
         let workloads = [Workload::toy(), Workload::by_name("mcf").expect("mcf")];
         assert!(workloads.iter().all(|w| h.trace_estimate_bytes(w) > 0));
-        let on_trace = h.run_matrix(&schemes, &workloads).unwrap();
-        let shared = h.run_matrix_streamed(&schemes, &workloads).unwrap();
-        let chunked = h
-            .run_matrix_streamed_within(0, &Pool::new(2), &schemes, &workloads)
-            .unwrap();
-        for streamed in [shared, chunked] {
-            assert_eq!(on_trace.len(), streamed.len());
-            for (a, b) in on_trace.iter().zip(&streamed) {
-                assert_eq!(a.workload, b.workload);
-                assert_eq!(a.scheme, b.scheme);
-                assert_eq!(a.report, b.report, "{}/{}", a.workload, a.scheme);
+        let mut lone = Vec::new();
+        for w in &workloads {
+            for &s in &schemes {
+                lone.push(h.run(w, s, Source::Stream).unwrap());
+            }
+        }
+        for budget in [MATRIX_TRACE_BUDGET_BYTES, 0] {
+            for workers in [1, 2] {
+                let matrix = h
+                    .run_matrix_within(budget, &Pool::new(workers), &schemes, &workloads)
+                    .unwrap();
+                assert_eq!(matrix.len(), lone.len());
+                for (m, l) in matrix.iter().zip(&lone) {
+                    let at = format!("{}/{}, budget {budget}, {workers} worker(s)", l.workload, l.scheme);
+                    assert_eq!((m.workload, m.scheme), (l.workload, l.scheme), "{at}");
+                    assert_eq!(m.report, l.report, "{at}");
+                }
             }
         }
     }
@@ -623,18 +570,6 @@ mod tests {
         // than 1 TB.
         assert!(rss > 1 << 20, "VmHWM {rss} implausibly small");
         assert!(rss < 1 << 40, "VmHWM {rss} implausibly large");
-    }
-
-    #[test]
-    fn single_run_matches_matrix_entry() {
-        // The single-run path and the pooled matrix path must agree exactly.
-        let h = tiny_harness();
-        let w = Workload::toy();
-        let lone = h.run(&w, SchemeKind::Ideal, Source::Stream).unwrap();
-        let matrix = h
-            .run_matrix_on(&Pool::new(2), &[SchemeKind::Ideal], std::slice::from_ref(&w))
-            .unwrap();
-        assert_eq!(lone.report, matrix[0].report);
     }
 
     #[test]

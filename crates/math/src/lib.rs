@@ -17,8 +17,8 @@
 //!   Monte-Carlo simulator on every read,
 //! * Gauss–Legendre and adaptive Simpson quadrature for the drift-coefficient
 //!   integral,
-//! * small descriptive-statistics helpers (mean / geomean / stddev) used by
-//!   the benchmark harness.
+//! * the geometric mean the benchmark harness averages normalised ratios
+//!   with.
 //!
 //! # Example
 //!
@@ -47,4 +47,4 @@ pub use erf::{erf, erfc, erfc_scaled, erfc_slice, inverse_erf};
 pub use integrate::{adaptive_simpson, gauss_legendre, GaussLegendre};
 pub use logspace::{ln_choose, ln_factorial, log1mexp, log_sum_exp, LogProb};
 pub use normal::{Normal, TruncatedNormal};
-pub use stats::{geometric_mean, mean, population_stddev, Summary};
+pub use stats::geometric_mean;

@@ -1,23 +1,7 @@
 //! Descriptive statistics used by the benchmark harness.
 //!
 //! The paper reports per-benchmark results normalised to the Ideal scheme and
-//! averages across the 14 SPEC2006 workloads; normalised ratios are averaged
-//! with the geometric mean, raw quantities with the arithmetic mean.
-
-/// Arithmetic mean of a slice. Returns `None` for an empty slice.
-///
-/// ```
-/// use readduo_math::mean;
-/// assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
-/// assert_eq!(mean(&[]), None);
-/// ```
-pub fn mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
-    }
-}
+//! averages them across the 14 SPEC2006 workloads with the geometric mean.
 
 /// Geometric mean of a slice of positive values. Returns `None` for an empty
 /// slice.
@@ -45,123 +29,12 @@ pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
     Some((ln_sum / xs.len() as f64).exp())
 }
 
-/// Population standard deviation. Returns `None` for an empty slice.
-pub fn population_stddev(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    let var = xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    Some(var.sqrt())
-}
-
-/// Running summary of a stream of observations (count / mean / min / max /
-/// variance via Welford's algorithm).
-///
-/// ```
-/// use readduo_math::Summary;
-/// let mut s = Summary::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 8);
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_stddev() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another summary into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Minimum (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Population standard deviation (0 if fewer than 2 observations).
-    pub fn population_stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_geomean_basics() {
-        assert_eq!(mean(&[10.0]), Some(10.0));
+    fn geomean_basics() {
         let g = geometric_mean(&[2.0, 8.0]).unwrap();
         assert!((g - 4.0).abs() < 1e-12);
         assert_eq!(geometric_mean(&[]), None);
@@ -171,46 +44,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         let _ = geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn stddev_known_value() {
-        let sd = population_stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((sd - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.population_stddev() - whole.population_stddev()).abs() < 1e-12);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.record(5.0);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut empty = Summary::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
     }
 }

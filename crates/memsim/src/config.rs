@@ -8,7 +8,9 @@
 //! the scaled-down test machine's core count, capacity and queue depth,
 //! and the write-cancellation and scrub-backlog switches the engine tests
 //! ablate. The energies are not configuration: every device builds its
-//! own [`EnergyModel::paper`].
+//! own [`EnergyModel::paper`]. Nor are the core clock, the bus burst and
+//! the write-cancellation penalty, which no run varies: they are the
+//! constants [`CYCLE_NS`], [`BUS_NS`] and [`CANCEL_PENALTY_NS`].
 
 /// Per-operation dynamic energy model (picojoules).
 ///
@@ -166,26 +168,30 @@ impl Topology {
     }
 }
 
+/// Core cycle time in ns: the 2 GHz clock of the paper's in-order cores
+/// (non-memory instructions retire at IPC 1).
+pub const CYCLE_NS: f64 = 0.5;
+
+/// Data-bus occupancy per line transfer, ns (burst on a DDR-style bus).
+pub const BUS_NS: u64 = 8;
+
+/// Time lost when a write is cancelled, ns (array settle + reissue).
+pub const CANCEL_PENALTY_NS: u64 = 10;
+
 /// Memory-system configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Number of in-order cores.
     pub cores: usize,
-    /// Core clock in GHz (non-memory instructions retire at IPC 1).
-    pub core_ghz: f64,
     /// Memory topology: channels × banks, line-interleaved.
     pub topology: Topology,
     /// 64 B lines per bank. The scrub cadence per bank is
     /// `lines_per_bank / S` per second.
     pub lines_per_bank: u64,
-    /// Data-bus occupancy per line transfer, ns (burst on DDR-style bus).
-    pub bus_ns: u64,
     /// Per-bank write-queue capacity; a full queue stalls the writing core.
     pub write_queue_cap: usize,
     /// Enable write cancellation (reads pre-empt in-flight demand writes).
     pub write_cancellation: bool,
-    /// Time lost when a write is cancelled, ns (array settle + reissue).
-    pub cancel_penalty_ns: u64,
     /// A scrub tick is skipped (deferred, counted) when the bank is already
     /// backlogged more than this many ns — the scrub engine yields to
     /// demand traffic rather than growing the queue without bound.
@@ -204,13 +210,10 @@ impl MemoryConfig {
     pub fn paper() -> Self {
         Self {
             cores: 4,
-            core_ghz: 2.0,
             topology: Topology::single_channel(16),
             lines_per_bank: (128u64 << 20) / 64,
-            bus_ns: 8,
             write_queue_cap: 16,
             write_cancellation: true,
-            cancel_penalty_ns: 10,
             scrub_backlog_limit_ns: 20_000,
         }
     }
@@ -220,13 +223,10 @@ impl MemoryConfig {
     pub fn small_test() -> Self {
         Self {
             cores: 2,
-            core_ghz: 2.0,
             topology: Topology::single_channel(2),
             lines_per_bank: 1 << 14,
-            bus_ns: 8,
             write_queue_cap: 4,
             write_cancellation: true,
-            cancel_penalty_ns: 10,
             scrub_backlog_limit_ns: 20_000,
         }
     }
@@ -238,11 +238,6 @@ impl MemoryConfig {
     pub fn with_channels(mut self, channels: usize) -> Self {
         self.topology.channels = channels;
         self
-    }
-
-    /// Cycle time in nanoseconds.
-    pub fn cycle_ns(&self) -> f64 {
-        1.0 / self.core_ghz
     }
 
     /// Total lines in the memory, across all channels.
@@ -261,12 +256,11 @@ impl MemoryConfig {
     /// # Panics
     ///
     /// Panics on a zero core count, empty topology, zero capacity, or a
-    /// non-positive clock.
+    /// zero-entry write queue.
     pub fn validate(&self) {
         assert!(self.cores > 0, "need at least one core");
         self.topology.validate();
         assert!(self.lines_per_bank > 0, "banks must hold lines");
-        assert!(self.core_ghz > 0.0, "clock must be positive");
         assert!(self.write_queue_cap > 0, "write queue must hold at least one entry");
     }
 }
@@ -315,7 +309,8 @@ mod tests {
         assert_eq!(c.cores, 4);
         // 2 GB total.
         assert_eq!(c.total_lines() * 64, 2 << 30);
-        assert!((c.cycle_ns() - 0.5).abs() < 1e-12);
+        // 2 GHz: exactly half a nanosecond per cycle.
+        assert_eq!(CYCLE_NS, 0.5);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use crate::config::MemoryConfig;
+use crate::config::{MemoryConfig, BUS_NS, CANCEL_PENALTY_NS, CYCLE_NS};
 use crate::device::{DeviceModel, ReadMode, WriteOutcome};
 use crate::sched::EventQueue;
 use crate::stats::SimReport;
@@ -282,11 +282,10 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
     /// phase-staggered scrub tick per bank.
     pub(crate) fn seed(&mut self) {
         // Seed core events.
-        let cycle = self.cfg.cycle_ns();
         for core in 0..self.source.cores() {
             if let Some(op) = self.source.peek(core) {
                 self.live_cores += 1;
-                let at = (op.icount as f64 * cycle) as u64;
+                let at = (op.icount as f64 * CYCLE_NS) as u64;
                 self.device.prefetch_line(op.line);
                 self.push(at, EventKind::CoreIssue(core));
             }
@@ -389,7 +388,7 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
                     if bank.busy_until > now {
                         if let Some(job) = bank.executing_write.take() {
                             bank.queue.push_front(job);
-                            bank.busy_until = now + self.cfg.cancel_penalty_ns;
+                            bank.busy_until = now + CANCEL_PENALTY_NS;
                             self.report.write_cancellations += 1;
                             if let Some(tel) = &mut self.tel {
                                 tel.trace.instant(b as u32, "write-cancel", now);
@@ -402,7 +401,7 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
                 let out = self.device.on_read(op.line, self.secs(start));
                 let array_done = start + out.latency_ns;
                 let bus_start = array_done.max(self.bus_busy_until);
-                let done = bus_start + self.cfg.bus_ns;
+                let done = bus_start + BUS_NS;
                 self.bus_busy_until = done;
                 self.banks[b].busy_until = done;
                 self.banks[b].executing_write = None;
@@ -597,7 +596,7 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
         self.source.advance(core);
         if let Some(next) = self.source.peek(core) {
             let delta_instr = next.icount - issued_icount;
-            let at = done + (delta_instr as f64 * self.cfg.cycle_ns()) as u64;
+            let at = done + (delta_instr as f64 * CYCLE_NS) as u64;
             // Lines are known ahead of dispatch; let the device warm its
             // per-line tracking state while other cores' events run (a
             // hint, never a state change). Sources that can see deeper
@@ -671,8 +670,8 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
             let start = now.max(self.bus_busy_until);
             // Data moves over the bus into the device, then the array
             // programs.
-            self.bus_busy_until = start + self.cfg.bus_ns;
-            let done = start + self.cfg.bus_ns + job.outcome.latency_ns;
+            self.bus_busy_until = start + BUS_NS;
+            let done = start + BUS_NS + job.outcome.latency_ns;
             self.banks[b].busy_until = done;
             self.banks[b].executing_write = Some(job);
             if let Some(tel) = &mut self.tel {

@@ -71,11 +71,6 @@ impl Pool {
         self.workers
     }
 
-    /// Whether this pool runs tasks on the calling thread only.
-    pub fn is_sequential(&self) -> bool {
-        self.workers == 1
-    }
-
     /// Applies `f` to every item, returning results in input order.
     ///
     /// With one worker (or zero/one items) this runs sequentially on the
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn map_preserves_input_order_sequentially() {
         let p = Pool::new(1);
-        assert!(p.is_sequential());
+        assert_eq!(p.workers(), 1);
         let out = p.map(vec![1, 2, 3, 4], |i, x| (i, x * 10));
         assert_eq!(out, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
     }
@@ -231,14 +226,13 @@ mod tests {
     #[test]
     fn worker_count_clamped_to_one() {
         assert_eq!(Pool::new(0).workers(), 1);
-        assert!(Pool::new(0).is_sequential());
     }
 
     #[test]
     fn env_override_forces_sequential() {
         // Serialised within this one test: set, read, restore.
         std::env::set_var("READDUO_THREADS", "1");
-        assert!(Pool::from_env().is_sequential());
+        assert_eq!(Pool::from_env().workers(), 1);
         std::env::set_var("READDUO_THREADS", "3");
         assert_eq!(Pool::from_env().workers(), 3);
         std::env::remove_var("READDUO_THREADS");

@@ -7,26 +7,24 @@
 //! ```
 
 use readduo::core::SchemeKind;
-use readduo::memsim::{MemoryConfig, Simulator};
-use readduo::trace::{TraceGenerator, Workload};
+use readduo::trace::Workload;
+use readduo_bench::{Harness, Source};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mcf".into());
     let workload = Workload::by_name(&name)
         .unwrap_or_else(|| panic!("unknown workload {name}; see Workload::spec2006()"));
-    let instr = std::env::var("READDUO_INSTR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500_000u64);
-
-    let trace = TraceGenerator::new(11).generate(&workload, instr, 4);
-    let sim = Simulator::new(MemoryConfig::paper());
-    let warm = (workload.footprint_lines as f64 * workload.locality.written_fraction) as u64;
+    // READDUO_INSTR sets the volume; a malformed value is an error, not
+    // a silent default.
+    let harness = Harness::from_env();
+    let trace = harness.trace_for(&workload);
 
     println!(
-        "workload {name}: {} reads, {} writes over {instr} instr/core x 4 cores\n",
+        "workload {name}: {} reads, {} writes over {} instr/core x {} cores\n",
         trace.total_reads(),
-        trace.total_writes()
+        trace.total_writes(),
+        harness.instructions_per_core,
+        harness.cores
     );
     println!(
         "{:<16} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9}",
@@ -45,8 +43,10 @@ fn main() {
         SchemeKind::Tlc,
     ];
     for kind in kinds {
-        let mut dev = kind.build_for_channel(5, 0, warm, workload.footprint_lines);
-        let rep = sim.run(&trace, dev.as_mut());
+        let rep = harness
+            .run(&workload, kind, Source::Trace(&trace))
+            .expect("a bare scheme always builds")
+            .report;
         let reads = rep.reads.max(1) as f64;
         println!(
             "{:<16} {:>9.3} {:>9.1} {:>9.2} {:>6.1}% {:>6.1}% {:>6.1}% {:>9}",

@@ -1,5 +1,6 @@
 //! Tier-1 guarantee of the sweep executor: the parallel matrix produces
-//! bit-for-bit the same `SimReport`s as the sequential one.
+//! bit-for-bit the same `SimReport`s as the sequential one, and both equal
+//! the chunk-streamed runs of every (workload, scheme) pair.
 //!
 //! Both runs happen inside a single `#[test]` so the `READDUO_THREADS`
 //! environment flips cannot race another test in this binary. Sharded
@@ -48,9 +49,13 @@ fn run_matrix_is_identical_across_thread_counts() {
         let matrix = harness
             .run_matrix(&schemes, &workloads)
             .expect("bare schemes");
-        let streamed = harness
-            .run_matrix_streamed(&schemes, &workloads)
-            .expect("bare schemes");
+        // The chunk-streamed matrix: each (workload, scheme) run on its own
+        // stream, in workload-major order.
+        let streamed: Vec<_> = workloads
+            .iter()
+            .flat_map(|w| schemes.iter().map(move |&s| (w, s)))
+            .map(|(w, s)| harness.run(w, s, Source::Stream).expect("bare schemes"))
+            .collect();
         let worn = sharded
             .run(&worn_workload, worn_spec, Source::Stream)
             .expect("Select is injectable");

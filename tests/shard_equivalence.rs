@@ -342,9 +342,9 @@ fn invalid_specs_fail_before_any_trace_is_generated() {
         assert_eq!(tripwire.run(&w, spec, Source::Stream).err(), Some(err), "{spec}: run");
         assert_eq!(tripwire.run_matrix(&[spec], workloads).err(), Some(err), "{spec}: matrix");
         assert_eq!(
-            tripwire.run_matrix_streamed(&[lwt.into(), spec], workloads).err(),
+            tripwire.run_matrix(&[lwt.into(), spec], workloads).err(),
             Some(err),
-            "{spec}: streamed matrix"
+            "{spec}: matrix behind a valid spec"
         );
     }
 }
