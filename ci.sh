@@ -35,10 +35,15 @@ cargo test -q --release --test proptests -- --exact \
     fault_sampler_matches_inversion_oracle wear_scan_matches_brute_force \
     zipf_squeeze_matches_exact_acceptance_oracle
 
+# The CSVs one fig9 run writes: every simulated figure of the paper.
+figs="fig3 fig9 fig10 fig11 fig12 fig13 fig14 fig15"
+
 # Timed smoke run: fig9 at a reduced volume must finish inside a generous
-# wall-clock budget. Catches accidental serialisation or hot-path
-# regressions (the budget is ~10x the expected time on a laptop core).
+# wall-clock budget and write every figure's CSV. Catches accidental
+# serialisation or hot-path regressions (the budget is ~10x the expected
+# time on a laptop core) and a figure that silently drops out.
 echo "==> timed fig9 smoke (READDUO_INSTR=200000, budget 120 s)"
+for fig in $figs; do rm -f "target/experiments/$fig.csv"; done
 start=$(date +%s)
 READDUO_INSTR=200000 ./target/release/fig9 >/dev/null
 elapsed=$(( $(date +%s) - start ))
@@ -47,6 +52,12 @@ if [ "$elapsed" -gt 120 ]; then
     echo "    FAIL: fig9 smoke exceeded the 120 s budget" >&2
     exit 1
 fi
+for fig in $figs; do
+    if [ ! -s "target/experiments/$fig.csv" ]; then
+        echo "    FAIL: fig9 smoke wrote no $fig.csv (missing or empty)" >&2
+        exit 1
+    fi
+done
 
 # Paper-scale streaming smoke: mcf through every headline scheme at 10M
 # instructions/core in streaming mode. The binary itself asserts peak RSS
@@ -81,21 +92,21 @@ READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=50000 \
 
 # Sharding gate, two directions. (1) Determinism across pool widths: the
 # 8-channel fig9 smoke run with the channel fan-out pinned to one worker
-# and then to four must write byte-identical CSV artifacts (fig9.csv and
-# the fig10.csv and fig15.csv it writes from the same runs) — the pool
-# width may only choose the wall clock, never the physics. (2) Telemetry
-# on a multi-channel run must emit the per-channel tracks (c0.bank 0,
-# c1.bank 0, …) the sharded engine promises.
+# and then to four must write byte-identical CSV artifacts (all eight
+# figures it reads off the same runs) — the pool width may only choose
+# the wall clock, never the physics. (2) Telemetry on a multi-channel run
+# must emit the per-channel tracks (c0.bank 0, c1.bank 0, …) the sharded
+# engine promises.
 echo "==> sharding gate (8-channel fig9 smoke, READDUO_THREADS=1 vs =4, budget 180 s)"
 start=$(date +%s)
 READDUO_INSTR=50000 READDUO_THREADS=1 ./target/release/fig9 --channels 8 >/dev/null
-for fig in fig9 fig10 fig15; do
+for fig in $figs; do
     cp "target/experiments/$fig.csv" "target/experiments/$fig-8ch-t1.csv"
 done
 READDUO_INSTR=50000 READDUO_THREADS=4 ./target/release/fig9 --channels 8 >/dev/null
 elapsed=$(( $(date +%s) - start ))
 echo "    sharded smokes took ${elapsed}s"
-for fig in fig9 fig10 fig15; do
+for fig in $figs; do
     if ! cmp -s "target/experiments/$fig-8ch-t1.csv" "target/experiments/$fig.csv"; then
         echo "    FAIL: 8-channel $fig CSV differs across thread counts" >&2
         exit 1

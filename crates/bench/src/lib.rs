@@ -1,6 +1,7 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! Each binary under `src/bin/` reproduces one artifact:
+//! Each table has its own binary under `src/bin/`; `fig9` reads every
+//! simulated figure off one matrix of runs:
 //!
 //! | binary   | paper artifact |
 //! |----------|----------------|
@@ -8,17 +9,12 @@
 //! | `table4` | Table IV — LER vs (E, S), M-sensing |
 //! | `table5` | Table V — conditions (ii)/(iii) under W=1 |
 //! | `table7` | Table VII — subarray area occupancy |
-//! | `fig3`   | Figure 3 — motivation: perf & density of prior schemes |
-//! | `fig9`   | Figures 9, 10 and 15 — normalised execution time, dynamic energy and PCM lifetime, from one matrix |
-//! | `fig11`  | Figure 11 — cells/line and EDAP |
-//! | `fig12`  | Figure 12 — sensitivity to sub-interval count k |
-//! | `fig13`  | Figure 13 — sensitivity to Select window s |
-//! | `fig14`  | Figure 14 — R-M-read conversion ablation |
+//! | `fig9`   | Figures 3 and 9–15 — every simulated figure, from one matrix |
 //!
-//! Every binary prints the series to stdout and writes a CSV under
-//! `target/experiments/`. Simulation volume is controlled by the
-//! `READDUO_INSTR` environment variable (instructions per core; default
-//! one million — enough for stable ratios, small enough for CI).
+//! Every binary prints the series to stdout and writes one CSV per
+//! artifact under `target/experiments/`. Simulation volume is controlled
+//! by the `READDUO_INSTR` environment variable (instructions per core;
+//! default one million — enough for stable ratios, small enough for CI).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -318,23 +314,19 @@ pub fn result_for<'a>(
         .find(|r| r.workload == workload && r.scheme == scheme)
 }
 
-/// Per-workload metric ratios of each scheme against a baseline scheme.
+/// Per-workload metric ratios of `schemes` against a baseline scheme.
 ///
 /// Returns `(workload, Vec<(scheme, ratio)>)` rows in workload order plus a
-/// final `"geomean"` row.
+/// final `"geomean"` row; each row holds one ratio per scheme, in the
+/// order of `schemes`. `results` may hold runs of other schemes too.
 pub fn normalized<F: Fn(&SimReport) -> f64>(
     results: &[RunResult],
+    schemes: &[SchemeKind],
     baseline: SchemeKind,
     metric: F,
 ) -> Vec<(String, Vec<(SchemeKind, f64)>)> {
     let mut workloads: Vec<&'static str> = results.iter().map(|r| r.workload).collect();
     workloads.dedup();
-    let mut schemes: Vec<SchemeKind> = Vec::new();
-    for r in results {
-        if !schemes.contains(&r.scheme) {
-            schemes.push(r.scheme);
-        }
-    }
     let mut rows = Vec::new();
     let mut per_scheme_ratios: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     for w in &workloads {
@@ -365,19 +357,16 @@ pub fn normalized<F: Fn(&SimReport) -> f64>(
 }
 
 /// The table of [`normalized`] rows, header first: `workload`, then one
-/// column per scheme holding each ratio passed through `shown`, to three
-/// decimals. It is both the printed figure
-/// (`render_table(&table[0], &table[1..])`) and its [`write_csv`] rows.
-pub fn ratio_table(
-    rows: &[(String, Vec<(SchemeKind, f64)>)],
-    shown: impl Fn(f64) -> f64,
-) -> Vec<Vec<String>> {
+/// column per scheme holding each value to three decimals. It is both the
+/// printed figure (`render_table(&table[0], &table[1..])`) and its
+/// [`write_csv`] rows.
+pub fn ratio_table(rows: &[(String, Vec<(SchemeKind, f64)>)]) -> Vec<Vec<String>> {
     let header = std::iter::once("workload".to_string())
         .chain(rows[0].1.iter().map(|(s, _)| s.label()))
         .collect();
     let body = rows.iter().map(|(w, cols)| {
         std::iter::once(w.clone())
-            .chain(cols.iter().map(|&(_, v)| format!("{:.3}", shown(v))))
+            .chain(cols.iter().map(|&(_, v)| format!("{v:.3}")))
             .collect()
     });
     std::iter::once(header).chain(body).collect()
@@ -478,18 +467,22 @@ mod tests {
         let workloads = [Workload::toy()];
         let results = h.run_matrix(&schemes, &workloads).unwrap();
         assert_eq!(results.len(), 2);
-        let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
+        let rows = normalized(&results, &schemes, SchemeKind::Ideal, |r| r.exec_ns as f64);
         assert_eq!(rows.len(), 2, "one workload + geomean");
         let (_, geo) = rows.last().unwrap();
         let ideal = geo.iter().find(|(s, _)| *s == SchemeKind::Ideal).unwrap().1;
         let m = geo.iter().find(|(s, _)| *s == SchemeKind::MMetric).unwrap().1;
         assert!((ideal - 1.0).abs() < 1e-12);
         assert!(m >= 1.0, "M-metric cannot be faster than Ideal: {m}");
-        let table = ratio_table(&rows, |v| 1.0 / v);
+        let table = ratio_table(&rows);
         assert_eq!(table[0], ["workload", "Ideal", "M-metric"]);
         assert_eq!(table[2][0], "geomean");
         assert_eq!(table[2][1], "1.000");
-        assert_eq!(table[2][2], format!("{:.3}", 1.0 / m));
+        assert_eq!(table[2][2], format!("{m:.3}"));
+        // The columns follow the caller's order, not the matrix's.
+        let reversed = [SchemeKind::MMetric, SchemeKind::Ideal];
+        let rows = normalized(&results, &reversed, SchemeKind::Ideal, |r| r.exec_ns as f64);
+        assert_eq!(ratio_table(&rows)[0], ["workload", "M-metric", "Ideal"]);
     }
 
     #[test]

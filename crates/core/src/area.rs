@@ -11,7 +11,11 @@
 //!   analytic model here reproduces that breakdown.
 
 use crate::flags::LwtFlags;
-use crate::schemes::TLC_LINE_CELLS;
+
+/// Tri-level cells per 64 B line: 512 data bits plus (72,64) SECDED's 8
+/// check bits per 64, packed 4 bits per 3 cells (3 trits hold 27 ≥ 2⁴
+/// symbols, the \[26\] packing).
+pub const TLC_LINE_CELLS: u32 = (512 + 64u32).div_ceil(4) * 3;
 
 /// Per-line storage cost of a scheme, split by cell type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

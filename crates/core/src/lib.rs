@@ -19,9 +19,8 @@
 //!    most full-line writes into differential writes — safe because the
 //!    tracking already knows how long ago the last *full* write was.
 //!
-//! Baselines: [`ScrubbingScheme`] \[2\], [`MMetricScheme`] \[23\],
-//! [`TlcScheme`] \[26\], and drift-free Ideal
-//! ([`readduo_memsim::FixedLatencyDevice::ideal`]).
+//! Baselines: [`ScrubbingScheme`] \[2\], [`MMetricScheme`] \[23\], and
+//! drift-free Ideal ([`readduo_memsim::FixedLatencyDevice::ideal`]).
 //!
 //! The [`area`] and [`edap`] modules provide the density and
 //! Energy-Delay-Area-Product models of Figure 11 and Table VII.
@@ -63,5 +62,5 @@ pub use fault::{FaultInjector, InjectedRead};
 pub use flags::LwtFlags;
 pub use linestate::{LineState, LineTable};
 pub use scheme::{channel_seed, DeviceSpec, SchemeKind, SpecError};
-pub use schemes::{HybridScheme, LwtScheme, MMetricScheme, ScrubbingScheme, TlcScheme};
+pub use schemes::{HybridScheme, LwtScheme, MMetricScheme, ScrubbingScheme};
 pub use wear::{WearConfig, WearTable, VERIFY_RETRIES};

@@ -3,8 +3,8 @@
 //! device is built, with fault injection, wear and the DRAM tier composed
 //! on top of the scheme.
 
-use crate::area::LineStorage;
-use crate::schemes::{HybridScheme, LwtScheme, MMetricScheme, Scheme, ScrubbingScheme, TlcScheme};
+use crate::area::{LineStorage, TLC_LINE_CELLS};
+use crate::schemes::{HybridScheme, LwtScheme, MMetricScheme, Scheme, ScrubbingScheme};
 use crate::wear::WearConfig;
 use readduo_dram::{DramConfig, TieredDevice};
 use readduo_memsim::{DeviceModel, FixedLatencyDevice};
@@ -142,8 +142,10 @@ impl SchemeKind {
 }
 
 impl fmt::Display for SchemeKind {
+    /// The [`label`](SchemeKind::label), padded and aligned as the format
+    /// spec asks (`{:<12}`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
+        f.pad(&self.label())
     }
 }
 
@@ -277,7 +279,11 @@ impl DeviceSpec {
         };
         let device: Box<dyn DeviceModel> = match self.scheme {
             SchemeKind::Ideal => Box::new(FixedLatencyDevice::ideal()),
-            SchemeKind::Tlc => Box::new(TlcScheme::paper()),
+            // TLC is drift-free like Ideal; it only packs a line into more
+            // (tri-level) cells.
+            SchemeKind::Tlc => {
+                Box::new(FixedLatencyDevice::ideal().with_cells_per_write(TLC_LINE_CELLS))
+            }
             SchemeKind::Scrubbing => layers.on(ScrubbingScheme::paper(seed)),
             SchemeKind::ScrubbingW0 => w0.on(ScrubbingScheme::paper_w0(seed)),
             SchemeKind::MMetric => layers.on(MMetricScheme::paper(seed)),
@@ -410,6 +416,30 @@ mod tests {
             .with_dram(DramConfig::new(1, 64));
         assert_eq!(full.to_string(), "LWT-4+fault+wear+dram");
         assert_eq!(lwt.with_dram(DramConfig::new(1, 0)).to_string(), "LWT-4");
+    }
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        assert_eq!(format!("{:<12}|", SchemeKind::Ideal), "Ideal       |");
+        assert_eq!(
+            format!("{:>12}|", SchemeKind::Lwt { k: 4 }),
+            "       LWT-4|"
+        );
+        assert_eq!(
+            format!("{}", SchemeKind::Select { k: 4, s: 2 }),
+            "Select-4:2"
+        );
+    }
+
+    #[test]
+    fn tlc_is_drift_free_and_denser_writes() {
+        let mut tlc = SchemeKind::Tlc.build(1);
+        let r = tlc.on_read(1, 1e9);
+        assert_eq!(r.drift_errors, 0);
+        assert_eq!(r.latency_ns, 150);
+        let w = tlc.on_write(1, 0.0);
+        assert_eq!(w.cells_written, TLC_LINE_CELLS);
+        assert_eq!(tlc.scrub_interval_s(), None);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * [`LwtScheme`] — ReadDuo-LWT-k: Hybrid plus last-write tracking and
 //!   R-M-read conversion, `(BCH=8, S=640 s, W=1)`; [`LwtScheme::select`]
 //!   adds ReadDuo-Select-(k:s)'s selective differential writes,
-//! * [`TlcScheme`] — the Tri-Level-Cell baseline \[26\] (no drift errors, no
-//!   scrubbing, lower density),
-//! * Ideal is [`readduo_memsim::FixedLatencyDevice::ideal`].
+//! * Ideal is [`readduo_memsim::FixedLatencyDevice::ideal`], and the
+//!   Tri-Level-Cell baseline \[26\] is the same drift-free device writing
+//!   [`TLC_LINE_CELLS`](crate::area::TLC_LINE_CELLS) cells per line.
 //!
 //! The four drifting-MLC schemes are one [`Scheme`] each: the state they
 //! share (drift sampler, line table, energy and device models, optional
@@ -597,63 +597,6 @@ impl DeviceModel for LwtScheme {
     }
 }
 
-// ---------------------------------------------------------------------
-// TLC baseline.
-// ---------------------------------------------------------------------
-
-/// The Tri-Level-Cell baseline: drift-safe by construction, no scrubbing,
-/// fast reads — but 512 bits cost 432 tri-level cells (SECDED included),
-/// the density penalty Figure 11 charges it for.
-#[derive(Debug, Clone)]
-pub struct TlcScheme {
-    energy: EnergyModel,
-    params: DeviceParams,
-}
-
-/// Tri-level cells per 64 B line: 512 data bits plus (72,64) SECDED's 8
-/// check bits per 64, packed 4 bits per 3 cells (3 trits hold 27 ≥ 2⁴
-/// symbols, the \[26\] packing).
-pub const TLC_LINE_CELLS: u32 = (512 + 64u32).div_ceil(4) * 3;
-
-impl TlcScheme {
-    /// The paper's TLC configuration.
-    pub fn paper() -> Self {
-        Self {
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-        }
-    }
-}
-
-impl Default for TlcScheme {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-impl DeviceModel for TlcScheme {
-    fn on_read(&mut self, _line: u64, _now_s: f64) -> ReadOutcome {
-        ReadOutcome::basic(self.params.timing.r_read_ns, ReadMode::RRead, self.energy.r_read_pj)
-    }
-
-    fn on_write(&mut self, _line: u64, _now_s: f64) -> WriteOutcome {
-        WriteOutcome::basic(
-            self.params.timing.write_ns,
-            TLC_LINE_CELLS,
-            0,
-            TLC_LINE_CELLS as f64 * self.energy.write_cell_pj,
-        )
-    }
-
-    fn on_scrub(&mut self, _line: u64, _now_s: f64) -> ScrubOutcome {
-        unreachable!("TLC does not scrub")
-    }
-
-    fn scrub_interval_s(&self) -> Option<f64> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,17 +769,6 @@ mod tests {
         assert!(b.get_mut(0, 123.0).last_full_write_s > 123.0 - 640.0);
         // Outside it, the cold age replaced Hybrid's written-at-scrub default.
         assert!(b.get_mut(5000, 123.0).last_full_write_s <= -3.0e4);
-    }
-
-    #[test]
-    fn tlc_is_drift_free_and_denser_writes() {
-        let mut s = TlcScheme::paper();
-        let r = s.on_read(1, 1e9);
-        assert_eq!(r.drift_errors, 0);
-        assert_eq!(r.latency_ns, 150);
-        let w = s.on_write(1, 0.0);
-        assert_eq!(w.cells_written, TLC_LINE_CELLS);
-        assert_eq!(s.scrub_interval_s(), None);
     }
 
     /// Why TLC can skip drift altogether: with L2 unused, the reference

@@ -289,6 +289,13 @@ impl FixedLatencyDevice {
         }
     }
 
+    /// The same device programming `cells` cells per write (the TLC
+    /// baseline packs a line into more, tri-level, cells).
+    pub fn with_cells_per_write(mut self, cells: u32) -> Self {
+        self.cells_per_write = cells;
+        self
+    }
+
     /// Adds a scrub cadence (tests of the scrub engine); `rewrite` forces a
     /// full-line rewrite on every visit (a W=0-style worst case).
     pub fn with_scrub(mut self, interval_s: f64, rewrite: bool) -> Self {

@@ -9,8 +9,9 @@
 //! ```
 
 use readduo::core::SchemeKind;
-use readduo::memsim::{MemoryConfig, Simulator};
-use readduo::trace::{Locality, TraceGenerator, Workload};
+use readduo::memsim::MemoryConfig;
+use readduo::trace::{Locality, Workload};
+use readduo_bench::Harness;
 
 fn main() {
     // Query phase over a mostly-static dataset: 95% of the footprint was
@@ -28,28 +29,30 @@ fn main() {
             cold_read_fraction: 0.80,
         },
     };
-
-    let trace = TraceGenerator::new(99).generate(&db, 1_000_000, 4);
-    let sim = Simulator::new(MemoryConfig::paper());
-
-    println!("scheme          exec(ms)  R-read%  RM-read%  conversions  vs Ideal");
-    let mut ideal_ns = 0u64;
-    for kind in [
+    let harness = Harness {
+        instructions_per_core: 1_000_000,
+        cores: 4,
+        seed: 99,
+        memory: MemoryConfig::paper(),
+    };
+    let kinds = [
         SchemeKind::Ideal,
         SchemeKind::MMetric,
         SchemeKind::LwtNoConversion { k: 4 },
         SchemeKind::Lwt { k: 4 },
-    ] {
-        let warm = (db.footprint_lines as f64 * db.locality.written_fraction) as u64;
-        let mut dev = kind.build_for_channel(42, 0, warm, db.footprint_lines);
-        let rep = sim.run(&trace, dev.as_mut());
-        if kind == SchemeKind::Ideal {
-            ideal_ns = rep.exec_ns;
-        }
+    ];
+    let results = harness
+        .run_matrix(&kinds, &[db])
+        .expect("bare schemes always build");
+
+    println!("scheme          exec(ms)  R-read%  RM-read%  conversions  vs Ideal");
+    let ideal_ns = results[0].report.exec_ns;
+    for r in &results {
+        let rep = &r.report;
         let reads = rep.reads.max(1) as f64;
         println!(
             "{:<15} {:>8.3} {:>7.1}% {:>8.1}% {:>12} {:>+8.1}%",
-            kind.label(),
+            r.scheme,
             rep.exec_seconds() * 1e3,
             100.0 * rep.reads_r as f64 / reads,
             100.0 * rep.reads_rm as f64 / reads,

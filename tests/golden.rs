@@ -153,7 +153,7 @@ fn fig3_matches_golden() {
     let results = harness
         .run_matrix(&schemes, &Workload::spec2006())
         .expect("bare schemes always build");
-    let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
+    let rows = normalized(&results, &schemes, SchemeKind::Ideal, |r| r.exec_ns as f64);
     let (label, geo) = rows.last().unwrap();
     assert_eq!(label, "geomean");
 
