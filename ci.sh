@@ -25,15 +25,16 @@ echo "==> parallel determinism (READDUO_THREADS=4 vs =1)"
 cargo test -q --release --test parallel_determinism
 
 # The fault sampler decides most cells from a CDF threshold, the wear
-# scan inverts only the cells that can tie for a line's minimum, and the
-# Zipf sampler's squeeze accepts most candidates without the exact test;
-# all three must reproduce the always-exact oracles kept in
+# scan inverts only the cells that can tie for a line's minimum, the
+# Zipf sampler's squeeze accepts most candidates without the exact test,
+# and the BCH pattern decoder answers patterns of at most t bits without
+# decoding; all four must reproduce the always-exact oracles kept in
 # tests/proptests.rs bit for bit. Run those properties by name so a
 # bit-exactness regression names itself in CI output.
-echo "==> bit-exact oracles (fault sampler, wear scan, Zipf squeeze)"
+echo "==> bit-exact oracles (fault sampler, wear scan, Zipf squeeze, BCH shortcut)"
 cargo test -q --release --test proptests -- --exact \
     fault_sampler_matches_inversion_oracle wear_scan_matches_brute_force \
-    zipf_squeeze_matches_exact_acceptance_oracle
+    zipf_squeeze_matches_exact_acceptance_oracle bch_pattern_verdict_matches_full_decode
 
 # The CSVs one fig9 run writes: every simulated figure of the paper.
 figs="fig3 fig9 fig10 fig11 fig12 fig13 fig14 fig15"
@@ -218,6 +219,24 @@ READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=50000 \
 # reports to the harness's, so they also keep it compiling.
 echo "==> cargo test --manifest-path benchmark/Cargo.toml"
 cargo test --offline --manifest-path benchmark/Cargo.toml -q
+
+# The unit tests above run tiny volumes. The benchmark's own gate checks
+# every report of every workload BENCHMARK.json declares, at the default
+# seed and volume, against benchmark/reference_digests.txt; one untimed
+# pass each (about 16 s on 2 vCPUs) must read correct with none failed.
+echo "==> benchmark reference digests (every workload, --reps 1 --trace 0)"
+for w in $(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json); do
+    if ! line=$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --reps 1 --trace 0 | tail -n 1); then
+        echo "    FAIL: benchmark workload $w exited non-zero" >&2
+        exit 1
+    fi
+    if ! grep -Eq '^\{"correct": true, "attempted": [1-9][0-9]*, "failed": 0,' <<<"$line"; then
+        echo "    FAIL: benchmark workload $w: $line" >&2
+        exit 1
+    fi
+    echo "    $w: correct"
+done
 
 # Rustdoc gate: a doc link to a deleted or private item, an ambiguous
 # link, or a citation like [26] that rustdoc reads as a link fails here

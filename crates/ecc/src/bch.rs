@@ -285,6 +285,18 @@ impl Bch {
         if positions.is_empty() {
             return PatternOutcome::Clean;
         }
+        // 1..=t distinct in-range positions: the designed distance 2t + 1
+        // fixes the decoder's verdict, so skip the word, the syndromes,
+        // Berlekamp–Massey and the Chien search. Only a strictly ascending
+        // pattern — the order every fault-injection caller passes — is
+        // checked this cheaply; any other takes the full path and its
+        // validation below.
+        if positions.len() <= self.correction_capability()
+            && positions.windows(2).all(|w| w[0] < w[1])
+            && positions.last().is_some_and(|&p| (p as usize) < self.codeword_bits())
+        {
+            return PatternOutcome::Corrected(positions.len());
+        }
         let mut cw = BitVec::zeros(self.codeword_bits());
         for &p in positions {
             assert!(
@@ -666,6 +678,21 @@ mod tests {
     #[should_panic(expected = "repeated")]
     fn pattern_decode_rejects_duplicates() {
         let _ = paper_code().decode_error_pattern(&[3, 3]);
+    }
+
+    // An ascending pattern of at most t positions takes the shortcut only
+    // when it is also in range and free of repeats; these fall through to
+    // the full path's checks and their messages.
+    #[test]
+    #[should_panic(expected = "error position 592 outside 592-bit codeword")]
+    fn short_ascending_pattern_still_rejects_out_of_range() {
+        let _ = paper_code().decode_error_pattern(&[5, 100, 592]);
+    }
+
+    #[test]
+    #[should_panic(expected = "error position 70 repeated")]
+    fn short_pattern_still_rejects_a_repeat() {
+        let _ = paper_code().decode_error_pattern(&[3, 70, 70]);
     }
 
     /// Unique random positions, allowed to overlap another list.

@@ -119,18 +119,35 @@ impl Normal {
         self.mu + self.sigma * SQRT_2 * inverse_erf(2.0 * p - 1.0)
     }
 
-    /// Draws one sample using the polar Box–Muller transform.
+    /// Draws one sample using the polar Box–Muller transform:
+    /// [`at_polar`](Self::at_polar) of one [`draw_polar`](Self::draw_polar).
     pub fn sample<R: readduo_rng::Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let (u, s) = Self::draw_polar(rng);
+        self.at_polar(u, s)
+    }
+
+    /// The accepted pair `(u, s)` of one polar draw: `u` and `v` uniform
+    /// on `[-1, 1)` until `s = u² + v²` lands in `(0, 1)`. The sample's
+    /// sign is `u`'s, and `|sample − μ| ≤ σ·|u|·√(2(1 − s))/s` because
+    /// `−ln s ≤ 1/s − 1`, so a caller can bound the sample without the
+    /// `ln`.
+    pub fn draw_polar<R: readduo_rng::Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
         // Polar method: rejection-free of trig, numerically benign.
         loop {
             let u: f64 = rng.gen_range(-1.0..1.0);
             let v: f64 = rng.gen_range(-1.0..1.0);
             let s = u * u + v * v;
             if s > 0.0 && s < 1.0 {
-                let factor = (-2.0 * s.ln() / s).sqrt();
-                return self.mu + self.sigma * u * factor;
+                return (u, s);
             }
         }
+    }
+
+    /// The sample the polar pair `(u, s)` maps to:
+    /// `μ + σ·u·√(−2 ln s / s)`.
+    pub fn at_polar(&self, u: f64, s: f64) -> f64 {
+        let factor = (-2.0 * s.ln() / s).sqrt();
+        self.mu + self.sigma * u * factor
     }
 }
 
@@ -274,7 +291,7 @@ impl TruncatedNormal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use readduo_rng::{rngs::StdRng, SeedableRng};
+    use readduo_rng::{rngs::StdRng, RngCore, SeedableRng};
 
     #[test]
     fn cdf_sf_sum_to_one() {
@@ -380,6 +397,42 @@ mod tests {
         let var = s2 / cnt as f64 - mean * mean;
         assert!((mean + 1.0).abs() < 0.03, "mean={mean}");
         assert!((var - 4.0).abs() < 0.12, "var={var}");
+    }
+
+    /// The first 64 standard-normal samples at a fixed seed, and the RNG
+    /// word after them, as bit patterns. The fault sampler's inversion
+    /// oracle draws its drift deviates through `sample`, so this pins the
+    /// oracle's stream along with the split into `draw_polar` and
+    /// `at_polar`.
+    #[test]
+    fn standard_samples_are_pinned_bit_for_bit() {
+        const WANT: [u64; 64] = [
+            0xbff209fac137138c, 0x3f9d76bece1d9ace, 0x3fbb2017c6a226b0, 0x3ff0f94994e3ed40,
+            0xbfd63bd90448c240, 0x3ff9279b0cc26eb2, 0xbfe6979c058505ac, 0xbfe04c37aeddcf5c,
+            0x3ff54146d97fb028, 0xbfdde0aa5a3998b5, 0xbfdb88a187bcc842, 0xbfea783336487000,
+            0xbfe2bc47036ce980, 0x3fdf9424beb47abf, 0xbfe54ce77142eaac, 0x3fd9e01b0ee8ae02,
+            0xbfebf12ef8950d94, 0x3fa2479a6b3f6312, 0x3f8e9fc6be08e14f, 0x3fffb145fe02f95e,
+            0x3fe39cd63c8444e3, 0x3fec175abfe57e7a, 0xbff0d4475f6431d0, 0x3f8259e758a67b1a,
+            0x400107951dc81bf7, 0xbfbf5a294ba69e18, 0x3ff6a70487b32443, 0x4000ce1a1bebc507,
+            0xbffaf04d3f33ed25, 0xbfa06b4755c32012, 0xbfd1ce540e6f47b9, 0x3fe5cdf0e8d842a8,
+            0x3f97f93b881b15ec, 0xbf97fa6965bf6432, 0x3fd614e6d9025a51, 0xbfcb2b769671569e,
+            0xbff6355ef9419624, 0x3fd89311edf1e77c, 0x3fc3475de26f4cec, 0x3ff29b1963841685,
+            0xbfd1f72a459fa1c6, 0x4004283489d7b94e, 0x3fb7a21ca41632ab, 0x3fab461db3ac5872,
+            0x3fd26660b829762b, 0xbfe2938116827e3c, 0x3fecf2dd4aaf75a0, 0xbfce0c3f9fafd7e1,
+            0x3fced137afa1445a, 0x3ff402c7cc4c09f7, 0xc0009b5f5552d4ec, 0xbfdf0d4a8d84921b,
+            0xbff61762891be53d, 0xbfe74c20bdbf2022, 0x3fe8827b54d63eb4, 0x3fcf8ad087d0453e,
+            0x3fde7e5b560330df, 0xbfc2fd1afa0a1496, 0xbf9b7239fe6c7e21, 0xbff135a3306f1098,
+            0x3fef413d4c437511, 0xbfd8ba672820b7e0, 0xbfd82858eb859367, 0x3fd6beadd2be41a7,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EED_2016);
+        let n = Normal::standard();
+        let got: Vec<u64> = (0..64).map(|_| n.sample(&mut rng).to_bits()).collect();
+        assert_eq!(got, WANT);
+        assert_eq!(
+            rng.next_u64(),
+            0xe3aef0fd3a06683a,
+            "RNG stream advanced differently"
+        );
     }
 
     #[test]

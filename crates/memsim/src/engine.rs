@@ -382,7 +382,8 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
         let b = self.cfg.bank_of(op.line);
         match op.kind {
             OpKind::Read => {
-                // Write cancellation: pre-empt an executing demand write.
+                // Write cancellation: pre-empt an executing write job
+                // (demand, conversion or corrective).
                 if self.cfg.write_cancellation {
                     let bank = &mut self.banks[b];
                     if bank.busy_until > now {

@@ -140,7 +140,8 @@ sim_report! {
         conversions: u64 => sum,
         /// End-to-end read latency (queueing + device + bus).
         read_latency: LatencySummary => merge,
-        /// Demand writes cancelled by arriving reads.
+        /// Executing write jobs (demand, conversion or corrective)
+        /// cancelled by arriving reads; each is queued again and re-run.
         write_cancellations: u64 => sum,
         /// Scrub visits performed.
         scrubs: u64 => sum,

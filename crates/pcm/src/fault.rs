@@ -36,6 +36,13 @@
 //! pattern and every RNG stream is bit-for-bit the inversion sampler's.
 //! `F` comes from a grid built once per model; only a `p` inside the
 //! bracket of its two neighbouring knots pays an exact `erfc`.
+//!
+//! The drift deviate `z_α` is a polar normal draw, and its `ln` is
+//! deferred the same way. A raised `z_α` only lowers `z*`, so the test is
+//! first taken at an upper bound of `z_α` that needs no `ln`
+//! (`za_upper_bound`). A cell that passes there passes at `z_α` too, and
+//! is skipped without it; `z_α` is computed, as before, only for the cells
+//! the bound leaves undecided.
 
 use crate::drift::{drift_exponent, log_metric_at_u};
 use crate::params::{MetricConfig, PROGRAM_WIDTH_SIGMAS};
@@ -56,6 +63,10 @@ const Z_MARGIN: f64 = 1e-9;
 
 /// Margin subtracted from the truncated CDF at the skip threshold.
 const P_MARGIN: f64 = 1e-12;
+
+/// Relative margin on the `ln`-free bound of a positive drift deviate: it
+/// covers the few-ULP rounding of the bound and of the deviate itself.
+const ZA_BOUND_MARGIN: f64 = 1e-9;
 
 /// Intervals of the truncated-CDF grid across the programmed window: a
 /// knot spacing of ~0.005σ leaves at most ~0.2% of cells for the exact
@@ -107,7 +118,6 @@ pub struct FaultModel {
     /// Shared standard-normal programmed-value deviate, truncated to the
     /// program-and-verify window (`±2.746σ`).
     z_programmed: TruncatedNormal,
-    z_alpha: Normal,
     /// `z_programmed.cdf(lo + k·h)` for `k = 0..=CDF_GRID_STEPS`, with
     /// `h` the window width over `CDF_GRID_STEPS`.
     cdf_grid: Vec<f64>,
@@ -125,7 +135,9 @@ pub struct FaultModel {
 /// its drift, or `None` when that one comparison cannot settle the sensed
 /// level: the top level has no reference above, and a level whose lowest
 /// programmable value `μ + z_lo·σ` is not above every lower reference
-/// can also misread downwards.
+/// can also misread downwards. A level whose drift coefficient falls as
+/// `z_α` rises (`σ_α < 0`) is left ungated too, so that a bound on `z_α`
+/// bounds α for every gated level.
 fn upper_gates(cfg: &MetricConfig, z_lo: f64) -> [Option<f64>; 4] {
     let mut gates = [None; 4];
     let mut highest_below = f64::NEG_INFINITY;
@@ -137,7 +149,7 @@ fn upper_gates(cfg: &MetricConfig, z_lo: f64) -> [Option<f64>; 4] {
         // The same expression `sense_one` evaluates for x0 at z = z_lo; drift
         // only adds to it.
         let x0_min = lp.mu + z_lo * lp.sigma;
-        if lp.sigma > 0.0 && x0_min > highest_below {
+        if lp.sigma > 0.0 && lp.sigma_alpha >= 0.0 && x0_min > highest_below {
             gates[level.index()] = Some((reference - lp.mu) / lp.sigma);
         }
         highest_below = highest_below.max(reference);
@@ -178,7 +190,6 @@ impl FaultModel {
             r,
             m,
             z_programmed,
-            z_alpha: Normal::standard(),
             cdf_grid,
             grid_scale: 1.0 / h,
         }
@@ -266,7 +277,13 @@ impl FaultModel {
                 continue;
             }
             let p = TruncatedNormal::draw_uniform(rng);
-            let za = self.z_alpha.sample(rng);
+            // The drift deviate's polar pair, not yet transformed: try
+            // the skip test at its `ln`-free bound first.
+            let (pu, ps) = Normal::draw_polar(rng);
+            if self.surely_sensed_up_to(gate, gates, level, p, za_upper_bound(pu, ps), u) {
+                continue;
+            }
+            let za = Normal::standard().at_polar(pu, ps);
             if self.surely_sensed(gate, gates, level, p, za, u) {
                 continue;
             }
@@ -321,25 +338,55 @@ impl FaultModel {
             .is_some_and(|z_skip| self.p_surely_below(p, z_skip))
     }
 
+    /// [`surely_sensed`](Self::surely_sensed) for every drift deviate up
+    /// to `za_max`, decided from the grid alone. True implies
+    /// `surely_sensed` at any `za ≤ za_max`: on a gated level every
+    /// rounded step of [`skip_threshold`](Self::skip_threshold) is
+    /// monotone (`σ > 0`, `σ_α ≥ 0`, and `u ≥ 0` because
+    /// `drift_exponent` clamps the age to `t0`), so the threshold at `za`
+    /// is at least the one at `za_max`, and a grid verdict that skips at
+    /// one threshold skips at any higher one. The exact `erfc` is left out
+    /// because its last ULP need not rise with `z`.
+    fn surely_sensed_up_to(
+        &self,
+        cfg: &MetricConfig,
+        gates: &[Option<f64>; 4],
+        level: CellLevel,
+        p: f64,
+        za_max: f64,
+        u: f64,
+    ) -> bool {
+        Self::skip_threshold(cfg, gates, level, za_max, u)
+            .is_some_and(|z_skip| self.grid_verdict(p, z_skip) == Some(true))
+    }
+
     /// Whether `p < F(z) − P_MARGIN`, `F` the programmed deviate's
-    /// truncated CDF. The grid knots around `z` bracket `F(z)`; only a
-    /// `p` between them pays the exact `erfc`.
+    /// truncated CDF: the grid's verdict, or the exact `erfc` for a `p`
+    /// between the two knots around `z`.
     fn p_surely_below(&self, p: f64, z: f64) -> bool {
+        self.grid_verdict(p, z)
+            .unwrap_or_else(|| p < self.z_programmed.cdf(z) - P_MARGIN)
+    }
+
+    /// [`p_surely_below`](Self::p_surely_below) from the grid alone, or
+    /// `None` when `p` falls between the knots around `z`. A `Some(true)`
+    /// stays `Some(true)` as `z` rises: the knots ascend.
+    fn grid_verdict(&self, p: f64, z: f64) -> Option<bool> {
         let t = (z - self.z_programmed.lo()) * self.grid_scale;
         if t.is_nan() || t < 0.0 {
-            return false; // below the window, where F = 0
+            return Some(false); // below the window, where F = 0
         }
         if t >= CDF_GRID_STEPS as f64 {
-            return true; // no programmed value lies above the window
+            return Some(true); // no programmed value lies above the window
         }
         let k = t as usize;
         if p < self.cdf_grid[k] - P_MARGIN {
-            return true;
+            return Some(true);
         }
         if p >= self.cdf_grid[k + 1] {
-            return false;
+            return Some(false);
         }
-        p < self.z_programmed.cdf(z) - P_MARGIN
+        None
     }
 
     /// Drifts one cell's shared deviates through `cfg` by the hoisted
@@ -356,6 +403,18 @@ impl FaultModel {
         let x0 = lp.mu + z * lp.sigma;
         let alpha = (lp.mu_alpha + za * lp.sigma_alpha).max(0.0);
         cfg.sense_level(log_metric_at_u(x0, alpha, u))
+    }
+}
+
+/// An upper bound, without the `ln`, on the standard-normal deviate
+/// `Normal::standard().at_polar(pu, ps) = pu·√(−2 ln ps / ps)`: 0 when
+/// `pu ≤ 0` (the deviate has `pu`'s sign), else `pu·√(2(1 − ps))/ps`,
+/// which `−ln s ≤ 1/s − 1` puts above it, widened by `ZA_BOUND_MARGIN`.
+fn za_upper_bound(pu: f64, ps: f64) -> f64 {
+    if pu <= 0.0 {
+        0.0
+    } else {
+        pu * (2.0 * (1.0 - ps)).sqrt() / ps * (1.0 + ZA_BOUND_MARGIN)
     }
 }
 
@@ -533,6 +592,91 @@ mod tests {
             }
         }
         assert!(skipped > 1000 && kept > 1000, "skipped {skipped}, kept {kept}");
+    }
+
+    /// `za_upper_bound` is at least the deviate `at_polar` computes, on
+    /// drawn pairs and on the tight corners: `s` within a few ULP of 1,
+    /// where `−ln s` and `1/s − 1` agree to rounding, and `s` at the
+    /// smallest square sum `gen_range(-1.0..1.0)` can produce.
+    #[test]
+    fn za_upper_bound_bounds_the_deviate() {
+        let deviate = |pu: f64, ps: f64| Normal::standard().at_polar(pu, ps);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut pairs: Vec<(f64, f64)> =
+            (0..100_000).map(|_| Normal::draw_polar(&mut rng)).collect();
+        let mut s = 1.0f64;
+        for _ in 0..64 {
+            s = s.next_down();
+            pairs.extend([(s.sqrt(), s), (s.sqrt() * 0.5, s), (-s.sqrt(), s)]);
+        }
+        let tiny = 2f64.powi(-104);
+        pairs.extend([
+            (2f64.powi(-52), tiny),
+            (0.0, tiny),
+            (-(2f64.powi(-52)), tiny),
+        ]);
+        for (pu, ps) in pairs {
+            let (bound, za) = (za_upper_bound(pu, ps), deviate(pu, ps));
+            assert!(
+                bound >= za,
+                "pu={pu:e} s={ps:e}: bound {bound:e} < z_α {za:e}"
+            );
+        }
+    }
+
+    /// Wherever the skip test passes at an upper bound of the drift
+    /// deviate, the exact test passes at the deviate: over both metrics'
+    /// gated levels, drift exponents from 0 to 7 and drawn `(p, z_α)`.
+    /// The grid knots must ascend, or a grid verdict could flip as the
+    /// threshold rises.
+    #[test]
+    fn skips_at_the_bound_are_exact_skips() {
+        let model = FaultModel::paper();
+        assert!(model.cdf_grid.windows(2).all(|w| w[0] < w[1]));
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut early, mut total) = (0u32, 0u32);
+        for (cfg, gates) in [(&model.r, &model.r_gates), (&model.m, &model.m_gates)] {
+            for level in [CellLevel::L0, CellLevel::L1, CellLevel::L2] {
+                for u in [0.0, 0.5, 1.0, 3.7, 7.0] {
+                    for _ in 0..4000 {
+                        let p = TruncatedNormal::draw_uniform(&mut rng);
+                        let (pu, ps) = Normal::draw_polar(&mut rng);
+                        let za = Normal::standard().at_polar(pu, ps);
+                        total += 1;
+                        if model.surely_sensed_up_to(
+                            cfg,
+                            gates,
+                            level,
+                            p,
+                            za_upper_bound(pu, ps),
+                            u,
+                        ) {
+                            early += 1;
+                            assert!(
+                                model.surely_sensed(cfg, gates, level, p, za, u),
+                                "{} {level}: bound skipped p={p:e} z_α={za:e} u={u}",
+                                cfg.kind()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            early > total / 4 && early < total,
+            "{early} of {total} skipped at the bound"
+        );
+    }
+
+    /// A level whose α falls as `z_α` rises gets no gate: an upper bound
+    /// on `z_α` would bound its α from below, not from above.
+    #[test]
+    fn levels_whose_drift_falls_with_the_deviate_are_not_gated() {
+        let mut levels = *MetricConfig::r_metric().levels();
+        levels[1].sigma_alpha = -levels[1].sigma_alpha;
+        let cfg = MetricConfig::custom(crate::params::MetricKind::R, levels, 1.0);
+        let gates = upper_gates(&cfg, -PROGRAM_WIDTH_SIGMAS);
+        assert!(gates[0].is_some() && gates[1].is_none() && gates[2].is_some());
     }
 
     #[test]

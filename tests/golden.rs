@@ -1,6 +1,7 @@
 //! Golden tests: re-run the Table III and Figure 3 computations in-process
-//! and diff them against the checked-in reference outputs under `results/`,
-//! with numeric tolerance rather than string equality.
+//! and diff them against the checked-in reference outputs under `results/`
+//! (`table3.txt`, and the Figure 3 table inside `fig9.txt`), with numeric
+//! tolerance rather than string equality.
 //!
 //! Table III is fully analytic, so every cell must match the golden file to
 //! formatting precision. Figure 3 mixes a deterministic density column
@@ -115,14 +116,22 @@ fn fig3_matches_golden() {
         SchemeKind::Tlc,
     ];
 
-    // Rows look like `Scrubbing  1.199  0.974`: a scheme label followed by
-    // the exec-time and density columns.
-    let text = read_golden("fig3.txt");
+    // `fig9.txt` prints every simulated figure under a `Figure N:` title.
+    // In Figure 3's section, rows look like `Scrubbing  1.199  0.974`: a
+    // scheme label followed by the exec-time and density columns.
+    let text = read_golden("fig9.txt");
+    let section: Vec<&str> = text
+        .lines()
+        .skip_while(|line| !line.starts_with("Figure 3:"))
+        .skip(1)
+        .take_while(|line| !line.starts_with("Figure "))
+        .collect();
     let want: Vec<(f64, f64)> = schemes
         .iter()
         .map(|s| {
             let label = s.label();
-            text.lines()
+            section
+                .iter()
                 .filter_map(|line| {
                     let toks: Vec<&str> = line.split_whitespace().collect();
                     match toks.as_slice() {

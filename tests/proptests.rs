@@ -499,6 +499,79 @@ fn to_u16(positions: impl IntoIterator<Item = usize>) -> Vec<u16> {
     positions.into_iter().map(|p| p as u16).collect()
 }
 
+/// `Bch::decode_error_pattern` without its ≤ t shortcut, kept as its
+/// oracle: the positions set in the zero word, a full `Bch::decode`, and
+/// the outcome read against the known true codeword.
+fn full_decode_verdict(code: &Bch, positions: &[u16]) -> PatternOutcome {
+    if positions.is_empty() {
+        return PatternOutcome::Clean;
+    }
+    let mut cw = BitVec::zeros(code.codeword_bits());
+    for &p in positions {
+        cw.set(p as usize, true);
+    }
+    match code.decode(&mut cw) {
+        DecodeOutcome::Clean => PatternOutcome::Miscorrected,
+        DecodeOutcome::Corrected(n) if cw.count_ones() == 0 => PatternOutcome::Corrected(n),
+        DecodeOutcome::Corrected(_) => PatternOutcome::Miscorrected,
+        DecodeOutcome::Detected => PatternOutcome::Detected,
+    }
+}
+
+/// `decode_error_pattern`, shortcut and all, returns the full decoder's
+/// verdict. Each case draws one pattern of every weight 0..=2t+2 and one
+/// nonzero codeword, and passes each in ascending order (the shortcut's
+/// domain at weight ≤ t) and shuffled (the full path at any weight).
+#[test]
+fn bch_pattern_verdict_matches_full_decode() {
+    check(
+        "bch_pattern_verdict_matches_full_decode",
+        |rng| {
+            let (code, _) = bch_pair();
+            let nbits = code.codeword_bits();
+            let t = code.correction_capability();
+            let mut data = gen_bytes(rng, 64, 64);
+            data[0] |= 1;
+            let codeword = to_u16(code.encode(&data).ones());
+            let mut pats: Vec<Vec<u16>> = (0..=2 * t + 2)
+                .map(|w| to_u16(gen_subset(rng, nbits, w, w)))
+                .chain([codeword])
+                .collect();
+            for i in 0..pats.len() {
+                let mut shuffled = pats[i].clone();
+                for j in (1..shuffled.len()).rev() {
+                    shuffled.swap(j, rng.gen_range(0..=j));
+                }
+                pats.push(shuffled);
+            }
+            pats
+        },
+        |pats| {
+            let (code, _) = bch_pair();
+            let nbits = code.codeword_bits();
+            for pat in pats {
+                let mut sorted = pat.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                if sorted.len() != pat.len() || sorted.last().is_some_and(|&b| b as usize >= nbits)
+                {
+                    return Ok(());
+                }
+            }
+            for pat in pats {
+                let oracle = full_decode_verdict(code, pat);
+                let got = code.decode_error_pattern(pat);
+                ensure!(
+                    got == oracle,
+                    "weight {} {pat:?}: {got:?} != full decode {oracle:?}",
+                    pat.len()
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
 /// The errors-and-erasures decoder keeps the two-trial method's
 /// guarantees. With `w` wrong bits inside the hint, `e` outside it and
 /// `f` the hint size:
