@@ -29,12 +29,16 @@ cargo test -q --release --test parallel_determinism
 # Zipf sampler's squeeze accepts most candidates without the exact test,
 # and the BCH pattern decoder answers patterns of at most t bits without
 # decoding; all four must reproduce the always-exact oracles kept in
-# tests/proptests.rs bit for bit. Run those properties by name so a
+# tests/proptests.rs bit for bit. A sharded run feeds each channel from
+# a varint op log instead of a filtered replay; its round-trip test must
+# read back, op for op, what the filter yields. Run these by name so a
 # bit-exactness regression names itself in CI output.
-echo "==> bit-exact oracles (fault sampler, wear scan, Zipf squeeze, BCH shortcut)"
+echo "==> bit-exact oracles (fault sampler, wear scan, Zipf squeeze, BCH shortcut, op log)"
 cargo test -q --release --test proptests -- --exact \
     fault_sampler_matches_inversion_oracle wear_scan_matches_brute_force \
     zipf_squeeze_matches_exact_acceptance_oracle bch_pattern_verdict_matches_full_decode
+cargo test -q --release -p readduo-memsim --lib -- --exact \
+    shard::tests::op_log_round_trips_every_channel
 
 # The CSVs one fig9 run writes: every simulated figure of the paper.
 figs="fig3 fig9 fig10 fig11 fig12 fig13 fig14 fig15"
@@ -144,9 +148,22 @@ fi
 # analytic model and that the full R-fail → M-retry → ECC-correct →
 # corrective-rewrite chain resolves every read with zero silent
 # corruptions. 4000 lines per point keeps it a few seconds in release.
-echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000)"
-READDUO_FAULT_MC_LINES=4000 ./target/release/fault_mc >/dev/null
+# Run twice: the seeded run must replay its stdout and its CSV byte for
+# byte (wall-clock timings go to stderr).
+echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000, twice + byte-diff)"
+fcsv="target/experiments/fault_mc.csv"
+READDUO_FAULT_MC_LINES=4000 ./target/release/fault_mc >target/experiments/fault_mc-a.txt
+cp "$fcsv" target/experiments/fault_mc-a.csv
+READDUO_FAULT_MC_LINES=4000 ./target/release/fault_mc >target/experiments/fault_mc-b.txt
 echo "    fault_mc assertions passed"
+if ! cmp -s target/experiments/fault_mc-a.txt target/experiments/fault_mc-b.txt; then
+    echo "    FAIL: fault_mc stdout differs across identical seeded runs" >&2
+    exit 1
+fi
+if ! cmp -s target/experiments/fault_mc-a.csv "$fcsv"; then
+    echo "    FAIL: fault_mc CSV differs across identical seeded runs" >&2
+    exit 1
+fi
 
 # Endurance gate, two directions. (1) A seeded accelerated-wear sweep
 # with the spare pool squeezed to 2 lines must deterministically run it

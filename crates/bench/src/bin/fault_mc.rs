@@ -126,9 +126,10 @@ fn main() {
         detected += u64::from(r.detected_uncorrectable);
         silent += u64::from(r.silent_corruption);
     }
-    let band_ms = band_start.elapsed().as_millis();
+    // Wall-clock time goes to stderr, so stdout replays byte for byte.
+    eprintln!("escalation band: {band_n} reads in {} ms", band_start.elapsed().as_millis());
     println!(
-        "escalation band @ {band_age:.0} s over {band_n} reads ({band_ms} ms): \
+        "escalation band @ {band_age:.0} s over {band_n} reads: \
          {escalated} escalated, {rewrites} rewrites, {detected} detected-uncorrectable, \
          {silent} silent"
     );

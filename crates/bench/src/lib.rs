@@ -121,9 +121,10 @@ impl Harness {
                 .expect("spec validated above")
         };
         let sim = Simulator::new(self.memory);
-        // A sharded stream re-generates chunk by chunk per channel and
-        // filters it to the lines that channel owns: peak memory stays
-        // bounded and routing is stream-order-invariant by construction.
+        // A sharded run drains its source once into per-channel op logs
+        // (about 5 bytes per op) and runs each channel from its own log;
+        // a single-channel stream stays within the generator's chunk
+        // buffers.
         let report = match source {
             Source::Trace(trace) if channels > 1 => {
                 sim.run_sharded(&Pool::from_env(), |_| TraceCursor::new(trace), device)

@@ -137,7 +137,7 @@ impl LineTable {
 
     /// Declares `[0, boundary)` the warm region: first touches of those
     /// lines default to a synthetic pre-window write of age uniform in
-    /// `[0, S)` (deterministic per line), with LWT flags consistent with
+    /// `[0, S/2)` (deterministic per line), with LWT flags consistent with
     /// that write — the steady state of data that is actively being
     /// written.
     pub fn set_warm_region(&mut self, boundary: u64) {

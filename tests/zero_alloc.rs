@@ -14,7 +14,9 @@
 //! * **sharded** — `run_sharded` rebuilds devices per run, so the
 //!   warm-device trick does not apply; instead the op count is doubled
 //!   and the allocation count must stay flat (setup + per-run warm-up
-//!   only, nothing per-op).
+//!   only, nothing per-op). Each run also drains its stream into
+//!   per-channel op logs of 64 KiB blocks: one allocation per block,
+//!   i.e. per ten thousand ops or more, a handful per run at this volume.
 //!
 //! The counting allocator lives only in this integration-test binary —
 //! library crates stay `forbid(unsafe_code)`.
