@@ -20,8 +20,8 @@ cargo test --workspace -q
 
 # The sweep executor's headline guarantee, run explicitly so a regression
 # names itself in CI output: parallel and sequential matrices must produce
-# identical reports.
-echo "==> parallel determinism (READDUO_THREADS=4 vs =1)"
+# identical reports. The test passes the two pool widths itself.
+echo "==> parallel determinism (matrix on pools of 4 and 1)"
 cargo test -q --release --test parallel_determinism
 
 # The fault sampler decides most cells from a CDF threshold, the wear
@@ -89,20 +89,23 @@ fi
 # the wall clock with the hooks compiled in.
 echo "==> telemetry gate (READDUO_TELEMETRY=1 fig9 smoke + trace_check)"
 ttrace="target/experiments/ci-trace.json"
-READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=50000 \
+READDUO_TELEMETRY=1 READDUO_INSTR=50000 \
     READDUO_TRACE_OUT="$ttrace" ./target/release/fig9 >/dev/null
 ./target/release/trace_check "$ttrace" --metrics "$ttrace.metrics.json" \
     --require read --require scrub --require escalation \
     --require-hist sim.read_latency_ns
 
-# Sharding gate, two directions. (1) Determinism across pool widths: the
-# 8-channel fig9 smoke run with the channel fan-out pinned to one worker
-# and then to four must write byte-identical CSV artifacts (all eight
-# figures it reads off the same runs) — the pool width may only choose
-# the wall clock, never the physics. (2) Telemetry on a multi-channel run
-# must emit the per-channel tracks (c0.bank 0, c1.bank 0, …) the sharded
+# Sharding gate, two directions. (1) Determinism across matrix widths:
+# the 8-channel fig9 smoke run with its matrix pool (READDUO_THREADS, one
+# workload per task) pinned to one worker and then to four must write
+# byte-identical CSV artifacts (all eight figures it reads off the same
+# runs) — the pool width may only choose the wall clock, never the
+# physics. Each run's channels run one after another inside its task;
+# tests/shard_equivalence.rs pins the channel fan-out at pool widths 1, 4
+# and the host's parallelism. (2) Telemetry on a multi-channel run must
+# emit the per-channel tracks (c0.bank 0, c1.bank 0, …) the sharded
 # engine promises.
-echo "==> sharding gate (8-channel fig9 smoke, READDUO_THREADS=1 vs =4, budget 180 s)"
+echo "==> sharding gate (8-channel fig9 smoke, matrix READDUO_THREADS=1 vs =4, budget 180 s)"
 start=$(date +%s)
 READDUO_INSTR=50000 READDUO_THREADS=1 ./target/release/fig9 --channels 8 >/dev/null
 for fig in $figs; do
@@ -122,7 +125,7 @@ if [ "$elapsed" -gt 180 ]; then
     exit 1
 fi
 strace="target/experiments/ci-shard-trace.json"
-READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=20000 \
+READDUO_TELEMETRY=1 READDUO_INSTR=20000 \
     READDUO_TRACE_OUT="$strace" ./target/release/fig9 --channels 2 >/dev/null
 ./target/release/trace_check "$strace" \
     --require-track "c0.bank 0" --require-track "c1.bank 0"
@@ -225,7 +228,7 @@ if [ "$elapsed" -gt 180 ]; then
     exit 1
 fi
 dtrace="target/experiments/ci-dram-trace.json"
-READDUO_TELEMETRY=1 READDUO_TRACE_CAP=100000 READDUO_INSTR=50000 \
+READDUO_TELEMETRY=1 READDUO_INSTR=50000 \
     READDUO_TRACE_OUT="$dtrace" \
     ./target/release/fig9 --dram-lines 4096 >/dev/null
 ./target/release/trace_check "$dtrace" \

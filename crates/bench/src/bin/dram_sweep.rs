@@ -17,7 +17,9 @@
 //!
 //! Every point uses [`DramConfig::new`]'s default associativity.
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
+use readduo_bench::{
+    finish_telemetry, pool_from_env, render_table, start_binary, write_csv, Harness,
+};
 use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_dram::DramConfig;
 use readduo_trace::Workload;
@@ -31,7 +33,7 @@ const CAPACITIES: [u64; 3] = [1024, 4096, 16384];
 const THRESHOLDS: [u32; 2] = [1, 4];
 
 fn main() {
-    handle_help(
+    start_binary(
         "dram_sweep",
         "Hybrid DRAM-PCM tier sweep: hit rate, PCM write-traffic reduction and LWT escalation-rate shift over capacity x migration threshold",
     );
@@ -83,7 +85,7 @@ fn main() {
         }))
         .collect();
     let results = harness
-        .run_matrix(&specs, &workloads)
+        .run_matrix(&pool_from_env(), &specs, &workloads)
         .expect("a tiered bare scheme always builds");
     for (w, runs) in workloads.iter().zip(results.chunks(specs.len())) {
         let base = &runs[0].report;

@@ -20,7 +20,7 @@
 //! the Monte-Carlo sample size (default 20 000 lines per point).
 
 use readduo_bench::{
-    finish_telemetry, handle_help, render_table, write_csv, Harness, Source, FAULT_SEED,
+    finish_telemetry, render_table, start_binary, write_csv, Harness, Source, FAULT_SEED,
 };
 use readduo_core::{DeviceSpec, FaultInjector, HybridScheme, SchemeKind};
 use readduo_memsim::{MemoryConfig, Simulator};
@@ -62,7 +62,7 @@ fn empirical_ler(
 }
 
 fn main() {
-    handle_help(
+    start_binary(
         "fault_mc",
         "Monte-Carlo fault-injection cross-validation: LER vs analytic, escalation audit, end-to-end runs",
     );

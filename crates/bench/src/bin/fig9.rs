@@ -15,8 +15,9 @@
 //!   and LWT-4 with and without R-M-read conversion.
 //!
 //! `--channels N` re-stripes the paper machine over `N` memory channels:
-//! with `N > 1` each run shards per channel onto the worker pool, and the
-//! tables/CSVs reflect the merged reports.
+//! with `N > 1` each run shards per channel, running its channels one
+//! after another inside its workload's pool task, and the tables/CSVs
+//! reflect the merged reports.
 //!
 //! `--dram-lines N` puts the hybrid DRAM–PCM migration tier (capacity
 //! `N` lines, [`DramConfig::new`](readduo_dram::DramConfig::new)'s default
@@ -25,8 +26,8 @@
 //! the plain figures.
 
 use readduo_bench::{
-    edap_inputs, finish_telemetry, handle_help, normalized, ratio_table, render_table, result_for,
-    write_csv, Harness, RunResult,
+    edap_inputs, finish_telemetry, normalized, pool_from_env, ratio_table, render_table,
+    result_for, start_binary, write_csv, Harness, RunResult,
 };
 use readduo_core::DeviceSpec;
 use readduo_core::SchemeKind::{
@@ -313,7 +314,7 @@ fn read(fig: &Figure, results: &[RunResult], workloads: &[Workload]) -> (Vec<Vec
 }
 
 fn main() {
-    handle_help(
+    start_binary(
         "fig9",
         "Figures 3 and 9–15: execution time, dynamic energy, PCM lifetime, density, EDAP \
          and the k, s and conversion sensitivities over SPEC2006, read off one matrix",
@@ -375,7 +376,7 @@ fn main() {
         })
         .collect();
     let results = harness
-        .run_matrix(&specs, &workloads)
+        .run_matrix(&pool_from_env(), &specs, &workloads)
         .expect("bare and tiered schemes always build");
     for fig in &FIGURES {
         let (table, text) = read(fig, &results, &workloads);
@@ -389,6 +390,7 @@ fn main() {
 mod tests {
     use super::*;
     use readduo_memsim::MemoryConfig;
+    use readduo_pool::Pool;
 
     /// Every figure reads the same table and text off the union matrix as
     /// off a matrix of its own schemes alone, with its columns (or rows)
@@ -408,10 +410,13 @@ mod tests {
             Workload::toy(),
             Workload::by_name("sphinx3").expect("sphinx3"),
         ];
-        let union = harness.run_matrix(&union_of_schemes(), &workloads).unwrap();
+        let pool = Pool::new(2);
+        let union = harness
+            .run_matrix(&pool, &union_of_schemes(), &workloads)
+            .unwrap();
         assert_eq!(union_of_schemes().len(), 12);
         for fig in &FIGURES {
-            let alone = harness.run_matrix(fig.schemes, &workloads).unwrap();
+            let alone = harness.run_matrix(&pool, fig.schemes, &workloads).unwrap();
             let (table, text) = read(fig, &union, &workloads);
             assert_eq!(
                 (table.clone(), text),

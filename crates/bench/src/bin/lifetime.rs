@@ -21,7 +21,7 @@
 //! [`FAULT_SEED`] seeds the fault and endurance streams.
 
 use readduo_bench::{
-    finish_telemetry, handle_help, render_table, write_csv, Harness, Source, FAULT_SEED,
+    finish_telemetry, render_table, start_binary, write_csv, Harness, Source, FAULT_SEED,
 };
 use readduo_core::{DeviceSpec, SchemeKind, WearConfig, VERIFY_RETRIES};
 use readduo_trace::Workload;
@@ -31,12 +31,15 @@ use readduo_trace::Workload;
 const ACCELS: [u64; 4] = [1, 100_000, 300_000, 1_000_000];
 
 fn main() {
-    handle_help(
+    start_binary(
         "lifetime",
         "Accelerated-wear sweep: write-verify retries, stuck-at reads, spare-line remapping and relative lifetime per scheme",
     );
     let harness = Harness::from_env();
-    let base = WearConfig::new(FAULT_SEED).tuned_from_env();
+    let mut base = WearConfig::new(FAULT_SEED);
+    if let Some(spares) = readduo_env::u64_at_least("READDUO_SPARE_LINES", 0) {
+        base.spare_lines = spares as u32;
+    }
     let schemes = [
         SchemeKind::Scrubbing,
         SchemeKind::Hybrid,

@@ -5,15 +5,18 @@
 //!
 //! With `--matrix` it instead runs the **full** Figure-9 headline matrix
 //! (every scheme × every SPEC2006 workload) through
-//! [`Harness::run_matrix`] on the ambient pool (ci.sh pins it to one
-//! worker with `READDUO_THREADS=1`, the configuration the repository
-//! benchmark times as `fig9_10m`), so ci.sh can put a wall-clock budget
-//! on the acceptance leg without running the whole benchmark.
+//! [`Harness::run_matrix`] on the pool `READDUO_THREADS` asks for (ci.sh
+//! pins it to one worker with `READDUO_THREADS=1`, the configuration the
+//! repository benchmark times as `fig9_10m`), so ci.sh can put a
+//! wall-clock budget on the acceptance leg without running the whole
+//! benchmark.
 //!
 //! `READDUO_INSTR` sets the volume (ci.sh runs this at 10M instructions
 //! per core); the ceiling is [`RSS_CEILING_MB`].
 
-use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, Source};
+use readduo_bench::{
+    finish_telemetry, peak_rss_bytes, pool_from_env, start_binary, Harness, Source,
+};
 use readduo_core::SchemeKind;
 use readduo_trace::Workload;
 use std::time::Instant;
@@ -22,7 +25,7 @@ use std::time::Instant;
 const RSS_CEILING_MB: u64 = 512;
 
 fn main() {
-    handle_help(
+    start_binary(
         "stream_smoke",
         "Paper-scale streaming smoke: mcf through every headline scheme under an RSS ceiling (--matrix: full fig9 matrix)",
     );
@@ -40,7 +43,7 @@ fn main() {
         );
         let t = Instant::now();
         let results = h
-            .run_matrix(&schemes, &workloads)
+            .run_matrix(&pool_from_env(), &schemes, &workloads)
             .expect("bare schemes always build");
         assert_eq!(results.len(), schemes.len() * workloads.len());
         assert!(

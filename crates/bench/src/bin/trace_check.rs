@@ -8,7 +8,7 @@
 //! metrics-file histograms with a non-zero p99. Exits non-zero on any failure, so
 //! `ci.sh` can gate on it directly.
 
-use readduo_bench::handle_help;
+use readduo_bench::start_binary;
 use readduo_telemetry::check::{parse_json, validate_chrome_trace, Json};
 use std::process::exit;
 
@@ -22,7 +22,7 @@ fn usage() -> ! {
 }
 
 fn main() {
-    handle_help(
+    start_binary(
         "trace_check",
         "Validates a telemetry trace (and optionally a metrics snapshot) with the in-tree JSON checker",
     );

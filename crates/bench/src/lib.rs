@@ -15,6 +15,11 @@
 //! artifact under `target/experiments/`. Simulation volume is controlled
 //! by the `READDUO_INSTR` environment variable (instructions per core;
 //! default one million — enough for stable ratios, small enough for CI).
+//!
+//! The binaries resolve every `READDUO_*` knob through
+//! [`Harness::from_env`], [`pool_from_env`], [`start_binary`] and
+//! [`finish_telemetry`] and pass the values down: no library crate below
+//! this one reads the environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,10 +104,13 @@ impl Harness {
     /// seeded from the harness seed and the workload, with the workload's
     /// warm region and footprint, identically for either [`Source`].
     /// Single-channel topologies take the plain engine; multi-channel
-    /// topologies shard across channels on the ambient pool
-    /// ([`Pool::from_env`]), one per-channel device each. Reports are
-    /// bit-for-bit independent of the source and the thread count
-    /// (pinned by `tests/stream_equivalence.rs` and
+    /// topologies shard across channels, one per-channel device each, and
+    /// run the channels one after another on the calling thread
+    /// (`Pool::new(1)`): a run's parallelism is its matrix's, one workload
+    /// per pool task. That loses nothing but wall clock, since a sharded
+    /// report does not depend on the width of the pool its channels run
+    /// on. Reports are bit-for-bit independent of the source and of that
+    /// width (pinned by `tests/stream_equivalence.rs` and
     /// `tests/shard_equivalence.rs`).
     pub fn run(
         &self,
@@ -127,10 +135,10 @@ impl Harness {
         // buffers.
         let report = match source {
             Source::Trace(trace) if channels > 1 => {
-                sim.run_sharded(&Pool::from_env(), |_| TraceCursor::new(trace), device)
+                sim.run_sharded(&Pool::new(1), |_| TraceCursor::new(trace), device)
             }
             Source::Stream if channels > 1 => {
-                sim.run_sharded(&Pool::from_env(), |_| self.stream_for(workload), device)
+                sim.run_sharded(&Pool::new(1), |_| self.stream_for(workload), device)
             }
             Source::Trace(trace) => sim.run(trace, device(0).as_mut()),
             Source::Stream => sim.run_source(&mut self.stream_for(workload), device(0).as_mut()),
@@ -184,10 +192,10 @@ impl Harness {
             .expect("a tiered bare scheme always builds")
     }
 
-    /// Runs every spec on every workload on the ambient pool
-    /// ([`Pool::from_env`]; `READDUO_THREADS=1` forces sequential) and
-    /// returns the results in workload-major order: every spec of the
-    /// first workload, in spec order, then the next workload.
+    /// Runs every spec on every workload on `pool` (`Pool::new(1)` runs
+    /// them in order on the calling thread) and returns the results in
+    /// workload-major order: every spec of the first workload, in spec
+    /// order, then the next workload.
     ///
     /// Every spec is checked before any trace is generated. Each workload
     /// is one pool task: it generates the workload's trace once, or
@@ -199,19 +207,15 @@ impl Harness {
     /// width (pinned by `tests/parallel_determinism.rs`).
     pub fn run_matrix<S: Copy + Into<DeviceSpec>>(
         &self,
+        pool: &Pool,
         specs: &[S],
         workloads: &[Workload],
     ) -> Result<Vec<RunResult>, SpecError> {
-        self.run_matrix_within(
-            MATRIX_TRACE_BUDGET_BYTES,
-            &Pool::from_env(),
-            specs,
-            workloads,
-        )
+        self.run_matrix_within(MATRIX_TRACE_BUDGET_BYTES, pool, specs, workloads)
     }
 
-    /// [`run_matrix`](Harness::run_matrix) on an explicit pool and trace
-    /// budget, so a test can force the streaming branch with a budget of 0.
+    /// [`run_matrix`](Harness::run_matrix) with an explicit trace budget,
+    /// so a test can force the streaming branch with a budget of 0.
     fn run_matrix_within<S: Copy + Into<DeviceSpec>>(
         &self,
         budget: u64,
@@ -258,17 +262,27 @@ pub const MATRIX_TRACE_BUDGET_BYTES: u64 = 128 << 20;
 /// and `lifetime` sweeps.
 pub const FAULT_SEED: u64 = 0x00FA_0017;
 
-impl Default for Harness {
-    fn default() -> Self {
-        Self::from_env()
-    }
+/// The matrix pool `READDUO_THREADS` asks for: that many workers, or
+/// [`std::thread::available_parallelism`] when it is unset (1 where that
+/// is unknown). `READDUO_THREADS=1` runs a matrix's workloads one after
+/// another on the calling thread.
+pub fn pool_from_env() -> Pool {
+    let workers = readduo_env::usize_at_least("READDUO_THREADS", 1).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    Pool::new(workers)
 }
 
-/// Handles `--help`/`-h` for a bench binary: prints what the binary does,
-/// then the registry of every recognized `READDUO_*` variable (the
-/// binaries take no positional arguments — the environment is the whole
-/// interface), and exits.
-pub fn handle_help(bin: &str, about: &str) {
+/// Starts a bench binary; call it first in `main`.
+///
+/// On `--help`/`-h` it prints what the binary does, then the registry of
+/// every recognized `READDUO_*` variable (the binaries take no positional
+/// arguments — the environment is the whole interface), and exits.
+/// Otherwise it switches telemetry on when `READDUO_TELEMETRY` asks for
+/// it; telemetry is off by default.
+pub fn start_binary(bin: &str, about: &str) {
     if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
         println!("{bin} — {about}");
         println!("\nUsage: {bin} [--help]");
@@ -276,14 +290,18 @@ pub fn handle_help(bin: &str, about: &str) {
         print!("{}", readduo_env::help_table());
         std::process::exit(0);
     }
+    readduo_telemetry::set_enabled(readduo_env::flag("READDUO_TELEMETRY").unwrap_or(false));
 }
 
-/// Drains the telemetry trace and metrics to their configured output
-/// files, printing the paths. Call at the end of a binary's `main`; a
-/// silent no-op unless `READDUO_TELEMETRY` is on.
+/// Drains the telemetry trace to `READDUO_TRACE_OUT` (default
+/// `target/experiments/trace.json`) and the metrics next to it, at that
+/// path with `.metrics.json` appended, printing both paths. Call at the
+/// end of a binary's `main`; a silent no-op unless telemetry is on.
 pub fn finish_telemetry() {
-    match readduo_telemetry::export::finish_to_env() {
-        Ok(Some((trace, metrics))) => {
+    let trace = readduo_env::string("READDUO_TRACE_OUT")
+        .unwrap_or_else(|| "target/experiments/trace.json".to_string());
+    match readduo_telemetry::export::finish(&trace) {
+        Ok(Some(metrics)) => {
             println!("[telemetry] trace   {trace}");
             println!("[telemetry] metrics {metrics}");
         }
@@ -466,7 +484,7 @@ mod tests {
         let h = tiny_harness();
         let schemes = [SchemeKind::Ideal, SchemeKind::MMetric];
         let workloads = [Workload::toy()];
-        let results = h.run_matrix(&schemes, &workloads).unwrap();
+        let results = h.run_matrix(&Pool::new(2), &schemes, &workloads).unwrap();
         assert_eq!(results.len(), 2);
         let rows = normalized(&results, &schemes, SchemeKind::Ideal, |r| r.exec_ns as f64);
         assert_eq!(rows.len(), 2, "one workload + geomean");

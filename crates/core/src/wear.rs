@@ -45,8 +45,7 @@ pub struct WearConfig {
     /// lifetime sweep varies. 1 is real time; 10⁵ compresses a 10⁷-cycle
     /// median into ~100 writes.
     pub accel: u64,
-    /// Spare lines available for remapping, per device/channel
-    /// (`READDUO_SPARE_LINES`).
+    /// Spare lines available for remapping, per device/channel.
     pub spare_lines: u32,
     /// Dead cells a line tolerates before it is remapped. BCH-8 with
     /// erasure hints always corrects `errors + erasures ≤ 8` wrong bits;
@@ -66,15 +65,6 @@ impl WearConfig {
             spare_lines: 64,
             margin_cells: 2,
         }
-    }
-
-    /// Applies the `READDUO_SPARE_LINES` override, leaving the spare pool
-    /// at its current size when the knob is unset.
-    pub fn tuned_from_env(mut self) -> Self {
-        if let Some(s) = readduo_env::u64_at_least("READDUO_SPARE_LINES", 0) {
-            self.spare_lines = s as u32;
-        }
-        self
     }
 
     /// The same configuration at a different accelerated-aging factor.
@@ -377,13 +367,5 @@ mod tests {
         assert!(erased.windows(2).all(|w| w[0] < w[1]), "ascending");
         assert!(wrong.windows(2).all(|w| w[0] < w[1]), "ascending");
         assert!(wrong.iter().all(|b| erased.contains(b)));
-    }
-
-    #[test]
-    fn unset_knobs_leave_the_config_alone() {
-        // The test harness never sets the wear knob globally.
-        if std::env::var("READDUO_SPARE_LINES").is_err() {
-            assert_eq!(aggressive(4).tuned_from_env(), aggressive(4));
-        }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Every tunable in the workspace (`READDUO_THREADS`, `READDUO_INSTR`,
 //! `READDUO_SPARE_LINES`, `READDUO_TELEMETRY`, …) goes through this
-//! one helper. The old pattern —
+//! one helper, called only by `readduo-bench`, the crate of the binaries:
+//! the libraries take values as arguments. The old pattern —
 //! `var(..).ok().and_then(parse).filter(..).unwrap_or(default)` — silently
 //! fell back to the default on a typo, which is the worst possible
 //! behaviour for a reproducibility harness: `READDUO_THREADS=O4` quietly
@@ -72,7 +73,7 @@ pub fn recognized() -> &'static [EnvVar] {
             name: "READDUO_THREADS",
             kind: EnvKind::Count { min: 1 },
             default: "available parallelism",
-            doc: "Worker threads of the sweep pool; 1 forces the sequential path",
+            doc: "Worker threads of the matrix pool, one workload per task; 1 is sequential",
         },
         EnvVar {
             name: "READDUO_INSTR",
@@ -103,12 +104,6 @@ pub fn recognized() -> &'static [EnvVar] {
             kind: EnvKind::Path,
             default: "target/experiments/trace.json",
             doc: "Output path of the Chrome trace-event JSON (telemetry runs)",
-        },
-        EnvVar {
-            name: "READDUO_TRACE_CAP",
-            kind: EnvKind::Count { min: 1 },
-            default: "262144",
-            doc: "Bounded ring capacity (events) of the telemetry trace buffer",
         },
         EnvVar {
             name: "READDUO_SPARE_LINES",
@@ -311,7 +306,7 @@ mod tests {
     #[test]
     fn registry_is_well_formed_and_help_renders_every_var() {
         let vars = recognized();
-        assert_eq!(vars.len(), 8);
+        assert_eq!(vars.len(), 7);
         let help = help_table();
         let mut seen = std::collections::HashSet::new();
         for v in vars {
@@ -351,14 +346,16 @@ mod tests {
     /// does not count as a read.
     #[test]
     fn every_workspace_variable_is_registered() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .expect("workspace root");
-        let this_crate = root.join("crates/env");
-        let mut found: std::collections::BTreeMap<String, String> = Default::default();
-        for dir in ["crates", "src", "tests", "examples"] {
-            scan_dir(&root.join(dir), &this_crate, &mut found);
+        let root = workspace_root();
+        let mut found: std::collections::BTreeMap<&str, String> = Default::default();
+        let sources = workspace_sources(&root);
+        for (path, text) in &sources {
+            if path.starts_with("crates/env") {
+                continue;
+            }
+            for (name, _) in variable_mentions(text) {
+                found.entry(name).or_insert_with(|| path.display().to_string());
+            }
         }
         assert!(
             found.contains_key("READDUO_THREADS") && found.contains_key("READDUO_INSTR"),
@@ -368,84 +365,119 @@ mod tests {
             recognized().iter().map(|v| v.name).collect();
         for (name, file) in &found {
             assert!(
-                registered.contains(name.as_str()),
+                registered.contains(name),
                 "{name} is read in {file} but not registered in readduo_env::recognized()"
             );
         }
         for name in &registered {
             assert!(
-                found.contains_key(*name),
+                found.contains_key(name),
                 "{name} is registered in readduo_env::recognized() but read nowhere: \
                  retire the dead knob"
             );
         }
         let ci = std::fs::read_to_string(root.join("ci.sh")).expect("read ci.sh");
-        let set_in_ci = variables_set_in(&ci);
+        let set_in_ci: std::collections::BTreeSet<&str> = variable_mentions(&ci)
+            .into_iter()
+            .filter_map(|(name, assigned)| assigned.then_some(name))
+            .collect();
         assert!(
             set_in_ci.contains("READDUO_INSTR"),
             "ci.sh scanner is broken: READDUO_INSTR=… not found"
         );
         for name in &set_in_ci {
             assert!(
-                registered.contains(name.as_str()),
+                registered.contains(name),
                 "ci.sh sets {name}, which readduo_env::recognized() does not register: \
                  the gate would run the default"
             );
         }
     }
 
-    /// Every `READDUO_*` name in `script` written as an assignment
-    /// (`NAME=value`, bare or after `export`).
-    fn variables_set_in(script: &str) -> std::collections::BTreeSet<String> {
-        let mut set = std::collections::BTreeSet::new();
-        let mut rest = script;
+    /// Libraries take values; only the binaries' crate resolves knobs.
+    /// `readduo_env` is named only in this crate and in `readduo-bench`,
+    /// and only this crate's unit tests change the process environment:
+    /// `set_var`/`remove_var` race every other thread of a test binary.
+    #[test]
+    fn only_the_bench_crate_reads_the_environment() {
+        let sources = workspace_sources(&workspace_root());
+        let in_crate =
+            |path: &std::path::Path, name: &str| path.starts_with(format!("crates/{name}"));
+        assert!(
+            sources
+                .iter()
+                .any(|(path, text)| in_crate(path, "bench") && text.contains("readduo_env")),
+            "scanner is broken: readduo-bench's calls into readduo_env not found"
+        );
+        for (path, text) in &sources {
+            assert!(
+                in_crate(path, "env") || in_crate(path, "bench") || !text.contains("readduo_env"),
+                "{} names readduo_env: resolve the knob in readduo-bench and pass its value",
+                path.display()
+            );
+            assert!(
+                in_crate(path, "env") || !(text.contains("set_var") || text.contains("remove_var")),
+                "{} changes the process environment: pass the value instead",
+                path.display()
+            );
+        }
+    }
+
+    fn workspace_root() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .canonicalize()
+            .expect("workspace root")
+    }
+
+    /// Every `.rs` file under the workspace's crates, facade, tests and
+    /// examples, as (path relative to `root`, text).
+    fn workspace_sources(root: &std::path::Path) -> Vec<(std::path::PathBuf, String)> {
+        fn walk(
+            dir: &std::path::Path,
+            root: &std::path::Path,
+            out: &mut Vec<(std::path::PathBuf, String)>,
+        ) {
+            let Ok(entries) = std::fs::read_dir(dir) else { return };
+            for entry in entries.flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    // `target/` never appears under the scanned roots.
+                    walk(&path, root, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    if let Ok(text) = std::fs::read_to_string(&path) {
+                        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+                        out.push((rel, text));
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for dir in ["crates", "src", "tests", "examples"] {
+            walk(&root.join(dir), root, &mut out);
+        }
+        out
+    }
+
+    /// Every `READDUO_*` name in `text`, with whether it is written as an
+    /// assignment (`NAME=value`, bare or after `export`). Bare "READDUO"
+    /// prefixes (e.g. in crate names) have no variable suffix and are
+    /// skipped.
+    fn variable_mentions(text: &str) -> Vec<(&str, bool)> {
+        let mut out = Vec::new();
+        let mut rest = text;
         while let Some(i) = rest.find("READDUO_") {
             let tail = &rest[i..];
             let len = tail
                 .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
                 .unwrap_or(tail.len());
-            if tail[len..].starts_with('=') {
-                set.insert(tail[..len].to_string());
+            let name = tail[..len].trim_end_matches('_');
+            if name.len() > "READDUO_".len() {
+                out.push((name, tail[len..].starts_with('=')));
             }
             rest = &rest[i + len.max(1)..];
         }
-        set
-    }
-
-    fn scan_dir(
-        dir: &std::path::Path,
-        skip: &std::path::Path,
-        found: &mut std::collections::BTreeMap<String, String>,
-    ) {
-        let Ok(entries) = std::fs::read_dir(dir) else { return };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path == skip {
-                continue;
-            }
-            if path.is_dir() {
-                // `target/` never appears under the scanned roots.
-                scan_dir(&path, skip, found);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let Ok(text) = std::fs::read_to_string(&path) else { continue };
-                let mut rest = text.as_str();
-                while let Some(i) = rest.find("READDUO_") {
-                    let tail = &rest[i..];
-                    let len = tail
-                        .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
-                        .unwrap_or(tail.len());
-                    let name = tail[..len].trim_end_matches('_');
-                    // Bare "READDUO" prefixes (e.g. in crate names) have no
-                    // variable suffix and are skipped.
-                    if name.len() > "READDUO_".len() {
-                        found
-                            .entry(name.to_string())
-                            .or_insert_with(|| path.display().to_string());
-                    }
-                    rest = &rest[i + len.max(1)..];
-                }
-            }
-        }
+        out
     }
 
     #[test]

@@ -161,8 +161,8 @@ fn mode_name(mode: ReadMode) -> &'static str {
 /// scrub engine and event queue. A single-channel machine is exactly one
 /// `Run`; a sharded machine is `channels` of them, each consuming the ops
 /// its channel owns. `pub(crate)` so the sharded executor in
-/// [`crate::shard`] can run it and [`crate::oracle`] can seed and
-/// single-step it.
+/// [`crate::shard`] and the sequential oracle in [`crate::oracle`] can
+/// run it.
 pub(crate) struct Run<'a, D: DeviceModel + ?Sized, S: OpSource> {
     cfg: MemoryConfig,
     /// This channel's index within the topology.
@@ -181,7 +181,7 @@ pub(crate) struct Run<'a, D: DeviceModel + ?Sized, S: OpSource> {
     scrub_period_ns: Option<u64>,
     /// Latest core-visible op completion seen so far (becomes `exec_ns`).
     exec_end: u64,
-    /// Sim-time tracing, `None` unless `READDUO_TELEMETRY` is on.
+    /// Sim-time tracing, `None` unless telemetry is enabled.
     tel: Option<Tel>,
 }
 
@@ -278,9 +278,10 @@ impl Simulator {
 }
 
 impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
-    /// Seeds the initial event population: one issue per live core, one
-    /// phase-staggered scrub tick per bank.
-    pub(crate) fn seed(&mut self) {
+    /// Runs the channel to completion and returns its report: seeds one
+    /// issue per live core and one phase-staggered scrub tick per bank,
+    /// then pops and dispatches events until none is pending.
+    pub(crate) fn execute(mut self) -> SimReport {
         // Seed core events.
         for core in 0..self.source.cores() {
             if let Some(op) = self.source.peek(core) {
@@ -312,35 +313,11 @@ impl<D: DeviceModel + ?Sized, S: OpSource> Run<'_, D, S> {
                 self.push(phase, EventKind::ScrubTick(b));
             }
         }
-    }
-
-    /// Time of this channel's next pending event — the key the sequential
-    /// reference merges channels on.
-    pub(crate) fn next_at(&self) -> Option<u64> {
-        self.events.peek_at()
-    }
-
-    /// Pops and dispatches one event; `false` when the channel is drained.
-    pub(crate) fn step(&mut self) -> bool {
-        match self.events.pop() {
-            Some((at, kind)) => {
-                self.dispatch(at, kind);
-                true
-            }
-            None => false,
+        while let Some((at, kind)) = self.events.pop() {
+            self.dispatch(at, kind);
         }
-    }
-
-    /// Consumes the run and returns its report.
-    pub(crate) fn finish(mut self) -> SimReport {
         self.report.exec_ns = self.exec_end;
         self.report
-    }
-
-    pub(crate) fn execute(mut self) -> SimReport {
-        self.seed();
-        while self.step() {}
-        self.finish()
     }
 
     fn dispatch(&mut self, at: u64, kind: EventKind) {

@@ -5,15 +5,19 @@
 //! [`Simulator::run_sharded`].
 
 use crate::device::DeviceModel;
-use crate::engine::{Run, Simulator};
-use crate::sched::earliest_lane;
+use crate::engine::Simulator;
 use crate::shard::ChannelFilter;
 use crate::stats::SimReport;
 use readduo_trace::OpSource;
 
-/// The sequential oracle for [`Simulator::run_sharded`]: the same
-/// per-channel engines, stepped one event at a time in global
-/// `(at, channel, seq)` order ([`earliest_lane`]) on the calling thread.
+/// The sequential oracle for [`Simulator::run_sharded`]: each channel's
+/// engine, fed by a [`ChannelFilter`] over its own replay of the stream,
+/// runs to completion in channel order on the calling thread, and the
+/// reports merge in channel order.
+///
+/// Channels share no simulation state (each has its own replay, device
+/// and engine), so running them one after another gives every channel
+/// the report that any interleaving of their events would.
 pub fn run_sharded_reference<S, D, FS, FD>(
     sim: &Simulator,
     source_for: FS,
@@ -26,22 +30,12 @@ where
     FD: Fn(usize) -> D,
 {
     let topo = sim.config().topology;
-    let mut sources: Vec<ChannelFilter<S>> = (0..topo.channels)
-        .map(|ch| ChannelFilter::new(source_for(ch), topo, ch))
+    let reports: Vec<SimReport> = (0..topo.channels)
+        .map(|ch| {
+            let mut source = ChannelFilter::new(source_for(ch), topo, ch);
+            let mut device = device_for(ch);
+            sim.channel_run(ch, &mut source, &mut device).execute()
+        })
         .collect();
-    let mut devices: Vec<D> = (0..topo.channels).map(device_for).collect();
-    let mut runs: Vec<Run<'_, D, ChannelFilter<S>>> = sources
-        .iter_mut()
-        .zip(devices.iter_mut())
-        .enumerate()
-        .map(|(ch, (s, d))| sim.channel_run(ch, s, d))
-        .collect();
-    for r in &mut runs {
-        r.seed();
-    }
-    while let Some(ch) = earliest_lane(runs.iter().map(Run::next_at)) {
-        runs[ch].step();
-    }
-    let reports: Vec<SimReport> = runs.into_iter().map(Run::finish).collect();
     SimReport::merged(&reports)
 }

@@ -49,9 +49,8 @@ impl<K> PartialOrd for Entry<K> {
 /// The event queue. `K` is the event payload; ordering is by
 /// `(time, insertion sequence)` only.
 ///
-/// Public so the property tests of the cross-channel merge
-/// ([`earliest_lane`]) and the repository benchmark's queue micro can
-/// drive queues directly; the engine itself owns one queue per channel.
+/// Public so the repository benchmark's queue micro can drive a queue
+/// directly; the engine itself owns one queue per channel.
 #[derive(Debug)]
 pub struct EventQueue<K> {
     heap: BinaryHeap<Reverse<Entry<K>>>,
@@ -108,30 +107,10 @@ impl<K> EventQueue<K> {
         Some((self.now, e.kind))
     }
 
-    /// Time of the earliest pending event, without removing it.
-    pub fn peek_at(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.at())
-    }
-
     /// Total pending events.
     pub fn pending(&self) -> usize {
         self.heap.len()
     }
-}
-
-/// The cross-channel merge rule: the index of the lane whose next event
-/// comes first. `next_ats` yields each lane's next event time in lane
-/// order, `None` for a drained lane. The earliest time wins and ties go
-/// to the lowest index; popping the chosen lane's own queue then keeps
-/// insertion order within it, so repeated calls visit events in exact
-/// `(at, channel, seq)` order. Returns `None` when every lane is drained.
-pub fn earliest_lane(next_ats: impl IntoIterator<Item = Option<u64>>) -> Option<usize> {
-    next_ats
-        .into_iter()
-        .enumerate()
-        .filter_map(|(lane, at)| Some((at?, lane)))
-        .min()
-        .map(|(_, lane)| lane)
 }
 
 #[cfg(test)]
@@ -189,55 +168,6 @@ mod tests {
         assert!(q.next_is_after(0));
     }
 
-    /// `peek_at` reports the exact time `pop` would return and never
-    /// consumes the event.
-    #[test]
-    fn peek_at_is_non_consuming_and_exact() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_at(), None);
-        q.push(20_000, "mid");
-        q.push(5_000_000, "far");
-        assert_eq!(q.peek_at(), Some(20_000));
-        assert_eq!(q.peek_at(), Some(20_000), "peek is idempotent");
-        q.push(20_000, "dup"); // same time, later seq
-        assert_eq!(q.pop(), Some((20_000, "mid")));
-        assert_eq!(q.peek_at(), Some(20_000));
-        assert_eq!(q.pop(), Some((20_000, "dup")));
-        assert_eq!(q.peek_at(), Some(5_000_000));
-        assert_eq!(q.pop(), Some((5_000_000, "far")));
-        assert_eq!(q.peek_at(), None);
-    }
-
-    /// Ties across channels break on the lowest channel index; within a
-    /// channel, insertion order wins — the `(at, channel, seq)` rule.
-    #[test]
-    fn channel_merge_orders_by_at_channel_seq() {
-        let mut lanes: Vec<EventQueue<&str>> = (0..3).map(|_| EventQueue::new()).collect();
-        lanes[2].push(100, "c2-a");
-        lanes[0].push(100, "c0-a");
-        lanes[1].push(100, "c1-a");
-        lanes[0].push(100, "c0-b");
-        lanes[1].push(50, "c1-early");
-        lanes[2].push(5_000_000, "c2-far");
-        let mut popped = Vec::new();
-        while let Some(ch) = earliest_lane(lanes.iter().map(EventQueue::peek_at)) {
-            let (at, kind) = lanes[ch].pop().expect("the chosen lane has an event");
-            popped.push((at, ch, kind));
-        }
-        assert_eq!(
-            popped,
-            [
-                (50, 1, "c1-early"),
-                (100, 0, "c0-a"),
-                (100, 0, "c0-b"),
-                (100, 1, "c1-a"),
-                (100, 2, "c2-a"),
-                (5_000_000, 2, "c2-far"),
-            ]
-        );
-        assert_eq!(earliest_lane(std::iter::empty()), None);
-    }
-
     /// Interleaved pushes and pops against a sorted-`Vec` reference, with
     /// same-time collisions and due times from `now` itself to far past
     /// any scrub period (beyond 2³² ns, so the packed key's halves both
@@ -265,7 +195,6 @@ mod tests {
                 q.push(key.0, seq);
             } else {
                 let want = reference.remove(0);
-                assert_eq!(q.peek_at(), Some(want.0));
                 assert_eq!(q.pop(), Some(want), "divergence at now={now}");
                 now = want.0;
             }

@@ -40,15 +40,16 @@
 //! [`Simulator::run_sharded`] fans channels out on a [`Pool`]; results
 //! come back in channel order regardless of completion order, and reports
 //! are folded in channel order (see [`SimReport::merge`]), so the merged
-//! report is a pure function of `(config, sources, devices)`.
+//! report is a pure function of `(config, sources, devices)`. Channels
+//! share no simulation state — each has its own op log, device and
+//! engine — so neither the pool's width nor the order in which channels
+//! run can change any channel's report.
 //! `oracle::run_sharded_reference` is the differential oracle: the same
 //! per-channel engines, each fed by a [`ChannelFilter`] over its own
-//! replay, stepped one event at a time on the calling thread, in exact
-//! `(at, channel, seq)` order — earliest event time first, ties to the
-//! lowest channel, per-channel insertion order within a channel (the rule
-//! of [`earliest_lane`](crate::sched::earliest_lane)). The
-//! `shard_equivalence` suite pins `run_sharded == run_sharded_reference`
-//! across schemes, workloads, channel counts and host thread counts.
+//! replay instead of a log, run one after another in channel order on
+//! the calling thread. The `shard_equivalence` suite pins
+//! `run_sharded == run_sharded_reference` across schemes, workloads,
+//! channel counts and pool widths.
 
 use crate::config::Topology;
 use crate::device::DeviceModel;

@@ -53,26 +53,6 @@ pub fn log_metric_at_u(log_x0: f64, alpha: f64, u: f64) -> f64 {
     log_x0 + alpha * u
 }
 
-/// Batched [`log_metric_at_u`]: drifts a whole line's cells in one
-/// slice-in/slice-out pass.
-///
-/// The loop body is a bare multiply-add over parallel slices — no
-/// branches, no `Option`s — so the compiler autovectorises it. Each
-/// element is bit-identical to the scalar call (`mul_add` fusion is never
-/// emitted for `a + b * c` on its own; the expression rounds twice in
-/// both forms).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn log_metric_at_slice(log_x0s: &[f64], alphas: &[f64], u: f64, out: &mut [f64]) {
-    assert_eq!(log_x0s.len(), alphas.len(), "slice length mismatch");
-    assert_eq!(log_x0s.len(), out.len(), "slice length mismatch");
-    for ((o, &x0), &a) in out.iter_mut().zip(log_x0s).zip(alphas) {
-        *o = x0 + a * u;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,7 +47,7 @@ pub mod state;
 pub mod wear;
 
 pub use cell::MlcCell;
-pub use drift::{drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u};
+pub use drift::{drift_exponent, log_metric_at, log_metric_at_u};
 pub use fault::{FaultModel, LineFaults};
 pub use line::{MlcLine, SensedLine};
 pub use params::{LevelParams, MetricConfig, MetricKind, CELLS_PER_LINE, LINE_BYTES};

@@ -1,7 +1,7 @@
 //! A 64-byte memory line of MLC cells.
 
 use crate::cell::MlcCell;
-use crate::drift::{drift_exponent, log_metric_at_slice};
+use crate::drift::{drift_exponent, log_metric_at_u};
 use crate::params::MetricConfig;
 use crate::state::{bytes_to_cell_data, cell_data_to_bytes, CellLevel};
 
@@ -68,30 +68,19 @@ impl MlcLine {
     /// Senses every cell `elapsed` seconds after its last write under `cfg`
     /// and reassembles the bytes.
     ///
-    /// All cells share one elapsed time, so the drift is evaluated as a
-    /// batched kernel: the `log10` is hoisted to one [`drift_exponent`]
-    /// call and the per-cell metrics come out of [`log_metric_at_slice`].
-    /// Bit-identical to sensing each cell with [`MlcCell::sense_at`].
+    /// All cells share one elapsed time, so the `log10` is hoisted to one
+    /// [`drift_exponent`] call and each cell's metric is
+    /// [`log_metric_at_u`] of it. Bit-identical to sensing each cell with
+    /// [`MlcCell::sense_at`].
     pub fn sense(&self, elapsed: f64, cfg: &MetricConfig) -> SensedLine {
         let u = drift_exponent(elapsed, cfg.t0());
-        let n = self.cells.len();
-        let mut log_x0 = vec![0.0; n];
-        let mut alpha = vec![0.0; n];
-        for ((slot, x0), a) in self.cells.iter().zip(&mut log_x0).zip(&mut alpha) {
-            if let Some(c) = slot {
-                *x0 = c.log_x0();
-                *a = c.alpha();
-            }
-        }
-        let mut metric = vec![0.0; n];
-        log_metric_at_slice(&log_x0, &alpha, u, &mut metric);
-        let mut cell_bits = Vec::with_capacity(n);
+        let mut cell_bits = Vec::with_capacity(self.cells.len());
         let mut drift_errors = 0u32;
         let mut bit_errors = 0u32;
-        for (slot, &x) in self.cells.iter().zip(&metric) {
+        for slot in &self.cells {
             match slot {
                 Some(c) => {
-                    let sensed = cfg.sense_level(x);
+                    let sensed = cfg.sense_level(log_metric_at_u(c.log_x0(), c.alpha(), u));
                     if sensed != c.level() {
                         drift_errors += 1;
                         bit_errors += c.level().bit_errors_if_read_as(sensed);
@@ -111,23 +100,13 @@ impl MlcLine {
     /// Counts cells currently in drift error at `elapsed` seconds without
     /// materialising the data (fast path for scrubbing).
     ///
-    /// Uses the same hoisted-exponent batched kernel as [`Self::sense`].
+    /// Hoists the drift exponent as [`Self::sense`] does.
     pub fn count_drift_errors(&self, elapsed: f64, cfg: &MetricConfig) -> u32 {
         let u = drift_exponent(elapsed, cfg.t0());
-        let mut log_x0 = Vec::with_capacity(self.cells.len());
-        let mut alpha = Vec::with_capacity(self.cells.len());
-        let mut levels = Vec::with_capacity(self.cells.len());
-        for c in self.cells.iter().flatten() {
-            log_x0.push(c.log_x0());
-            alpha.push(c.alpha());
-            levels.push(c.level());
-        }
-        let mut metric = vec![0.0; log_x0.len()];
-        log_metric_at_slice(&log_x0, &alpha, u, &mut metric);
-        metric
+        self.cells
             .iter()
-            .zip(&levels)
-            .filter(|&(&x, &level)| cfg.sense_level(x) != level)
+            .flatten()
+            .filter(|c| cfg.sense_level(log_metric_at_u(c.log_x0(), c.alpha(), u)) != c.level())
             .count() as u32
     }
 

@@ -10,12 +10,11 @@
 //!
 //! # Worker count
 //!
-//! [`Pool::from_env`] sizes the pool from
-//! [`std::thread::available_parallelism`], overridable with the
-//! `READDUO_THREADS` environment variable. `READDUO_THREADS=1` forces the
-//! strictly sequential path: items run on the calling thread, in order,
-//! with no worker threads spawned at all — useful both for debugging and
-//! as the reference ordering that the parallel path must reproduce.
+//! The caller picks the width: [`Pool::new`] takes it explicitly, and
+//! the crate reads no environment. `Pool::new(1)` is the strictly
+//! sequential path: items run on the calling thread, in order, with no
+//! worker threads spawned at all — useful both for debugging and as the
+//! reference ordering that the parallel path must reproduce.
 //!
 //! # Determinism
 //!
@@ -50,20 +49,6 @@ impl Pool {
         Self {
             workers: workers.max(1),
         }
-    }
-
-    /// Sizes the pool from the machine, honouring `READDUO_THREADS`.
-    ///
-    /// Resolution order: a validated `READDUO_THREADS ≥ 1` wins (zero or
-    /// garbage panics with a clear message — see [`readduo_env`]);
-    /// otherwise [`std::thread::available_parallelism`]; otherwise 1.
-    pub fn from_env() -> Self {
-        let workers = readduo_env::usize_at_least("READDUO_THREADS", 1).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        Self::new(workers)
     }
 
     /// Number of workers `map` will use.
@@ -154,12 +139,6 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,16 +205,5 @@ mod tests {
     #[test]
     fn worker_count_clamped_to_one() {
         assert_eq!(Pool::new(0).workers(), 1);
-    }
-
-    #[test]
-    fn env_override_forces_sequential() {
-        // Serialised within this one test: set, read, restore.
-        std::env::set_var("READDUO_THREADS", "1");
-        assert_eq!(Pool::from_env().workers(), 1);
-        std::env::set_var("READDUO_THREADS", "3");
-        assert_eq!(Pool::from_env().workers(), 3);
-        std::env::remove_var("READDUO_THREADS");
-        assert!(Pool::from_env().workers() >= 1);
     }
 }

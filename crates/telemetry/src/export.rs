@@ -20,9 +20,6 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Default trace output path when `READDUO_TRACE_OUT` is unset.
-pub const DEFAULT_TRACE_OUT: &str = "target/experiments/trace.json";
-
 /// Escapes `s` as a JSON string literal, quotes included.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -148,23 +145,18 @@ fn write_file(path: &Path, contents: &str) -> io::Result<()> {
     fs::write(path, contents)
 }
 
-/// Drains the trace and metrics into their output files and returns the
-/// two paths written: `(trace, metrics)`.
-///
-/// The trace goes to `READDUO_TRACE_OUT` (default [`DEFAULT_TRACE_OUT`])
-/// and the metrics next to it, at the trace path with `.metrics.json`
-/// appended. Returns `None` without touching the filesystem while
-/// telemetry is disabled.
-pub fn finish_to_env() -> io::Result<Option<(String, String)>> {
+/// Drains the trace into `trace_out` and the metrics next to it, at
+/// `trace_out` with `.metrics.json` appended, and returns the metrics
+/// path. Returns `None` without touching the filesystem while telemetry
+/// is disabled.
+pub fn finish(trace_out: &str) -> io::Result<Option<String>> {
     if !crate::enabled() {
         return Ok(None);
     }
-    let trace_out =
-        readduo_env::string("READDUO_TRACE_OUT").unwrap_or_else(|| DEFAULT_TRACE_OUT.to_string());
     let metrics_out = format!("{trace_out}.metrics.json");
-    write_file(Path::new(&trace_out), &render_trace())?;
+    write_file(Path::new(trace_out), &render_trace())?;
     write_file(Path::new(&metrics_out), &render_metrics())?;
-    Ok(Some((trace_out, metrics_out)))
+    Ok(Some(metrics_out))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!   visits, write cancellations, R→M escalations, corrective rewrites)
 //!   emitted by the `memsim` engine through [`trace::SimTrace`], and
 //!   wall-clock phase spans ([`trace::phase`]) from the bench harness and
-//!   pool workers. Capacity is bounded by `READDUO_TRACE_CAP` events;
+//!   pool workers. Capacity is bounded by [`trace::DEFAULT_CAP`] events;
 //!   overflow overwrites the oldest events and is counted, never grows.
 //! * **[`export`]** — renders the ring as Chrome trace-event JSON (one
 //!   track per bank/core/worker, loadable in
@@ -22,13 +22,15 @@
 //!   and **[`check`]** validates that JSON with an in-tree parser since
 //!   the workspace is offline and dependency-free.
 //!
-//! The whole subsystem is gated by `READDUO_TELEMETRY` (via
-//! `readduo-env`): when disabled — the default — every entry point
-//! collapses to a load-and-branch no-op, so instrumented code paths stay
-//! bit-for-bit identical to uninstrumented ones (pinned by the
-//! determinism, golden, and stream-equivalence suites) and within noise
-//! of their wall-clock baseline (pinned by the `telemetry/*` microbench
-//! group and the ci.sh budget).
+//! The whole subsystem is gated by one switch, [`set_enabled`], which the
+//! binary that owns the run sets (the bench binaries from
+//! `READDUO_TELEMETRY`); the crate reads no environment. While disabled —
+//! the default — every entry point collapses to a load-and-branch no-op,
+//! so instrumented code paths stay bit-for-bit identical to
+//! uninstrumented ones (pinned by the determinism, golden, and
+//! stream-equivalence suites) and within noise of their wall-clock
+//! baseline (measured by the repository benchmark's
+//! `telemetry.overhead_frac` row and bounded by the ci.sh budget).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,32 +43,19 @@ pub mod trace;
 
 pub use hist::Log2Histogram;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// 0 = not yet resolved, 1 = enabled, 2 = disabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether telemetry is on for this process.
-///
-/// Resolved once from `READDUO_TELEMETRY` on first call (every later call
-/// is a single relaxed atomic load), unless [`set_enabled`] overrode it.
+/// Whether telemetry is on for this process: off until [`set_enabled`]
+/// turns it on. A single relaxed atomic load.
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = readduo_env::flag("READDUO_TELEMETRY").unwrap_or(false);
-            STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Forces telemetry on or off for this process, overriding the
-/// environment. Tests and tools use this; production binaries resolve
-/// through [`enabled`].
+/// Turns telemetry on or off for this process.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -89,7 +78,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn programmatic_override_wins() {
+    fn set_enabled_switches_the_flag() {
         let _serial = crate::test_serial::guard();
         set_enabled(true);
         assert!(enabled());

@@ -11,7 +11,7 @@
 //!   in nanoseconds since process start, collected under the reserved
 //!   [`HARNESS_PID`] with one track per thread.
 //!
-//! Both buffers are rings bounded by `READDUO_TRACE_CAP` events: overflow
+//! Both buffers are rings bounded by [`DEFAULT_CAP`] events: overflow
 //! overwrites the oldest event and increments a drop counter that the
 //! exporter reports, so tracing a paper-scale run can lose history but
 //! can never grow without bound.
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default ring capacity in events (`READDUO_TRACE_CAP` overrides).
+/// Ring capacity in events.
 pub const DEFAULT_CAP: usize = 262_144;
 
 /// The Perfetto process id reserved for wall-clock harness spans.
@@ -111,14 +111,6 @@ fn collector() -> &'static Mutex<Collector> {
             next_pid: HARNESS_PID + 1,
             ..Collector::default()
         })
-    })
-}
-
-/// Ring capacity, resolved once from `READDUO_TRACE_CAP`.
-pub fn capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        readduo_env::usize_at_least("READDUO_TRACE_CAP", 1).unwrap_or(DEFAULT_CAP)
     })
 }
 
@@ -249,7 +241,7 @@ impl SimTrace {
     }
 
     fn push(&mut self, e: Event) {
-        self.ring.push(capacity(), e);
+        self.ring.push(DEFAULT_CAP, e);
     }
 }
 
@@ -257,7 +249,6 @@ impl Drop for SimTrace {
     fn drop(&mut self) {
         let ring = std::mem::take(&mut self.ring);
         let (events, dropped) = ring.into_ordered();
-        let cap = capacity();
         let mut c = collector().lock().expect("trace collector poisoned");
         c.process_names.insert(self.pid, std::mem::take(&mut self.label));
         for (tid, name) in self.tracks.drain(..) {
@@ -265,7 +256,7 @@ impl Drop for SimTrace {
         }
         c.ring.dropped += dropped;
         for e in events {
-            c.ring.push(cap, e);
+            c.ring.push(DEFAULT_CAP, e);
         }
     }
 }
@@ -295,10 +286,9 @@ pub fn phase(name: impl Into<Name>) -> Option<PhaseGuard> {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         let end = wall_ns();
-        let cap = capacity();
         let mut c = collector().lock().expect("trace collector poisoned");
         c.ring.push(
-            cap,
+            DEFAULT_CAP,
             Event {
                 ts_ns: self.start_ns,
                 pid: HARNESS_PID,

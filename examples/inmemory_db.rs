@@ -12,6 +12,7 @@ use readduo::core::SchemeKind;
 use readduo::memsim::MemoryConfig;
 use readduo::trace::{Locality, Workload};
 use readduo_bench::Harness;
+use readduo_pool::Pool;
 
 fn main() {
     // Query phase over a mostly-static dataset: 95% of the footprint was
@@ -41,8 +42,9 @@ fn main() {
         SchemeKind::LwtNoConversion { k: 4 },
         SchemeKind::Lwt { k: 4 },
     ];
+    // One workload is one pool task, so a one-worker pool loses nothing.
     let results = harness
-        .run_matrix(&kinds, &[db])
+        .run_matrix(&Pool::new(1), &kinds, &[db])
         .expect("bare schemes always build");
 
     println!("scheme          exec(ms)  R-read%  RM-read%  conversions  vs Ideal");

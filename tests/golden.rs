@@ -16,6 +16,7 @@ use readduo::pcm::MetricConfig;
 use readduo::reliability::{target, CellErrorModel, LerAnalysis};
 use readduo::trace::Workload;
 use readduo_bench::{fmt_prob, normalized, Harness};
+use readduo_pool::Pool;
 
 /// Parses one table cell: `too small` → `None`, otherwise the number.
 fn parse_cell(cell: &str) -> Option<f64> {
@@ -160,7 +161,7 @@ fn fig3_matches_golden() {
         memory: MemoryConfig::paper(),
     };
     let results = harness
-        .run_matrix(&schemes, &Workload::spec2006())
+        .run_matrix(&Pool::new(4), &schemes, &Workload::spec2006())
         .expect("bare schemes always build");
     let rows = normalized(&results, &schemes, SchemeKind::Ideal, |r| r.exec_ns as f64);
     let (label, geo) = rows.last().unwrap();

@@ -2,15 +2,16 @@
 //! bit-for-bit the same `SimReport`s as the sequential one, and both equal
 //! the chunk-streamed runs of every (workload, scheme) pair.
 //!
-//! Both runs happen inside a single `#[test]` so the `READDUO_THREADS`
-//! environment flips cannot race another test in this binary. Sharded
-//! multi-channel runs are pinned across pool widths by
-//! `tests/shard_equivalence.rs`.
+//! The two pool widths, 1 and 4, are passed explicitly; nothing here
+//! touches the process environment. Sharded multi-channel runs are pinned
+//! across pool widths by `tests/shard_equivalence.rs`; the worn and tiered
+//! legs here add two layered devices to that check.
 
 use readduo::core::{DeviceSpec, SchemeKind};
-use readduo::memsim::MemoryConfig;
+use readduo::memsim::{MemoryConfig, SimReport, Simulator};
 use readduo::trace::Workload;
 use readduo_bench::{Harness, Source};
+use readduo_pool::Pool;
 
 #[test]
 fn run_matrix_is_identical_across_thread_counts() {
@@ -27,11 +28,11 @@ fn run_matrix_is_identical_across_thread_counts() {
     ];
     let workloads = [Workload::toy(), Workload::by_name("gcc").expect("gcc")];
 
-    // The worn and tiered legs run on two channels: a 1-channel run never
-    // touches the pool, so only a sharded run lets the env flips reach
-    // them. With hard faults and remapping enabled the merged report must
-    // still be independent of the pool width (the wear table is
-    // per-channel state like everything else).
+    // The worn and tiered legs run on two channels, their channels fanned
+    // out on the same pool through `Simulator::run_sharded` with the
+    // harness's own channel devices. With hard faults and remapping
+    // enabled the merged report must still be independent of the pool
+    // width (the wear table is per-channel state like everything else).
     let sharded = Harness { memory: harness.memory.with_channels(2), ..harness };
     let wear = readduo::core::WearConfig::new(0x00FA_0017).with_accel(4_000_000);
     let worn_spec = DeviceSpec::from(SchemeKind::Select { k: 4, s: 2 })
@@ -45,9 +46,16 @@ fn run_matrix_is_identical_across_thread_counts() {
     let tiered_spec = DeviceSpec::from(SchemeKind::Lwt { k: 4 }).with_dram(dram);
     let tiered_workload = Workload::by_name("gcc").expect("gcc");
 
-    let runs = || {
+    let run_sharded = |pool: &Pool, w: &Workload, spec: DeviceSpec| -> SimReport {
+        Simulator::new(sharded.memory).run_sharded(
+            pool,
+            |_| sharded.stream_for(w),
+            |ch| sharded.device(w, spec, ch).expect("the layers compose"),
+        )
+    };
+    let runs = |pool: &Pool| {
         let matrix = harness
-            .run_matrix(&schemes, &workloads)
+            .run_matrix(pool, &schemes, &workloads)
             .expect("bare schemes");
         // The chunk-streamed matrix: each (workload, scheme) run on its own
         // stream, in workload-major order.
@@ -56,30 +64,17 @@ fn run_matrix_is_identical_across_thread_counts() {
             .flat_map(|w| schemes.iter().map(move |&s| (w, s)))
             .map(|(w, s)| harness.run(w, s, Source::Stream).expect("bare schemes"))
             .collect();
-        let worn = sharded
-            .run(&worn_workload, worn_spec, Source::Stream)
-            .expect("Select is injectable");
-        let tiered = sharded
-            .run(&tiered_workload, tiered_spec, Source::Stream)
-            .expect("LWT-4 is tierable");
+        let worn = run_sharded(pool, &worn_workload, worn_spec);
+        let tiered = run_sharded(pool, &tiered_workload, tiered_spec);
         (matrix, streamed, worn, tiered)
     };
-    std::env::set_var("READDUO_THREADS", "4");
-    let (parallel, streamed_par, worn_par, tiered_par) = runs();
-    std::env::set_var("READDUO_THREADS", "1");
-    let (sequential, streamed_seq, worn_seq, tiered_seq) = runs();
-    std::env::remove_var("READDUO_THREADS");
+    let (parallel, streamed_par, worn_par, tiered_par) = runs(&Pool::new(4));
+    let (sequential, streamed_seq, worn_seq, tiered_seq) = runs(&Pool::new(1));
 
-    assert_eq!(
-        worn_par.report, worn_seq.report,
-        "worn run diverged across thread counts"
-    );
-    assert_eq!(
-        tiered_par.report, tiered_seq.report,
-        "tiered run diverged across thread counts"
-    );
+    assert_eq!(worn_par, worn_seq, "worn run diverged across thread counts");
+    assert_eq!(tiered_par, tiered_seq, "tiered run diverged across thread counts");
     assert!(
-        tiered_par.report.dram_hits > 0,
+        tiered_par.dram_hits > 0,
         "tiered determinism leg must actually hit in DRAM"
     );
 

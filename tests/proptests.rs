@@ -16,12 +16,11 @@ use readduo::ecc::{
     Bch, BchBitslice, BitVec, DecodeOutcome, GfField, PatternOutcome, BITSLICE_LANES,
 };
 use readduo::math::{binomial, erfc, erfc_slice, ln_choose, LogProb, Normal, TruncatedNormal};
-use readduo::memsim::sched::earliest_lane;
-use readduo::memsim::{EventQueue, Topology};
+use readduo::memsim::Topology;
 use readduo::pcm::params::PROGRAM_WIDTH_SIGMAS;
 use readduo::pcm::state::{bytes_to_cell_data, cell_data_to_bytes};
 use readduo::pcm::{
-    drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, CellLevel, FaultModel,
+    drift_exponent, log_metric_at, log_metric_at_u, CellLevel, FaultModel,
     LevelParams, LineFaults, MetricConfig, MetricKind, WearModel,
 };
 use readduo::trace::{TraceGenerator, Workload, Zipf};
@@ -368,50 +367,6 @@ fn topology_interleave_bijective_and_balanced() {
                 max - min <= 1,
                 "bank load imbalance {max}-{min} over {lines} uniform lines"
             );
-            Ok(())
-        },
-    );
-}
-
-/// Per-channel `EventQueue`s merged through `earliest_lane` pop random
-/// event soups in exact `(at, channel, seq)` order — verified against a
-/// `BinaryHeap` ordered by that key.
-#[test]
-fn channel_merge_matches_binary_heap_reference() {
-    use std::cmp::Reverse;
-    check(
-        "channel_merge_matches_binary_heap_reference",
-        |rng| {
-            let channels = rng.gen_range(1usize..=5);
-            let events: Vec<(usize, u64)> = (0..rng.gen_range(0usize..=200))
-                .map(|_| (rng.gen_range(0..channels), rng.gen_range(0u64..50_000)))
-                .collect();
-            (channels, events)
-        },
-        |(channels, events)| {
-            let channels = *channels;
-            if channels == 0 || events.iter().any(|&(ch, _)| ch >= channels) {
-                return Ok(());
-            }
-            let mut lanes: Vec<EventQueue<usize>> =
-                (0..channels).map(|_| EventQueue::new()).collect();
-            let mut heap = std::collections::BinaryHeap::new();
-            let mut seq = vec![0u64; channels];
-            for (i, &(ch, at)) in events.iter().enumerate() {
-                lanes[ch].push(at, i);
-                heap.push(Reverse((at, ch, seq[ch], i)));
-                seq[ch] += 1;
-            }
-            let mut popped = Vec::new();
-            while let Some(ch) = earliest_lane(lanes.iter().map(EventQueue::peek_at)) {
-                let (at, kind) = lanes[ch].pop().expect("the chosen lane has an event");
-                popped.push((at, ch, kind));
-            }
-            let mut expected = Vec::new();
-            while let Some(Reverse((at, ch, _seq, kind))) = heap.pop() {
-                expected.push((at, ch, kind));
-            }
-            ensure_eq!(popped, expected);
             Ok(())
         },
     );
@@ -870,12 +825,13 @@ fn batched_erf_kernels_match_scalar_bitwise() {
 }
 
 /// Hoisting the drift exponent is exact: for any line of cells,
-/// `log_metric_at_slice` / `log_metric_at_u` over one shared
-/// `drift_exponent(t, t0)` reproduce per-cell `log_metric_at` bit for bit.
+/// `log_metric_at_u` over one shared `drift_exponent(t, t0)` reproduces
+/// per-cell `log_metric_at` bit for bit. `MlcLine` and the fault sampler
+/// both hoist it.
 #[test]
-fn batched_drift_kernel_matches_scalar_bitwise() {
+fn hoisted_drift_exponent_matches_scalar_bitwise() {
     check(
-        "batched_drift_kernel_matches_scalar_bitwise",
+        "hoisted_drift_exponent_matches_scalar_bitwise",
         |rng| {
             let t0 = 10f64.powf(rng.gen_range(-9.0f64..0.0));
             // Both sides of the t <= t0 clamp, across ns..centuries.
@@ -891,16 +847,8 @@ fn batched_drift_kernel_matches_scalar_bitwise() {
                 return Ok(());
             }
             let u = drift_exponent(*t, *t0);
-            let (x0s, alphas): (Vec<f64>, Vec<f64>) = cells.iter().copied().unzip();
-            let mut out = vec![0.0; cells.len()];
-            log_metric_at_slice(&x0s, &alphas, u, &mut out);
             for (i, &(x0, a)) in cells.iter().enumerate() {
                 let scalar = log_metric_at(x0, a, *t, *t0);
-                ensure!(
-                    out[i].to_bits() == scalar.to_bits(),
-                    "slot {i}: slice kernel {:e} != log_metric_at {scalar:e}",
-                    out[i]
-                );
                 ensure!(
                     log_metric_at_u(x0, a, u).to_bits() == scalar.to_bits(),
                     "slot {i}: log_metric_at_u {:e} != log_metric_at {scalar:e}",

@@ -1,15 +1,17 @@
 //! Differential-testing harness for the sharded multi-channel engine.
 //!
-//! The tentpole claim of the topology work is that sharding is *pure
-//! parallelism*: a `channels × banks` machine run channel-by-
-//! channel on a worker pool produces bit-for-bit the report of the
-//! sequential reference, which steps the same per-channel engines one
-//! event at a time in exact `(at, channel, seq)` order. This
-//! suite pins that equivalence across every scheme, several workloads,
-//! channel counts {1, 2, 8} and pool widths {1, 4, ambient}, and covers
-//! the topology's edge cases: a 1-channel topology reproducing the
-//! pre-topology engine, congestion isolation between channels, and
-//! per-channel scrub-pointer wrap-around.
+//! The claim of the topology work is that sharding is *pure
+//! parallelism*: a `channels × banks` machine run channel by channel on a
+//! worker pool, each channel fed from the op log of one drain of the
+//! stream, produces bit-for-bit the report of the sequential reference,
+//! which runs the same per-channel engines, each over its own filtered
+//! replay, one after another on the calling thread. Channels share no
+//! simulation state, so no order of running them can change a channel's
+//! report. This suite pins that equivalence across every scheme, several
+//! workloads, channel counts {1, 2, 8} and pool widths {1, 4, the host's
+//! available parallelism}, and covers the topology's edge cases: a
+//! 1-channel topology reproducing the pre-topology engine, congestion
+//! isolation between channels, and per-channel scrub-pointer wrap-around.
 
 use readduo::core::{channel_seed, DeviceSpec, SchemeKind, SpecError, WearConfig};
 use readduo::dram::DramConfig;
@@ -47,13 +49,13 @@ fn trace_for(w: &Workload) -> Trace {
     TraceGenerator::new(SEED).generate(w, 8_000, 2)
 }
 
-/// Pool widths to exercise: pinned 1 and 4 plus whatever the ambient
-/// `READDUO_THREADS` resolves to, deduplicated.
+/// Pool widths to exercise: pinned 1 and 4 plus the host's available
+/// parallelism, deduplicated.
 fn pool_widths() -> Vec<usize> {
     let mut widths = vec![1usize, 4];
-    let ambient = Pool::from_env().workers();
-    if !widths.contains(&ambient) {
-        widths.push(ambient);
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if !widths.contains(&host) {
+        widths.push(host);
     }
     widths
 }
@@ -340,9 +342,14 @@ fn invalid_specs_fail_before_any_trace_is_generated() {
         let workloads = std::slice::from_ref(&w);
         assert_eq!(spec.build(SEED, 0, 1, 0, 0).err(), Some(err), "{spec}: build");
         assert_eq!(tripwire.run(&w, spec, Source::Stream).err(), Some(err), "{spec}: run");
-        assert_eq!(tripwire.run_matrix(&[spec], workloads).err(), Some(err), "{spec}: matrix");
+        let pool = Pool::new(1);
         assert_eq!(
-            tripwire.run_matrix(&[lwt.into(), spec], workloads).err(),
+            tripwire.run_matrix(&pool, &[spec], workloads).err(),
+            Some(err),
+            "{spec}: matrix"
+        );
+        assert_eq!(
+            tripwire.run_matrix(&pool, &[lwt.into(), spec], workloads).err(),
             Some(err),
             "{spec}: matrix behind a valid spec"
         );
