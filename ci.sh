@@ -64,11 +64,18 @@ for fig in $figs; do
     fi
 done
 
-# Paper-scale streaming smoke: mcf through every headline scheme at 10M
-# instructions/core in streaming mode. The binary itself asserts peak RSS
-# stays under 512 MB — the bounded-memory claim of the streaming replay
-# path — and the wall-clock budget catches hot-path regressions at the
-# volume the paper actually uses.
+# Streaming memory bound, run by name so a regression names itself in CI
+# output: the streaming leg of tests/zero_alloc.rs runs one streamed
+# Harness::run at V and at 4V instructions/core, and its peak live heap
+# may not grow by more than 1 MiB; a materialised trace would add about
+# 7 MB. Then the paper-scale streaming smoke: mcf through every headline
+# scheme at 10M instructions/core in streaming mode. The binary asserts
+# peak RSS stays under 512 MB, a ceiling against gross blow-ups only (a
+# materialised mcf trace at that volume is about 7 MB), and the
+# wall-clock budget catches hot-path regressions at the volume the paper
+# actually uses.
+echo "==> streaming memory bound (zero_alloc: streamed peak heap flat from V to 4V)"
+cargo test -q --release --test zero_alloc
 echo "==> streaming fig9 smoke (READDUO_INSTR=10000000, budget 300 s)"
 start=$(date +%s)
 READDUO_INSTR=10000000 ./target/release/stream_smoke

@@ -159,15 +159,11 @@ impl Harness {
         spec: DeviceSpec,
         channel: usize,
     ) -> Result<Box<dyn DeviceModel>, SpecError> {
-        // Lines below the warm boundary are in write steady state; the
-        // schemes treat them as recently written (pre-window).
-        let warm_boundary =
-            (workload.footprint_lines.max(16) as f64 * workload.locality.written_fraction) as u64;
         spec.build(
             self.seed ^ workload.name.len() as u64,
             channel,
             self.memory.topology.channels,
-            warm_boundary,
+            workload.warm_lines(),
             workload.footprint_lines,
         )
     }

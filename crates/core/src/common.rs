@@ -5,7 +5,7 @@ use readduo_rng::rngs::StdRng;
 use readduo_rng::{Rng, SeedableRng};
 use readduo_math::BinomialSampler;
 use readduo_memsim::{EnergyModel, WriteOutcome};
-use readduo_pcm::{MetricConfig, SenseTiming};
+use readduo_pcm::{MetricConfig, MetricKind, SenseTiming};
 use readduo_reliability::CachedErrorCurve;
 use std::sync::Arc;
 
@@ -138,56 +138,27 @@ impl DriftSampler {
         }
     }
 
-    /// Expected per-bit R-metric error probability at `age_s`.
-    pub fn p_bit_r(&self, age_s: f64) -> f64 {
-        self.curve_r.prob(age_s) / 2.0
-    }
-
-    /// Expected per-bit M-metric error probability at `age_s`.
-    pub fn p_bit_m(&self, age_s: f64) -> f64 {
-        self.curve_m.prob(age_s) / 2.0
-    }
-
-    /// Draws the R-sensed bit-error count of a line aged `age_s`.
-    pub fn bit_errors_r(&mut self, age_s: f64) -> u32 {
-        if age_s <= self.fast_r.zero_below {
+    /// Draws the bit-error count of a line aged `age_s`, sensed with
+    /// `metric`.
+    pub fn bit_errors(&mut self, metric: MetricKind, age_s: f64) -> u32 {
+        let (curve, fast) = match metric {
+            MetricKind::R => (&self.curve_r, &self.fast_r),
+            MetricKind::M => (&self.curve_m, &self.fast_m),
+        };
+        if age_s <= fast.zero_below {
             return 0;
         }
-        if age_s >= self.fast_r.positive_from {
-            for &(age_max, accept) in &self.fast_r.tiers {
-                if age_s <= age_max {
-                    let u: f64 = self.rng.gen();
-                    if u <= accept {
-                        return 0;
-                    }
-                    let p = self.p_bit_r(age_s);
-                    return self.binomial.sample_with_uniform(u, p.min(1.0)) as u32;
+        let p = || (curve.prob(age_s) / 2.0).min(1.0);
+        if age_s >= fast.positive_from {
+            if let Some(&(_, accept)) = fast.tiers.iter().find(|&&(age_max, _)| age_s <= age_max) {
+                let u: f64 = self.rng.gen();
+                if u <= accept {
+                    return 0;
                 }
+                return self.binomial.sample_with_uniform(u, p()) as u32;
             }
         }
-        let p = self.p_bit_r(age_s);
-        self.binomial.sample(&mut self.rng, p.min(1.0)) as u32
-    }
-
-    /// Draws the M-sensed bit-error count of a line aged `age_s`.
-    pub fn bit_errors_m(&mut self, age_s: f64) -> u32 {
-        if age_s <= self.fast_m.zero_below {
-            return 0;
-        }
-        if age_s >= self.fast_m.positive_from {
-            for &(age_max, accept) in &self.fast_m.tiers {
-                if age_s <= age_max {
-                    let u: f64 = self.rng.gen();
-                    if u <= accept {
-                        return 0;
-                    }
-                    let p = self.p_bit_m(age_s);
-                    return self.binomial.sample_with_uniform(u, p.min(1.0)) as u32;
-                }
-            }
-        }
-        let p = self.p_bit_m(age_s);
-        self.binomial.sample(&mut self.rng, p.min(1.0)) as u32
+        self.binomial.sample(&mut self.rng, p()) as u32
     }
 
     /// Draws the number of cells a differential write programs: the
@@ -227,8 +198,8 @@ mod tests {
     fn fresh_lines_sample_zero_errors() {
         let mut s = DriftSampler::new(1);
         for _ in 0..50 {
-            assert_eq!(s.bit_errors_r(0.5), 0);
-            assert_eq!(s.bit_errors_m(8.0), 0);
+            assert_eq!(s.bit_errors(MetricKind::R, 0.5), 0);
+            assert_eq!(s.bit_errors(MetricKind::M, 8.0), 0);
         }
     }
 
@@ -239,8 +210,8 @@ mod tests {
         let mut total_r = 0u32;
         let mut total_m = 0u32;
         for _ in 0..200 {
-            total_r += s.bit_errors_r(age);
-            total_m += s.bit_errors_m(age);
+            total_r += s.bit_errors(MetricKind::R, age);
+            total_m += s.bit_errors(MetricKind::M, age);
         }
         assert!(total_r > 200, "R errors at 1e6 s: {total_r}");
         assert!(total_m < total_r / 10, "M errors {total_m} vs R {total_r}");
@@ -251,9 +222,9 @@ mod tests {
         let mut s = DriftSampler::new(3);
         let age = 640.0;
         let n = 20_000;
-        let sum: u64 = (0..n).map(|_| s.bit_errors_r(age) as u64).sum();
+        let sum: u64 = (0..n).map(|_| s.bit_errors(MetricKind::R, age) as u64).sum();
         let mean = sum as f64 / n as f64;
-        let expect = LINE_BITS as f64 * s.p_bit_r(age);
+        let expect = LINE_BITS as f64 * s.curve_r.prob(age) / 2.0;
         assert!(
             (mean - expect).abs() / expect < 0.05,
             "mean {mean} vs expected {expect}"

@@ -175,9 +175,10 @@ impl LineTable {
         self.cold_at_scrub = false;
     }
 
-    /// Makes cold lines default to "fully written at their last scrub" —
+    /// Makes every line default to "fully written at its last scrub" —
     /// the steady state of a `W = 0` policy, which rewrites every line on
-    /// every scrub visit.
+    /// every scrub visit. It overrides the warm region, so a `W = 0` table
+    /// takes the same defaults whatever region it is given.
     pub fn with_cold_writes_at_scrub(mut self) -> Self {
         self.cold_at_scrub = true;
         self
@@ -223,6 +224,15 @@ impl LineTable {
         let phase = j * s;
         let cycles = ((now_s - phase) / s).floor().max(0.0);
         let last_scrub_s = phase - s + cycles * s;
+        if cold_at_scrub {
+            // A `W = 0` policy rewrites every line at every scrub visit,
+            // so that is every line's steady state, warm region or not.
+            return LineState {
+                last_full_write_s: last_scrub_s,
+                last_scrub_s,
+                flags: LwtFlags::new(k),
+            };
+        }
         if line < warm_boundary {
             // Steady-state warm line: last written `j2·S/2` ago (data
             // that is actively written skews young); flags replay that
@@ -247,11 +257,7 @@ impl LineTable {
             };
         }
         LineState {
-            last_full_write_s: if cold_at_scrub {
-                last_scrub_s
-            } else {
-                -(cold_age_s * (1.0 + j))
-            },
+            last_full_write_s: -(cold_age_s * (1.0 + j)),
             last_scrub_s,
             flags: LwtFlags::new(k),
         }
@@ -406,6 +412,16 @@ mod tests {
         t.get_mut(2, 0.0);
         t.get_mut(1, 5.0);
         assert_eq!(t.touched(), 2);
+    }
+
+    #[test]
+    fn writes_at_scrub_override_the_warm_region() {
+        let mut t = LineTable::new(2, 640.0, 0.0).with_cold_writes_at_scrub();
+        t.set_warm_region(50);
+        for line in [0u64, 49, 50, 5000] {
+            let st = *t.get_mut(line, 123.0);
+            assert_eq!(st.last_full_write_s, st.last_scrub_s, "line {line}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! on top of the scheme.
 
 use crate::area::{LineStorage, TLC_LINE_CELLS};
-use crate::schemes::{HybridScheme, LwtScheme, MMetricScheme, Scheme, ScrubbingScheme};
+use crate::schemes::{HybridScheme, LwtScheme, MMetricScheme, Policy, Scheme, ScrubbingScheme};
 use crate::wear::WearConfig;
 use readduo_dram::{DramConfig, TieredDevice};
 use readduo_memsim::{DeviceModel, FixedLatencyDevice};
@@ -248,8 +248,10 @@ impl DeviceSpec {
     ///
     /// Lines `[0, warm_boundary)` are the workload's actively written
     /// region (they default to steady-state recent writes instead of
-    /// ancient ones) and `footprint_lines` pre-sizes the line table; both
-    /// only shape first-touch defaults and capacity, never which lines are
+    /// ancient ones; a `W = 0` scheme's line table overrides it, see
+    /// [`LineTable::with_cold_writes_at_scrub`](crate::LineTable::with_cold_writes_at_scrub))
+    /// and `footprint_lines` pre-sizes the line table; both only shape
+    /// first-touch defaults and capacity, never which lines are
     /// representable.
     pub fn build(
         &self,
@@ -270,13 +272,6 @@ impl DeviceSpec {
             warm_boundary,
             footprint_lines,
         };
-        // The `W = 0` schemes rewrite every line at every scrub, so their
-        // cold default (written at the last scrub) already is the steady
-        // state: they take no warm region.
-        let w0 = Layers {
-            warm_boundary: 0,
-            ..layers
-        };
         let device: Box<dyn DeviceModel> = match self.scheme {
             SchemeKind::Ideal => Box::new(FixedLatencyDevice::ideal()),
             // TLC is drift-free like Ideal; it only packs a line into more
@@ -285,9 +280,9 @@ impl DeviceSpec {
                 Box::new(FixedLatencyDevice::ideal().with_cells_per_write(TLC_LINE_CELLS))
             }
             SchemeKind::Scrubbing => layers.on(ScrubbingScheme::paper(seed)),
-            SchemeKind::ScrubbingW0 => w0.on(ScrubbingScheme::paper_w0(seed)),
+            SchemeKind::ScrubbingW0 => layers.on(ScrubbingScheme::paper_w0(seed)),
             SchemeKind::MMetric => layers.on(MMetricScheme::paper(seed)),
-            SchemeKind::Hybrid => w0.on(HybridScheme::paper(seed)),
+            SchemeKind::Hybrid => layers.on(HybridScheme::paper(seed)),
             SchemeKind::Lwt { k } => layers.on(LwtScheme::paper(seed, k)),
             SchemeKind::LwtNoConversion { k } => layers.on(LwtScheme::without_conversion(seed, k)),
             SchemeKind::Select { k, s } => layers.on(LwtScheme::select(seed, k, s)),
@@ -316,10 +311,7 @@ struct Layers {
 }
 
 impl Layers {
-    fn on<P>(self, mut scheme: Scheme<P>) -> Box<dyn DeviceModel>
-    where
-        Scheme<P>: DeviceModel + 'static,
-    {
+    fn on<P: Policy + 'static>(self, mut scheme: Scheme<P>) -> Box<dyn DeviceModel> {
         if let Some(seed) = self.fault {
             scheme = scheme.with_fault_injection(seed);
         }

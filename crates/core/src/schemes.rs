@@ -11,16 +11,16 @@
 //!   Tri-Level-Cell baseline \[26\] is the same drift-free device writing
 //!   [`TLC_LINE_CELLS`](crate::area::TLC_LINE_CELLS) cells per line.
 //!
-//! The four drifting-MLC schemes are one [`Scheme`] each: the state they
-//! share (drift sampler, line table, energy and device models, optional
-//! fault injector and wear table, the R-M-read count) plus a policy type that
-//! holds what differs. All schemes implement [`DeviceModel`]; the
-//! simulator calls them per read/write/scrub with the simulated time in
-//! seconds.
+//! The four drifting-MLC schemes are one device, [`Scheme`], around a
+//! [`Policy`] each. A policy holds only what the paper says differs: its
+//! read path, its scrub verdict and, for LWT/Select, its demand write. The
+//! device holds the rest once: the drift sampler, line table, energy and
+//! device models, the optional fault injector and wear table, the scrub
+//! visit, the full-line rewrite behind demand, corrective, conversion and
+//! scrub writes, and the R-first escalating read. The simulator calls it
+//! per read/write/scrub with the simulated time in seconds.
 
-use crate::common::{
-    differential_write, full_line_write, DriftSampler, CORRECT_MAX, DETECT_MAX,
-};
+use crate::common::{differential_write, full_line_write, DriftSampler, CORRECT_MAX, DETECT_MAX};
 use crate::conversion::ConversionController;
 use crate::fault::{FaultInjector, InjectedRead};
 use crate::flags::LwtFlags;
@@ -29,7 +29,7 @@ use crate::wear::{WearConfig, WearTable};
 use readduo_memsim::{
     DeviceModel, EnergyModel, ReadMode, ReadOutcome, ScrubOutcome, WriteOutcome,
 };
-use readduo_pcm::DeviceParams;
+use readduo_pcm::{DeviceParams, MetricKind};
 
 /// Cold-line age assumed for `W = 1` policies at `S = 640 s`: M-metric
 /// scrubbing almost never rewrites, so data written before the simulation
@@ -44,17 +44,52 @@ const COLD_AGE_LONG_S: f64 = 1.0e6;
 /// rounds — modelled as 6–12 s (the per-line jitter doubles the base).
 const COLD_AGE_SCRUBBED_S: f64 = 6.0;
 
-/// A drifting-MLC readout scheme: the state every such scheme shares,
-/// around the policy `P` that decides how it reads, writes and scrubs.
+/// What one drifting-MLC scheme decides; the [`Scheme`] around it does
+/// everything else.
+///
+/// The constants and [`slc_bits`](Policy::slc_bits) are fixed for the
+/// scheme's whole life.
+pub trait Policy: Sized {
+    /// The metric a scrub visit senses with.
+    const SCAN: MetricKind;
+    /// Whether an R-read in the detected-uncorrectable band retries with
+    /// M-sensing: every policy but the R-only Scrubbing baseline, which
+    /// has no M-sensing circuit.
+    const ESCALATES: bool;
+
+    /// SLC flag bits every full-line write programs beside the line.
+    fn slc_bits(&self) -> u32 {
+        0
+    }
+
+    /// Services a demand read of `line` at `now_s`: the R-first read
+    /// unless the policy senses differently.
+    fn read(scheme: &mut Scheme<Self>, line: u64, now_s: f64) -> ReadOutcome {
+        let age = scheme.age(line, now_s);
+        scheme.r_first_read(line, now_s, age, None)
+    }
+
+    /// Services a demand write of `line` at `now_s`: a full-line rewrite
+    /// unless the policy writes differently.
+    fn write(scheme: &mut Scheme<Self>, line: u64, now_s: f64) -> WriteOutcome {
+        scheme.rewrite(line, now_s, None)
+    }
+
+    /// The scrub verdict: whether a visit rewrites a line aged `age_s`
+    /// with `stuck` dead cells, drawing any drift errors it senses from
+    /// `sampler`.
+    fn scrub_rewrites(&self, sampler: &mut DriftSampler, age_s: f64, stuck: u32) -> bool;
+}
+
+/// A drifting-MLC readout scheme: the device every such scheme shares,
+/// around the policy `P` that decides how it reads, when a scrub rewrites
+/// and, for LWT/Select, how it writes.
 #[derive(Debug, Clone)]
 pub struct Scheme<P> {
     sampler: DriftSampler,
     table: LineTable,
     energy: EnergyModel,
     params: DeviceParams,
-    /// Whether an injected R-decode failure escalates to an M-read (every
-    /// policy but the R-only Scrubbing baseline).
-    escalate: bool,
     injector: Option<FaultInjector>,
     wear: Option<WearTable>,
     /// R-M-reads issued so far: the index LWT's conversion controller
@@ -76,14 +111,13 @@ pub type HybridScheme = Scheme<HybridPolicy>;
 /// differential writes when built with [`LwtScheme::select`]).
 pub type LwtScheme = Scheme<LwtPolicy>;
 
-impl<P> Scheme<P> {
-    fn assemble(seed: u64, table: LineTable, escalate: bool, policy: P) -> Self {
+impl<P: Policy> Scheme<P> {
+    fn assemble(seed: u64, table: LineTable, policy: P) -> Self {
         Self {
             sampler: DriftSampler::new(seed),
             table,
             energy: EnergyModel::paper(),
             params: DeviceParams::paper(),
-            escalate,
             injector: None,
             wear: None,
             rm_reads: 0,
@@ -112,7 +146,7 @@ impl<P> Scheme<P> {
     /// R-only Scrubbing baseline surfaces them as detected-uncorrectable.
     /// M-metric's direct M-reads never take the injected path.
     pub fn with_fault_injection(mut self, seed: u64) -> Self {
-        self.injector = Some(FaultInjector::new(seed, self.escalate));
+        self.injector = Some(FaultInjector::new(seed, P::ESCALATES));
         self
     }
 
@@ -169,70 +203,59 @@ impl<P> Scheme<P> {
         }
     }
 
-    /// A full-line program of `line` with `slc` flag bits alongside.
-    fn full_write(&mut self, line: u64, slc: u32) -> WriteOutcome {
-        let mut out = full_line_write(&self.energy, &self.params.timing, slc);
+    /// The full-line rewrite behind every demand, corrective, conversion
+    /// and scrub write: `line` counts as fully written at `now_s`, LWT's
+    /// flags re-track it in sub-interval `sub` when one is given, and the
+    /// line is programmed with the policy's SLC flag bits alongside.
+    fn rewrite(&mut self, line: u64, now_s: f64, sub: Option<u8>) -> WriteOutcome {
+        let st = self.table.get_mut(line, now_s);
+        st.last_full_write_s = now_s;
+        if let Some(s) = sub {
+            st.flags.on_write(s);
+        }
+        let mut out = full_line_write(&self.energy, &self.params.timing, self.policy.slc_bits());
         self.charge_wear(line, &mut out);
         out
     }
 
-    /// A scrub visit's outcome: lines with dead cells pay an escalated
-    /// scan instead of the `scan_ns` sensing pass.
-    fn scrub_outcome(
-        &self,
-        stuck: u32,
-        scan_ns: u64,
-        rewrite: Option<WriteOutcome>,
-    ) -> ScrubOutcome {
-        ScrubOutcome {
-            read_latency_ns: if stuck > 0 {
-                self.params.escalation_read_ns
-            } else {
-                scan_ns
-            },
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite,
-        }
-    }
-
-    /// An R-read returning `drift_errors` wrong bits.
-    fn r_read(&self, drift_errors: u32) -> ReadOutcome {
+    /// A read in `mode` returning `drift_errors` wrong bits.
+    fn read_outcome(&self, mode: ReadMode, drift_errors: u32) -> ReadOutcome {
+        let (timing, e) = (&self.params.timing, &self.energy);
+        let (latency_ns, energy_pj) = match mode {
+            ReadMode::RRead => (timing.r_read_ns, e.r_read_pj),
+            ReadMode::MRead => (timing.m_read_ns, e.m_read_pj),
+            ReadMode::RmRead => (self.params.escalation_read_ns, e.r_read_pj + e.m_read_pj),
+        };
         ReadOutcome {
             drift_errors,
-            ..ReadOutcome::basic(
-                self.params.timing.r_read_ns,
-                ReadMode::RRead,
-                self.energy.r_read_pj,
-            )
+            ..ReadOutcome::basic(latency_ns, mode, energy_pj)
         }
     }
 
-    /// An R-M-read (R-sensing, then M-sensing) returning `drift_errors`
-    /// wrong bits.
-    fn rm_read(&self, drift_errors: u32) -> ReadOutcome {
-        ReadOutcome {
-            drift_errors,
-            ..ReadOutcome::basic(
-                self.params.escalation_read_ns,
-                ReadMode::RmRead,
-                self.energy.r_read_pj + self.energy.m_read_pj,
-            )
+    /// The R-first read of `line` aged `age`, shared by Scrubbing, Hybrid
+    /// and LWT's tracked lines.
+    ///
+    /// Analytically, an R-read, unless R-sensing's errors are detected but
+    /// not correctable and the policy escalates, which retries with
+    /// M-sensing; beyond detection the data goes back uncorrected, as an
+    /// R-read. With an injector, the decode chain decides instead, and a
+    /// line readable only through escalation is rewritten (re-tracked in
+    /// `sub`) so it re-enters the fast R-readable population.
+    fn r_first_read(&mut self, line: u64, now_s: f64, age: f64, sub: Option<u8>) -> ReadOutcome {
+        if let Some(r) = self.inject(line, age, false) {
+            let mut out = self.injected_read(r, false);
+            if r.needs_rewrite {
+                out.corrective = Some(self.rewrite(line, now_s, sub));
+            }
+            return out;
         }
-    }
-
-    /// The analytic three-band read path shared by Hybrid and LWT: an
-    /// R-read, unless R-sensing's errors are detected but not correctable,
-    /// which retries with M-sensing. Beyond detection the data goes back
-    /// uncorrected, as an R-read.
-    fn banded_read(&mut self, age: f64) -> ReadOutcome {
-        let errors = self.sampler.bit_errors_r(age);
-        if errors <= CORRECT_MAX || errors > DETECT_MAX {
-            self.r_read(errors)
-        } else {
-            self.rm_reads += 1;
-            let m_errors = self.sampler.bit_errors_m(age);
-            self.rm_read(m_errors)
+        let errors = self.sampler.bit_errors(MetricKind::R, age);
+        if !P::ESCALATES || errors <= CORRECT_MAX || errors > DETECT_MAX {
+            return self.read_outcome(ReadMode::RRead, errors);
         }
+        self.rm_reads += 1;
+        let m_errors = self.sampler.bit_errors(MetricKind::M, age);
+        self.read_outcome(ReadMode::RmRead, m_errors)
     }
 
     /// The outcome of an injected read `r`: an R-read, or an R-M-read when
@@ -243,9 +266,9 @@ impl<P> Scheme<P> {
             self.rm_reads += 1;
         }
         let out = if r.escalated || m_only {
-            self.rm_read(r.m_errors)
+            self.read_outcome(ReadMode::RmRead, r.m_errors)
         } else {
-            self.r_read(r.r_errors)
+            self.read_outcome(ReadMode::RRead, r.r_errors)
         };
         ReadOutcome {
             ecc_corrected_bits: r.corrected_bits,
@@ -257,11 +280,51 @@ impl<P> Scheme<P> {
     }
 }
 
+impl<P: Policy> DeviceModel for Scheme<P> {
+    fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
+        P::read(self, line, now_s)
+    }
+
+    fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
+        P::write(self, line, now_s)
+    }
+
+    fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
+        let age = self.age(line, now_s);
+        let stuck = self.stuck_cells(line);
+        let rewrite = self.policy.scrub_rewrites(&mut self.sampler, age, stuck);
+        let st = self.table.get_mut(line, now_s);
+        st.last_scrub_s = now_s;
+        // Only LWT reads its flags; the other schemes carry them unread.
+        st.flags.on_scrub(rewrite);
+        // A line with dead cells pays an escalated scan.
+        let scan = match (stuck, P::SCAN) {
+            (0, MetricKind::R) => ReadMode::RRead,
+            (0, MetricKind::M) => ReadMode::MRead,
+            _ => ReadMode::RmRead,
+        };
+        ScrubOutcome {
+            read_latency_ns: self.read_outcome(scan, 0).latency_ns,
+            read_energy_pj: self.energy.scrub_scan_pj,
+            rewrite: rewrite.then(|| self.rewrite(line, now_s, None)),
+        }
+    }
+
+    fn scrub_interval_s(&self) -> Option<f64> {
+        Some(self.table.scrub_interval_s())
+    }
+
+    fn prefetch_line(&mut self, line: u64) {
+        self.table.prefetch(line);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scrubbing baseline (R-sensing).
 // ---------------------------------------------------------------------
 
-/// The Scrubbing baseline's policy: R-sensing, rewrite on `w` errors.
+/// The Scrubbing baseline's policy: R-sensing without escalation, and a
+/// scrub rewrite on `w` errors.
 #[derive(Debug, Clone, Copy)]
 pub struct ScrubbingPolicy {
     w: u32,
@@ -279,57 +342,25 @@ impl ScrubbingScheme {
         Self::new(seed, 8.0, 0)
     }
 
-    /// Custom interval/threshold.
-    pub fn new(seed: u64, interval_s: f64, w: u32) -> Self {
+    fn new(seed: u64, interval_s: f64, w: u32) -> Self {
         let table = if w == 0 {
             LineTable::new(2, interval_s, 0.0).with_cold_writes_at_scrub()
         } else {
             LineTable::new(2, interval_s, COLD_AGE_SCRUBBED_S)
         };
-        Self::assemble(seed, table, false, ScrubbingPolicy { w })
+        Self::assemble(seed, table, ScrubbingPolicy { w })
     }
 }
 
-impl DeviceModel for ScrubbingScheme {
-    fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let age = self.age(line, now_s);
-        // The R-only baseline never escalates: an injected read is an R-read.
-        if let Some(r) = self.inject(line, age, false) {
-            return self.injected_read(r, false);
-        }
-        let errors = self.sampler.bit_errors_r(age);
-        self.r_read(errors)
-    }
+impl Policy for ScrubbingPolicy {
+    const SCAN: MetricKind = MetricKind::R;
+    const ESCALATES: bool = false;
 
-    fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        self.table.get_mut(line, now_s).last_full_write_s = now_s;
-        self.full_write(line, 0)
-    }
-
-    fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let age = self.age(line, now_s);
-        let errors = self.sampler.bit_errors_r(age);
-        // Dead cells shrink the correctable margin: a line with stuck bits
-        // escalates its scan and is rewritten unconditionally so the spare
-        // machinery gets a chance to remap it.
-        let stuck = self.stuck_cells(line);
-        let w = self.policy.w;
-        let rewrite = w == 0 || errors >= w || stuck > 0;
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        if rewrite {
-            st.last_full_write_s = now_s;
-        }
-        let rw = rewrite.then(|| self.full_write(line, 0));
-        self.scrub_outcome(stuck, self.params.timing.r_read_ns, rw)
-    }
-
-    fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.table.scrub_interval_s())
-    }
-
-    fn prefetch_line(&mut self, line: u64) {
-        self.table.prefetch(line);
+    fn scrub_rewrites(&self, sampler: &mut DriftSampler, age_s: f64, stuck: u32) -> bool {
+        // `W = 0` rewrites on every visit. Dead cells shrink the
+        // correctable margin: a line with stuck bits is rewritten
+        // unconditionally so the spare machinery gets a chance to remap it.
+        sampler.bit_errors(Self::SCAN, age_s) >= self.w || stuck > 0
     }
 }
 
@@ -345,43 +376,22 @@ impl MMetricScheme {
     /// The paper's configuration.
     pub fn paper(seed: u64) -> Self {
         let table = LineTable::new(2, 640.0, COLD_AGE_LONG_S);
-        Self::assemble(seed, table, true, MMetricPolicy)
+        Self::assemble(seed, table, MMetricPolicy)
     }
 }
 
-impl DeviceModel for MMetricScheme {
-    fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let age = self.age(line, now_s);
-        let errors = self.sampler.bit_errors_m(age);
-        ReadOutcome {
-            drift_errors: errors,
-            ..ReadOutcome::basic(self.params.timing.m_read_ns, ReadMode::MRead, self.energy.m_read_pj)
-        }
+impl Policy for MMetricPolicy {
+    const SCAN: MetricKind = MetricKind::M;
+    const ESCALATES: bool = true;
+
+    fn read(scheme: &mut Scheme<Self>, line: u64, now_s: f64) -> ReadOutcome {
+        let age = scheme.age(line, now_s);
+        let errors = scheme.sampler.bit_errors(MetricKind::M, age);
+        scheme.read_outcome(ReadMode::MRead, errors)
     }
 
-    fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        self.table.get_mut(line, now_s).last_full_write_s = now_s;
-        self.full_write(line, 0)
-    }
-
-    fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let age = self.age(line, now_s);
-        let rewrite = self.sampler.bit_errors_m(age) >= 1;
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        if rewrite {
-            st.last_full_write_s = now_s;
-        }
-        let rw = rewrite.then(|| self.full_write(line, 0));
-        self.scrub_outcome(0, self.params.timing.m_read_ns, rw)
-    }
-
-    fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.table.scrub_interval_s())
-    }
-
-    fn prefetch_line(&mut self, line: u64) {
-        self.table.prefetch(line);
+    fn scrub_rewrites(&self, sampler: &mut DriftSampler, age_s: f64, _stuck: u32) -> bool {
+        sampler.bit_errors(Self::SCAN, age_s) >= 1
     }
 }
 
@@ -398,47 +408,17 @@ impl HybridScheme {
     /// The paper's configuration.
     pub fn paper(seed: u64) -> Self {
         let table = LineTable::new(2, 640.0, 0.0).with_cold_writes_at_scrub();
-        Self::assemble(seed, table, true, HybridPolicy)
+        Self::assemble(seed, table, HybridPolicy)
     }
 }
 
-impl DeviceModel for HybridScheme {
-    fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let age = self.age(line, now_s);
-        let Some(r) = self.inject(line, age, false) else {
-            return self.banded_read(age);
-        };
-        let mut out = self.injected_read(r, false);
-        if r.needs_rewrite {
-            // The line is only readable through escalation: rewrite it so
-            // it re-enters the fast R-readable population.
-            self.table.get_mut(line, now_s).last_full_write_s = now_s;
-            out.corrective = Some(self.full_write(line, 0));
-        }
-        out
-    }
+impl Policy for HybridPolicy {
+    const SCAN: MetricKind = MetricKind::M;
+    const ESCALATES: bool = true;
 
-    fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        self.table.get_mut(line, now_s).last_full_write_s = now_s;
-        self.full_write(line, 0)
-    }
-
-    fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        // W = 0: scan with M (the reliable metric), rewrite unconditionally.
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        st.last_full_write_s = now_s;
-        let stuck = self.stuck_cells(line);
-        let rw = self.full_write(line, 0);
-        self.scrub_outcome(stuck, self.params.timing.m_read_ns, Some(rw))
-    }
-
-    fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.table.scrub_interval_s())
-    }
-
-    fn prefetch_line(&mut self, line: u64) {
-        self.table.prefetch(line);
+    /// `W = 0`: every visit rewrites, without sensing errors first.
+    fn scrub_rewrites(&self, _: &mut DriftSampler, _: f64, _: u32) -> bool {
+        true
     }
 }
 
@@ -490,113 +470,72 @@ impl LwtScheme {
             sdw_window,
         };
         let table = LineTable::new(k, 640.0, COLD_AGE_LONG_S);
-        Self::assemble(seed, table, true, policy)
-    }
-
-    /// Number of sub-intervals `k`.
-    pub fn k(&self) -> u8 {
-        self.policy.k
-    }
-
-    /// Current dynamic conversion percentage `T`.
-    pub fn t_percent(&self) -> u32 {
-        self.policy.controller.t_percent()
-    }
-
-    /// A full-line write that re-tracks `line` in sub-interval `sub`.
-    fn tracked_write(&mut self, line: u64, now_s: f64, sub: Option<u8>) -> WriteOutcome {
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
-        if let Some(s) = sub {
-            st.flags.on_write(s);
-        }
-        self.full_write(line, LwtFlags::storage_bits(self.policy.k))
+        Self::assemble(seed, table, policy)
     }
 }
 
-impl DeviceModel for LwtScheme {
-    fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let sub = self.table.sub_interval(&st, now_s);
+impl Policy for LwtPolicy {
+    const SCAN: MetricKind = MetricKind::M;
+    const ESCALATES: bool = true;
+
+    fn slc_bits(&self) -> u32 {
+        LwtFlags::storage_bits(self.k)
+    }
+
+    fn read(scheme: &mut Scheme<Self>, line: u64, now_s: f64) -> ReadOutcome {
+        let st = *scheme.table.get_mut(line, now_s);
+        let sub = scheme.table.sub_interval(&st, now_s);
         let allows_r = sub.is_some_and(|s| st.flags.read_allows_r(s));
-        self.policy.controller.observe_read(!allows_r);
-        let age = self.table.full_write_age(&st, now_s);
+        scheme.policy.controller.observe_read(!allows_r);
+        let age = scheme.table.full_write_age(&st, now_s);
         if allows_r {
-            let Some(r) = self.inject(line, age, false) else {
-                return self.banded_read(age);
-            };
-            let mut out = self.injected_read(r, false);
-            if r.needs_rewrite {
-                out.corrective = Some(self.tracked_write(line, now_s, sub));
-            }
-            return out;
+            return scheme.r_first_read(line, now_s, age, sub);
         }
         // Un-tracked: R-sensing aborted after the flag check, M-sensing
         // reissued — an R-M-read.
-        self.rm_reads += 1;
-        let mut out = match self.inject(line, age, true) {
-            Some(r) => self.injected_read(r, true),
+        scheme.rm_reads += 1;
+        let mut out = match scheme.inject(line, age, true) {
+            Some(r) => scheme.injected_read(r, true),
             None => {
-                let errors = self.sampler.bit_errors_m(age);
-                self.rm_read(errors)
+                let errors = scheme.sampler.bit_errors(MetricKind::M, age);
+                scheme.read_outcome(ReadMode::RmRead, errors)
             }
         };
-        let policy = &mut self.policy;
-        let convert = policy.conversion_enabled && policy.controller.should_convert(self.rm_reads);
+        let policy = &scheme.policy;
+        let convert = policy.conversion_enabled && policy.controller.should_convert(scheme.rm_reads);
         // The redundant write re-tracks the line: the conversion is a
         // full-line write even under Select (it is the only write in the
         // window).
-        out.conversion = convert.then(|| self.tracked_write(line, now_s, sub));
+        out.conversion = convert.then(|| scheme.rewrite(line, now_s, sub));
         out.untracked = true;
         out
     }
 
-    fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let sub = self.table.sub_interval(&st, now_s);
+    fn write(scheme: &mut Scheme<Self>, line: u64, now_s: f64) -> WriteOutcome {
+        let st = *scheme.table.get_mut(line, now_s);
         // Select-(k:s): differential write when the last full-line write is
         // within `s` sub-intervals; the index-flag (conservatively, the
         // recorded full-write time) measures that distance.
-        let window_s = self.policy.sdw_window as f64 * self.table.sub_len_s();
-        if self.policy.sdw_window > 0 && self.table.full_write_age(&st, now_s) < window_s {
+        let window_s = scheme.policy.sdw_window as f64 * scheme.table.sub_len_s();
+        if scheme.policy.sdw_window > 0 && scheme.table.full_write_age(&st, now_s) < window_s {
             // Differential write: only modified cells; flags are NOT
             // updated (the R-sensing distance keeps measuring from the
             // last full write).
-            let cells = self.sampler.differential_write_cells();
-            let mut out = differential_write(&self.energy, &self.params.timing, cells);
-            self.charge_wear(line, &mut out);
+            let cells = scheme.sampler.differential_write_cells();
+            let mut out = differential_write(&scheme.energy, &scheme.params.timing, cells);
+            scheme.charge_wear(line, &mut out);
             return out;
         }
-        self.tracked_write(line, now_s, sub)
+        let sub = scheme.table.sub_interval(&st, now_s);
+        scheme.rewrite(line, now_s, sub)
     }
 
-    fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let age = self.age(line, now_s);
-        let errors = self.sampler.bit_errors_m(age);
+    fn scrub_rewrites(&self, sampler: &mut DriftSampler, age_s: f64, stuck: u32) -> bool {
         // Stuck bits eat into the BCH margin: force the rewrite so the
         // wear controller sees the line and can remap it onto a spare.
-        let stuck = self.stuck_cells(line);
-        let rewrite = errors >= 1 || stuck > 0;
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        st.flags.on_scrub(rewrite);
-        if rewrite {
-            st.last_full_write_s = now_s;
-        }
-        let slc = LwtFlags::storage_bits(self.policy.k);
-        let rw = rewrite.then(|| self.full_write(line, slc));
-        self.scrub_outcome(stuck, self.params.timing.m_read_ns, rw)
-    }
-
-    fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.table.scrub_interval_s())
-    }
-
-    fn prefetch_line(&mut self, line: u64) {
-        self.table.prefetch(line);
+        sampler.bit_errors(Self::SCAN, age_s) >= 1 || stuck > 0
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,12 +122,10 @@ impl CoreGen {
         core: usize,
     ) -> Self {
         assert!(instructions_per_core > 0, "need a positive instruction budget");
-        let footprint = workload.footprint_lines.max(16);
         // The warm region holds data written during the window; everything
         // above it is cold data written long before the trace started.
-        let warm_lines = ((footprint as f64 * workload.locality.written_fraction) as u64)
-            .clamp(1, footprint);
-        let cold_lines = footprint - warm_lines;
+        let warm_lines = workload.warm_lines();
+        let cold_lines = workload.footprint_lines.max(16) - warm_lines;
         let mut rng = generator.core_rng(workload.name, core);
         let stream_cursor = rng.gen_range(0..warm_lines);
         Self {

@@ -107,6 +107,15 @@ impl Workload {
         self.rpki + self.wpki
     }
 
+    /// Lines in the warm region `[0, warm_lines)`, the data written during
+    /// the trace: the generator writes only below this boundary, and the
+    /// schemes default lines below it to recently written. At least one
+    /// line, and at most the footprint (itself at least 16 lines).
+    pub fn warm_lines(&self) -> u64 {
+        let footprint = self.footprint_lines.max(16);
+        ((footprint as f64 * self.locality.written_fraction) as u64).clamp(1, footprint)
+    }
+
     /// A tiny deterministic workload for unit tests and doc examples.
     pub fn toy() -> Workload {
         Workload {

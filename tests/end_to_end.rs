@@ -9,7 +9,7 @@ fn run(kind: SchemeKind, instr: u64) -> readduo::memsim::SimReport {
     let w = Workload::toy();
     let trace = TraceGenerator::new(3).generate(&w, instr, 2);
     let sim = Simulator::new(MemoryConfig::small_test());
-    let warm = (w.footprint_lines as f64 * w.locality.written_fraction) as u64;
+    let warm = w.warm_lines();
     // Device seed re-pinned for the in-workspace RNG streams: the
     // Ideal-fastest ordering holds in expectation but needs a seed whose
     // noise does not mask the ~microsecond margins at this volume.

@@ -1111,7 +1111,7 @@ fn zipf_squeeze_matches_exact_acceptance_oracle() {
     let mut params = Vec::new();
     for w in Workload::spec2006() {
         let footprint = w.footprint_lines.max(16);
-        let warm = ((footprint as f64 * w.locality.written_fraction) as u64).clamp(1, footprint);
+        let warm = w.warm_lines();
         params.push((warm, w.locality.zipf_s));
         if footprint > warm {
             params.push((footprint - warm, w.locality.zipf_s));

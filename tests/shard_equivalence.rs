@@ -273,7 +273,7 @@ fn composed_tier_wear_fault_device_matches_reference_and_streams() {
     // The harness's device seed and warm region, so its runs are
     // comparable with the reference below.
     let seed = SEED ^ w.name.len() as u64;
-    let warm = (w.footprint_lines.max(16) as f64 * w.locality.written_fraction) as u64;
+    let warm = w.warm_lines();
     let fault_seed = 0x00FA_0017u64;
     let wear = WearConfig::new(fault_seed).with_accel(4_000_000);
     let dram = DramConfig::new(SEED, 32).with_threshold(1);
